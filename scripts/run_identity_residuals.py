@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from toepnorm import (CoeffVector, IndexWindow, SymbolSpec,
-                      conjugated_toeplitz_matrix, k0_matrix,
-                      outer_pair_refined, toeplitz_matrix)
+from toepnorm import CoeffVector, IndexWindow, outer_pair_refined
+from toepnorm.acceptance import identity_residual
 from toepnorm.weights import PowerWeight
 
 
@@ -35,17 +34,12 @@ def main() -> int:
     coeffs = (rng.standard_normal(args.degree + 1)
               + 1j * rng.standard_normal(args.degree + 1)) / np.sqrt(2)
     h = CoeffVector(IndexWindow(0, args.degree), coeffs)
-    spec = SymbolSpec.shifted(args.n, h)
     pw = PowerWeight(((0.0, args.exponent),))
 
     print("N,residual,rank_ratio")
     for N in (int(s) for s in args.sizes.split(",")):
         W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
-        T = toeplitz_matrix(spec, N).entries
-        C = conjugated_toeplitz_matrix(spec, W, N).entries
-        K0 = k0_matrix(args.n, h, W, N).entries
-        res = np.linalg.norm(C - T - K0) / np.linalg.norm(T)
-        sv = np.linalg.svd(K0, compute_uv=False)
+        res, sv = identity_residual(args.n, h, W, N)
         print(f"{N},{res:.17g},{sv[args.n] / sv[0]:.17g}")
     return 0
 

@@ -2,35 +2,34 @@
 brackets on the unit circle."""
 
 from .spectral import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                       cauchy_singular, coeffs_allclose, fejer_mean, grid_sup,
-                       multiply, riesz_project, scale, synthesize, truncate_pn,
-                       unit)
+                       cauchy_singular, grid_sup, multiply, riesz_project,
+                       scale, synthesize, truncate_pn, unit)
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
                       constant_pair, evaluate_outer, khvedelidze_ap_check,
                       outer_pair, outer_pair_exact, outer_pair_refined,
                       sample_power_weight)
-from .operators import (OperatorMatrix, SymbolSpec, apply_special_toeplitz,
+from .operators import (SymbolSpec, apply_special_toeplitz,
                         conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
                         symbol_sup, toeplitz_matrix)
-from .estimation import (BracketParams, NormEstimate, PowerIterationError,
+from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket,
                          essential_lower_wavepacket, essential_upper,
-                         operator_norm, theoretical_bounds)
+                         theoretical_bounds)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoeffVector", "GridFunction", "IndexWindow", "add", "analyze",
-    "cauchy_singular", "coeffs_allclose", "fejer_mean", "grid_sup",
-    "multiply", "riesz_project", "scale", "synthesize", "truncate_pn", "unit",
+    "cauchy_singular", "grid_sup", "multiply", "riesz_project", "scale",
+    "synthesize", "truncate_pn", "unit",
     "OuterPair", "PowerWeight", "ap_characteristic", "constant_pair",
     "evaluate_outer", "khvedelidze_ap_check", "outer_pair",
     "outer_pair_exact", "outer_pair_refined", "sample_power_weight",
-    "OperatorMatrix", "SymbolSpec", "apply_special_toeplitz",
+    "SymbolSpec", "apply_special_toeplitz",
     "conjugated_toeplitz_matrix", "csa_decompose", "k0_matrix", "symbol_sup",
     "toeplitz_matrix",
-    "BracketParams", "NormEstimate", "PowerIterationError",
+    "BracketParams", "NormEstimate",
     "compression_deficiency_bound", "essential_bracket",
-    "essential_lower_wavepacket", "essential_upper", "operator_norm",
+    "essential_lower_wavepacket", "essential_upper",
     "theoretical_bounds",
 ]

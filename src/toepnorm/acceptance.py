@@ -5,8 +5,11 @@ parameters and returns a :class:`CriterionResult` with the raw table rows,
 named sub-checks and wall time.  The CLI ``reproduce`` command writes these
 tables to CSV; the test suite asserts the sub-checks.
 
-Everything here is deterministic: random polynomial coefficients come from
-a fixed seed and all numerics are single-threaded library calls.
+Random polynomial coefficients come from a fixed seed, so repeated runs on
+the same machine with the same BLAS thread count give identical tables.
+Dense products and decompositions run in the BLAS library, whose
+summation order depends on its thread count: the last digits of the
+tables can differ between thread counts.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .estimation import (BracketParams, compression_deficiency_bound,
 from .operators import (SymbolSpec, conjugated_toeplitz_matrix, k0_matrix,
                         symbol_sup, toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow, multiply
-from .weights import (PowerWeight, ap_characteristic, evaluate_outer,
-                      khvedelidze_ap_check, outer_pair, outer_pair_exact,
-                      outer_pair_refined, sample_power_weight)
+from .weights import (OuterPair, PowerWeight, ap_characteristic,
+                      evaluate_outer, khvedelidze_ap_check, outer_pair,
+                      outer_pair_exact, outer_pair_refined,
+                      sample_power_weight)
 
 _SEED = 20240901
 
@@ -71,6 +75,22 @@ def _seeded_h(rng, degree: int = 4) -> CoeffVector:
     return CoeffVector(IndexWindow(0, degree), coeffs)
 
 
+def identity_residual(n: int, h: CoeffVector, W: OuterPair, N: int
+                      ) -> tuple[float, np.ndarray]:
+    """Residual of the conjugation identity on N x N sections.
+
+    Returns the Frobenius-relative residual
+    ||C - T - K0|| / ||T|| of C = M_W T(e_{-n}h) M_{1/W}, T = T(e_{-n}h)
+    and K0 from ``k0_matrix``, together with the singular values of K0.
+    """
+    spec = SymbolSpec.shifted(n, h)
+    T = toeplitz_matrix(spec, N)
+    C = conjugated_toeplitz_matrix(spec, W, N)
+    K0 = k0_matrix(n, h, W, N)
+    res = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
+    return res, np.linalg.svd(K0, compute_uv=False)
+
+
 def run_conjugation_identity() -> CriterionResult:
     """Sections of M_W T(e_{-n}h) M_{1/W} against T(e_{-n}h) + K0.
 
@@ -80,7 +100,7 @@ def run_conjugation_identity() -> CriterionResult:
     at N=256.  The same sweep checks the rank bound sigma_{n+1}/sigma_1 <=
     1e-8 for every K0 section.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     hs = {n: _seeded_h(rng) for n in (1, 2, 3)}
     rows = []
@@ -88,19 +108,13 @@ def run_conjugation_identity() -> CriterionResult:
     dec_ok = True
     rank_ok = True
     for n in (1, 2, 3):
-        h = hs[n]
-        spec = SymbolSpec.shifted(n, h)
         for lam in (-0.3, 0.3):
             pw = PowerWeight(((0.0, lam),))
             res = {}
             rank_ratio = 0.0
             for N in (128, 256):
                 W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
-                T = toeplitz_matrix(spec, N).entries
-                C = conjugated_toeplitz_matrix(spec, W, N).entries
-                K0 = k0_matrix(n, h, W, N).entries
-                res[N] = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
-                sv = np.linalg.svd(K0, compute_uv=False)
+                res[N], sv = identity_residual(n, hs[n], W, N)
                 rank_ratio = max(rank_ratio, float(sv[n] / sv[0]))
             ok_res = res[128] <= 1e-6
             ok_dec = res[256] < res[128]
@@ -112,7 +126,7 @@ def run_conjugation_identity() -> CriterionResult:
                          "residual_128": res[128], "residual_256": res[256],
                          "decreasing": ok_dec, "rank_ratio": rank_ratio,
                          "pass": ok_res and ok_dec and ok_rank})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"residual_below_1e-6_at_128": res_ok,
               "residual_decreases_at_256": dec_ok,
               "k0_rank_bound": rank_ok,
@@ -137,7 +151,7 @@ def run_unweighted_bracket() -> CriterionResult:
     the coefficient window, N and m alone, so the certified end is an upper
     bound for sup|a| (hence for the grid sup) without reference to either.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = BracketParams()
     rows = []
     contain_ok = True
@@ -156,7 +170,7 @@ def run_unweighted_bracket() -> CriterionResult:
                      "deficiency_bound": beta, "certified_upper": certified,
                      "grid_sup": sup, "width_frac": width,
                      "contains_sup": contains})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"bracket_contains_grid_sup": contain_ok,
               "bracket_width_within_4pct": width_ok,
               "runtime_within_30s": elapsed <= 30.0}
@@ -173,7 +187,7 @@ def run_weight_independence() -> CriterionResult:
     Outer pairs come from the one-grid construction at M = 8N, whose error
     scales like 1/M and therefore halves with the section size.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     dev_ok = True
     shrink_ok = True
@@ -197,7 +211,7 @@ def run_weight_independence() -> CriterionResult:
         rows.append({"symbol": name, "grid_sup": sup,
                      "max_dev_1024": devs[1024], "max_dev_2048": devs[2048],
                      "within_2pct": ok_dev, "shrinks": ok_shrink})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"deviation_within_2pct": dev_ok,
               "deviation_shrinks_at_2048": shrink_ok,
               "runtime_within_60s": elapsed <= 60.0}
@@ -229,7 +243,7 @@ def run_ap_classification() -> CriterionResult:
     table records s and the limiting growth 2^max(s, 0) - 1 (zero inside
     A_p, where the characteristic stays bounded) next to the measured rates.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     adm_ok = True
     inadm_ok = True
@@ -256,7 +270,7 @@ def run_ap_classification() -> CriterionResult:
                          "char_1024": chars[2], "growth_1": g1, "growth_2": g2,
                          "s": s, "predicted_growth": predicted,
                          "signal_agrees": ok})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"admissible_growth_below_25pct": adm_ok,
               "inadmissible_growth_at_predicted_rate": inadm_ok,
               "runtime_within_20s": elapsed <= 20.0}
@@ -266,7 +280,7 @@ def run_ap_classification() -> CriterionResult:
 
 def run_outer_validation() -> CriterionResult:
     """Outer function of w = |t-1| against the closed form W(z) = 1 - z."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pw = PowerWeight(((0.0, 1.0),))
     win = IndexWindow(0, 511)
     pair = outer_pair_exact(pw, win)
@@ -289,7 +303,7 @@ def run_outer_validation() -> CriterionResult:
     recip_err = float(np.max(np.abs(defect)))
     rows.append({"quantity": "reciprocal_residual", "value": recip_err,
                  "threshold": 1e-8, "pass": recip_err <= 1e-8})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"coefficients_match": coeff_err <= 1e-6,
               "pointwise_evaluation_matches": eval_ok,
               "reciprocal_residual_below_1e-8": recip_err <= 1e-8,
@@ -300,7 +314,7 @@ def run_outer_validation() -> CriterionResult:
 
 def run_theoretical_bounds() -> CriterionResult:
     """Spot values of the essential-norm bound coefficients."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     ok_all = True
     for p, expected in ((2.0, 1.0), (4.0, math.sqrt(2.0))):
@@ -309,7 +323,7 @@ def run_theoretical_bounds() -> CriterionResult:
         ok_all &= ok
         rows.append({"quantity": f"bound_coefficients_p={p:g}",
                      "value": up, "threshold": expected, "pass": ok})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     checks = {"bound_values_exact": ok_all}
     return CriterionResult("theoretical_bounds", ok_all, elapsed, rows, checks)
 

@@ -30,30 +30,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals, toeplitz as _toeplitz
+from scipy.linalg import svdvals
 
-from .operators import OperatorMatrix, SymbolSpec
-from .spectral import CoeffVector, IndexWindow, multiply, riesz_project, unit
+from .operators import (SymbolSpec, _conjugated_columns, _section,
+                        toeplitz_matrix)
+from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
 # Matrices whose imaginary part is below this relative level are treated as
 # real for the dense SVD (halves the LAPACK cost on real-symmetric data).
 _REAL_CAST_RTOL = 1e-12
-
-_POWER_ITERATION_CAP = 10000
-_POWER_ITERATION_RTOL = 1e-10
-_DENSE_FALLBACK_BELOW = 64
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration hits its cap; carries the last iterate."""
-
-    def __init__(self, estimate: float, iterations: int):
-        super().__init__(
-            f"power iteration did not converge within {iterations} steps; "
-            f"last estimate {estimate!r}")
-        self.estimate = estimate
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -90,35 +76,6 @@ class NormEstimate:
                 "m": self.m, "L": self.L, "thetas": self.thetas}
 
 
-def operator_norm(M: OperatorMatrix) -> float:
-    """Largest singular value of a section.
-
-    Below size 64 this is a full decomposition.  Otherwise: power iteration
-    on the Gram composition A* A with the normalized all-ones start vector,
-    stopping when successive estimates agree to 1e-10 relative.  Sections
-    with a tight singular-value cluster at the top may exhaust the 10000
-    iteration cap; the failure then carries the last iterate.
-    """
-    A = M.entries
-    if M.N < _DENSE_FALLBACK_BELOW:
-        return float(svdvals(A)[0])
-    AH = A.conj().T
-    v = np.ones(M.N, dtype=complex) / math.sqrt(M.N)
-    est_prev = -1.0
-    est = 0.0
-    for _ in range(_POWER_ITERATION_CAP):
-        w = AH @ (A @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        est = math.sqrt(nrm)
-        if abs(est - est_prev) <= _POWER_ITERATION_RTOL * max(est, 1.0):
-            return est
-        est_prev = est
-    raise PowerIterationError(est, _POWER_ITERATION_CAP)
-
-
 def _sigma_max_dense(A: np.ndarray) -> float:
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if scale == 0.0:
@@ -137,36 +94,27 @@ def _require_outer_window(W: OuterPair, needed: int):
 def assemble_section(a: SymbolSpec, W: OuterPair | None, N: int) -> np.ndarray:
     """Dense N x N section of T(a), or of M_W T(a) M_{1/W} when W is given.
 
-    The conjugated section is Toeplitz away from its first max(0, -lo)
+    The conjugated section is Toeplitz away from its first n = max(0, -lo)
     columns: for e_j with j >= n the inner projection in
     P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
     the one convolution g = w * a * winv.  Only the leading columns need the
-    projected composition.  This reproduces the column-by-column definition
-    exactly (the discarded outer-window tail never reaches rows < N).
+    projected composition, taken from the product of the factor sections
+    for those columns alone (the discarded outer-window tail never reaches
+    rows < N).  The identity check compares the literal product against
+    T + K0, so this shortcut serves the brackets only.
     """
+    if W is None:
+        return toeplitz_matrix(a, N)
     full = a.full_coeffs()
     n_neg = max(0, -full.lo)
-    if W is None:
-        col = np.array([full.coeff(i) for i in range(N)])
-        row = np.array([full.coeff(-j) for j in range(N)])
-        return _toeplitz(col, row)
     _require_outer_window(W, N + n_neg)
-    wc = W.w_coeffs.coeffs
-    wic = W.winv_coeffs.coeffs
-    g = np.convolve(wc, np.convolve(full.coeffs, wic))
-    # g[t] is the coefficient at frequency t + full.lo
-    diag = np.zeros(2 * N - 1, dtype=complex)  # diag[d + N - 1] = g-hat(d)
-    for d in range(-min(N - 1, n_neg), N):
-        t = d - full.lo
-        if 0 <= t < len(g):
-            diag[d + N - 1] = g[t]
-    A = _toeplitz(diag[N - 1:], diag[N - 1::-1])
-    out_win = IndexWindow(0, N - 1)
-    for j in range(min(n_neg, N)):
-        x = riesz_project(multiply(W.winv_coeffs, unit(j)))
-        y = riesz_project(multiply(full, x))
-        z = riesz_project(multiply(W.w_coeffs, y))
-        A[:, j] = z.on_window(out_win)
+    g = np.convolve(W.w_coeffs.coeffs,
+                    np.convolve(full.coeffs, W.winv_coeffs.coeffs))
+    A = _section(CoeffVector(IndexWindow(full.lo, full.lo + len(g) - 1), g),
+                 N, N)
+    k = min(n_neg, N)
+    if k:
+        A[:, :k] = _conjugated_columns(full, W, N, k)
     return A
 
 

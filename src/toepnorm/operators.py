@@ -10,22 +10,26 @@ a-hat(i - j).  This module builds N x N compressions of:
 * the finite-rank correction K0 that separates the two
   (``k0_matrix``), satisfying  M_W T(e_{-n} h) M_{1/W} = T(e_{-n} h) + K0.
 
+Each section is a plain ndarray, built as a product of the sections of the
+operator's factors: multiplication by an analytic function is a
+lower-triangular Toeplitz matrix, T(a) a Toeplitz matrix, P_n a restriction
+to the first n rows and T(e_{-n}) the removal of the first n rows.  No
+section is assembled column by column.
+
 Symbols of the form e_{-n} h with analytic h admit the exact representation
 T(e_{-n} h) f = e_{-n} (I - P_n)(h f), implemented by
-``apply_special_toeplitz`` and used throughout; ``csa_decompose`` rewrites a
-finite Laurent symbol in that shifted-analytic form.
+``apply_special_toeplitz``; ``csa_decompose`` rewrites a finite Laurent
+symbol in that shifted-analytic form.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
 
-from .spectral import (CoeffVector, IndexWindow, add, multiply, riesz_project,
-                       synthesize, truncate_pn, unit)
+from .spectral import CoeffVector, IndexWindow, add, multiply, synthesize, unit
 from .weights import OuterPair
 
 _KIND_LAURENT = "laurent"
@@ -90,49 +94,22 @@ class SymbolSpec:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(eq=False)
-class OperatorMatrix:
-    """Compression of an operator to span{e_0, ..., e_{N-1}}."""
+def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
+    """rows x cols matrix with entries c-hat(i - j), zero outside c's window.
 
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (self.N, self.N):
-            raise ValueError("entries must be a square N x N array")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("entries must be finite")
-
-    def to_json_dict(self) -> dict:
-        return {"n": int(self.N),
-                "entries": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in self.entries]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OperatorMatrix":
-        entries = np.array([[complex(re, im) for re, im in row]
-                            for row in d["entries"]])
-        return cls(int(d["n"]), entries)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,j,re,im\n")
-        for i in range(self.N):
-            for j in range(self.N):
-                v = self.entries[i, j]
-                buf.write(f"{i},{j},{v.real:.17g},{v.imag:.17g}\n")
-        return buf.getvalue()
+    For analytic c this is the lower-triangular matrix of multiplication by
+    c, compressed to the first rows/cols monomials.
+    """
+    col = c.on_window(IndexWindow(0, rows - 1))
+    row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
+    return _toeplitz(col, row)
 
 
-def toeplitz_matrix(a: SymbolSpec, N: int) -> OperatorMatrix:
+def toeplitz_matrix(a: SymbolSpec, N: int) -> np.ndarray:
     """N x N section with entries a-hat(i - j), constant along diagonals."""
     if N < 1:
         raise ValueError("section size must be >= 1")
-    full = a.full_coeffs()
-    col = np.array([full.coeff(i) for i in range(N)])
-    row = np.array([full.coeff(-j) for j in range(N)])
-    return OperatorMatrix(N, _toeplitz(col, row))
+    return _section(a.full_coeffs(), N, N)
 
 
 def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVector:
@@ -155,21 +132,19 @@ def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVecto
     return CoeffVector(win, out)
 
 
-def _shifted_form(a: SymbolSpec) -> tuple[int, CoeffVector]:
-    if a.kind == _KIND_SHIFTED:
-        return a.n, a.h
-    return csa_decompose(a, None)
-
-
-def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> OperatorMatrix:
+def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     """Section of the finite-rank correction
 
         K0 = T(e_{-n}) P_n M_h  -  T(e_{-n}) M_W P_n M_{h/W}.
 
-    Column j is assembled by the literal composition.  Since P_n factors
-    through the span of e_0..e_{n-1}, the section has rank at most n; in
-    fact the first term vanishes identically because e_{-n} P_n maps into
-    negative frequencies only.
+    The first term vanishes identically because e_{-n} P_n maps into
+    negative frequencies only, so the section is the product of the factors
+    of the second term: the lower-triangular section of M_{h/W} keeps its
+    rows < n (P_n), the columns < n of the section of M_W take them to rows
+    0..N+n-1, and T(e_{-n}) drops the first n of those.  The result is
+    returned as a full N x N matrix and not sliced to its first n columns:
+    columns >= n come out of the product as exact zeros, so the rank bound
+    checked on K0 is a property of the composition, not of its storage.
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
@@ -177,38 +152,34 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> OperatorMatrix:
         raise ValueError("shift order n must be >= 1")
     if h.lo != 0:
         raise ValueError("h must be analytic (window starting at 0)")
-    out_win = IndexWindow(0, N - 1)
-    hwi = multiply(h, W.winv_coeffs)
-    one = unit(0)
-    entries = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        ej = unit(j)
-        term1 = apply_special_toeplitz(n, one, truncate_pn(multiply(h, ej), n))
-        t2 = truncate_pn(multiply(hwi, ej), n)
-        term2 = apply_special_toeplitz(n, one, multiply(W.w_coeffs, t2))
-        entries[:, j] = term1.on_window(out_win) - term2.on_window(out_win)
-    return OperatorMatrix(N, entries)
+    pn_hw = _section(multiply(h, W.winv_coeffs), n, N)
+    return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
 
 
-def conjugated_toeplitz_matrix(a: SymbolSpec, W: OuterPair, N: int) -> OperatorMatrix:
+def _conjugated_columns(full: CoeffVector, W: OuterPair, N: int,
+                        cols: int) -> np.ndarray:
+    """Columns 0..cols-1 of the N x N section of M_W T(a) M_{1/W}.
+
+    The product L_W T_a L_{1/W} of sections of the three factors: L_W is
+    N x N, T_a is N x (N+n) with n = max(0, -lo), and L_{1/W} is
+    (N+n) x cols.  Rows < N of the composition reach coefficients of W and
+    1/W below N+n only; shorter outer windows count as zero-padded.
+    """
+    n = max(0, -full.lo)
+    inner = _section(full, N, N + n) @ _section(W.winv_coeffs, N + n, cols)
+    return _section(W.w_coeffs, N, N) @ inner
+
+
+def conjugated_toeplitz_matrix(a: SymbolSpec, W: OuterPair, N: int) -> np.ndarray:
     """Section of the conjugated operator M_W T(a) M_{1/W}.
 
-    Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j))); all
-    products are exact windowed convolutions, so the only truncation is the
-    finite window of the supplied outer pair (use length >= 4N for residual
-    studies against ``toeplitz_matrix`` + ``k0_matrix``).
+    Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j))), built as
+    the product of the sections of M_W, T(a) and M_{1/W}; the only
+    truncation is the finite window of the supplied outer pair.
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
-    full = a.full_coeffs()
-    out_win = IndexWindow(0, N - 1)
-    entries = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        x = riesz_project(multiply(W.winv_coeffs, unit(j)))
-        y = riesz_project(multiply(full, x))
-        z = riesz_project(multiply(W.w_coeffs, y))
-        entries[:, j] = z.on_window(out_win)
-    return OperatorMatrix(N, entries)
+    return _conjugated_columns(a.full_coeffs(), W, N, N)
 
 
 def csa_decompose(a: SymbolSpec, plus_tail: CoeffVector | None = None

@@ -113,15 +113,6 @@ class GridFunction:
     def thetas(self) -> np.ndarray:
         return 2.0 * np.pi * (np.arange(self.size) + 0.5) / self.size
 
-    def to_json_dict(self) -> dict:
-        return {"size": int(self.size),
-                "samples": [[float(s.real), float(s.imag)] for s in self.samples]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridFunction":
-        return cls(int(d["size"]),
-                   np.array([complex(re, im) for re, im in d["samples"]]))
-
 
 def unit(n: int) -> CoeffVector:
     """The monomial z**n as a CoeffVector."""
@@ -208,27 +199,6 @@ def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
 
 def scale(a: CoeffVector, factor: complex) -> CoeffVector:
     return CoeffVector(a.window, factor * a.coeffs)
-
-
-def fejer_mean(c: CoeffVector, d: int) -> CoeffVector:
-    """Triangular (Cesaro) coefficient damping, window clipped to [-d, d].
-
-    The coefficient at frequency n is multiplied by max(0, 1 - |n|/(d+1)),
-    which makes the result a sup-norm contraction of c.
-    """
-    if d < 0:
-        raise ValueError("order must be nonnegative")
-    win = IndexWindow(-d, d)
-    ks = win.indices()
-    weights = np.maximum(0.0, 1.0 - np.abs(ks) / (d + 1.0))
-    return CoeffVector(win, weights * c.on_window(win))
-
-
-def coeffs_allclose(a: CoeffVector, b: CoeffVector,
-                    rtol: float = 0.0, atol: float = 0.0) -> bool:
-    """Compare two coefficient vectors as functions (on the union window)."""
-    win = IndexWindow(min(a.lo, b.lo), max(a.hi, b.hi))
-    return np.allclose(a.on_window(win), b.on_window(win), rtol=rtol, atol=atol)
 
 
 def grid_sup(c: CoeffVector, oversample: int = 4) -> float:

@@ -284,11 +284,6 @@ def evaluate_outer(w, z: complex) -> complex:
     return complex(np.exp(np.mean(kernel * np.log(vals))))
 
 
-def reciprocal_pair(pair: OuterPair) -> OuterPair:
-    """Swap W and 1/W (conjugating in the opposite direction)."""
-    return OuterPair(pair.winv_coeffs, pair.w_coeffs, pair.residual)
-
-
 def constant_pair(value: float, length: int) -> OuterPair:
     """Outer pair of the constant weight w == value > 0."""
     if not value > 0:

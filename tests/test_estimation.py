@@ -1,4 +1,4 @@
-"""Operator norms and essential-norm brackets."""
+"""Essential-norm brackets and their a-priori bounds."""
 
 import math
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
-                      OperatorMatrix, PowerIterationError, SymbolSpec,
-                      compression_deficiency_bound, essential_bracket,
-                      essential_lower_wavepacket, essential_upper,
-                      operator_norm, outer_pair, sample_power_weight,
-                      symbol_sup, theoretical_bounds, toeplitz_matrix)
+                      SymbolSpec, compression_deficiency_bound,
+                      essential_bracket, essential_lower_wavepacket,
+                      essential_upper, outer_pair, sample_power_weight,
+                      symbol_sup, theoretical_bounds)
 from toepnorm.weights import PowerWeight
 
 
@@ -26,35 +25,6 @@ def naive_pair(pw, N):
 
 SYM_FLAT = laurent(-1, [1.0])
 SYM_CURVED = laurent(-1, [1.0, 0.0, 0.0, 0.5])
-
-
-# -------------------------------------------------------------- operator_norm
-
-def test_operator_norm_identity():
-    assert abs(operator_norm(OperatorMatrix(80, np.eye(80))) - 1.0) < 1e-9
-
-
-def test_operator_norm_small_diagonal():
-    M = OperatorMatrix(3, np.diag([3.0, 1.0, 0.5]).astype(complex))
-    assert abs(operator_norm(M) - 3.0) < 1e-12
-
-
-def test_operator_norm_tridiagonal_section():
-    T = toeplitz_matrix(laurent(-1, [1.0, 0.0, 1.0]), 256)
-    exact = 2.0 * math.cos(math.pi / 257)
-    assert abs(operator_norm(T) - exact) < 1e-3
-
-
-def test_operator_norm_reports_stall_with_estimate():
-    # Two nearly degenerate top singular values force the iteration past its
-    # cap; the failure must carry a usable estimate.
-    d = np.full(64, 0.1)
-    d[0] = 1.0
-    d[1] = math.sqrt(1.0 - 5e-5)
-    M = OperatorMatrix(64, np.diag(d).astype(complex))
-    with pytest.raises(PowerIterationError) as info:
-        operator_norm(M)
-    assert abs(info.value.estimate - 1.0) < 1e-4
 
 
 # ------------------------------------------------------------ essential_upper

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from toepnorm import (CoeffVector, IndexWindow, OperatorMatrix, SymbolSpec,
+from toepnorm import (CoeffVector, IndexWindow, OuterPair, SymbolSpec,
                       apply_special_toeplitz, conjugated_toeplitz_matrix,
                       constant_pair, csa_decompose, k0_matrix, multiply,
-                      outer_pair_refined, riesz_project, symbol_sup,
-                      toeplitz_matrix, unit)
+                      outer_pair_exact, outer_pair_refined, riesz_project,
+                      symbol_sup, toeplitz_matrix, truncate_pn, unit)
+from toepnorm.acceptance import identity_residual
+from toepnorm.estimation import assemble_section
 from toepnorm.weights import PowerWeight
 
 
@@ -28,31 +30,31 @@ def refined_pair(lam, N, factor=4):
 # ------------------------------------------------------------ toeplitz_matrix
 
 def test_toeplitz_shift_symbol():
-    T = toeplitz_matrix(laurent(1, [1.0]), 3).entries
+    T = toeplitz_matrix(laurent(1, [1.0]), 3)
     expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     assert np.array_equal(T, expected)
 
 
 def test_toeplitz_identity_symbol():
-    T = toeplitz_matrix(laurent(0, [1.0]), 5).entries
+    T = toeplitz_matrix(laurent(0, [1.0]), 5)
     assert np.array_equal(T, np.eye(5, dtype=complex))
 
 
 def test_toeplitz_shifted_kind_consistency():
     # e_{-2} * e_2 is the constant symbol.
     spec = SymbolSpec.shifted(2, cv(0, [0.0, 0.0, 1.0]))
-    T = toeplitz_matrix(spec, 4).entries
+    T = toeplitz_matrix(spec, 4)
     assert np.array_equal(T, np.eye(4, dtype=complex))
 
 
 def test_toeplitz_diagonal_constancy_and_nesting():
     rng = np.random.default_rng(5)
     spec = laurent(-2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    T = toeplitz_matrix(spec, 12).entries
+    T = toeplitz_matrix(spec, 12)
     for d in range(-11, 12):
         vals = np.diagonal(T, -d)
         assert np.all(vals == vals[0])
-    T2 = toeplitz_matrix(spec, 24).entries
+    T2 = toeplitz_matrix(spec, 24)
     assert np.array_equal(T, T2[:12, :12])
 
 
@@ -94,7 +96,7 @@ def test_column_consistency_with_sections():
     n, N = 2, 24
     h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
     spec = SymbolSpec.shifted(n, h)
-    T = toeplitz_matrix(spec, N).entries
+    T = toeplitz_matrix(spec, N)
     win = IndexWindow(0, N - 1)
     for j in range(N):
         col = apply_special_toeplitz(n, h, unit(j)).on_window(win)
@@ -105,7 +107,7 @@ def test_column_consistency_with_sections():
 
 def test_k0_vanishes_for_constant_weight():
     h = cv(0, [1.0, 2.0, 0.5])
-    K0 = k0_matrix(2, h, constant_pair(1.0, 64), 16).entries
+    K0 = k0_matrix(2, h, constant_pair(1.0, 64), 16)
     assert np.max(np.abs(K0)) == 0.0
 
 
@@ -114,7 +116,7 @@ def test_k0_rank_bounds():
     for n, lam, N in ((1, 0.3, 64), (3, -0.3, 128)):
         h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
         W = refined_pair(lam, N)
-        K0 = k0_matrix(n, h, W, N).entries
+        K0 = k0_matrix(n, h, W, N)
         sv = np.linalg.svd(K0, compute_uv=False)
         assert sv[n] / sv[0] <= 1e-8
         # columns beyond the first n vanish identically
@@ -126,51 +128,110 @@ def test_k0_rank_bounds():
 def test_conjugation_by_constant_weight_is_identity_map():
     spec = laurent(-1, [1.0, 0.0, 0.5])
     N = 16
-    T = toeplitz_matrix(spec, N).entries
-    C = conjugated_toeplitz_matrix(spec, constant_pair(1.0, 64), N).entries
+    T = toeplitz_matrix(spec, N)
+    C = conjugated_toeplitz_matrix(spec, constant_pair(1.0, 64), N)
     assert np.array_equal(C, T)
 
 
 def test_conjugation_of_constant_symbol_is_identity_matrix():
-    from toepnorm import outer_pair_exact
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 127))
-    C = conjugated_toeplitz_matrix(laurent(0, [1.0]), W, 32).entries
+    C = conjugated_toeplitz_matrix(laurent(0, [1.0]), W, 32)
     assert np.max(np.abs(C - np.eye(32))) < 1e-8
 
 
 def test_conjugation_identity_small():
-    spec = laurent(-1, [1.0])
     N = 128
-    W = refined_pair(0.3, N)
-    T = toeplitz_matrix(spec, N).entries
-    C = conjugated_toeplitz_matrix(spec, W, N).entries
-    K0 = k0_matrix(1, unit(0), W, N).entries
-    rel = np.linalg.norm(C - T - K0) / np.linalg.norm(T)
+    rel, _ = identity_residual(1, unit(0), refined_pair(0.3, N), N)
     assert rel <= 1e-6
 
 
 def test_conjugation_identity_decreases_with_section_size():
     rng = np.random.default_rng(23)
     h = cv(0, rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    n = 4
-    spec = SymbolSpec.shifted(n, h)
     for lam in (0.3, -0.3):
-        res = {}
-        for N in (128, 256):
-            W = refined_pair(lam, N)
-            T = toeplitz_matrix(spec, N).entries
-            C = conjugated_toeplitz_matrix(spec, W, N).entries
-            K0 = k0_matrix(n, h, W, N).entries
-            res[N] = np.linalg.norm(C - T - K0) / np.linalg.norm(T)
+        res = {N: identity_residual(4, h, refined_pair(lam, N), N)[0]
+               for N in (128, 256)}
         assert res[128] <= 1e-6
         assert res[256] < res[128]
+
+
+# ------------------------------------ product builders against column loops
+
+def conjugated_reference(a, W, N):
+    """Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j)))."""
+    full = a.full_coeffs()
+    win = IndexWindow(0, N - 1)
+    out = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        x = riesz_project(multiply(W.winv_coeffs, unit(j)))
+        y = riesz_project(multiply(full, x))
+        out[:, j] = riesz_project(multiply(W.w_coeffs, y)).on_window(win)
+    return out
+
+
+def k0_reference(n, h, W, N):
+    """Both terms of T(e_{-n}) P_n M_h - T(e_{-n}) M_W P_n M_{h/W}, column
+    by column."""
+    win = IndexWindow(0, N - 1)
+    hwi = multiply(h, W.winv_coeffs)
+    out = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        ej = unit(j)
+        term1 = apply_special_toeplitz(n, unit(0),
+                                       truncate_pn(multiply(h, ej), n))
+        t2 = truncate_pn(multiply(hwi, ej), n)
+        term2 = apply_special_toeplitz(n, unit(0), multiply(W.w_coeffs, t2))
+        out[:, j] = term1.on_window(win) - term2.on_window(win)
+    return out
+
+
+def reference_symbols():
+    """2e_-2 + e_1 + 0.3e_3 (lo < 0 < hi) and e_{-3} h, with (n, h) for K0."""
+    laurent_spec = laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])
+    rng = np.random.default_rng(37)
+    h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    return [(laurent_spec, *csa_decompose(laurent_spec)),
+            (SymbolSpec.shifted(3, h), 3, h)]
+
+
+def reference_pairs(N):
+    pw = PowerWeight(((0.0, 0.3),))
+    win = IndexWindow(0, 4 * N - 1)
+    return [outer_pair_refined(pw, 512, win), outer_pair_exact(pw, win)]
+
+
+@pytest.mark.parametrize("N", (2, 24, 40))  # N = 2 < n = 3 for e_{-3} h
+def test_sections_match_column_reference(N):
+    for spec, n, h in reference_symbols():
+        tol = 1e-13 * np.max(np.abs(toeplitz_matrix(spec, N)))
+        for W in reference_pairs(N):
+            C = conjugated_reference(spec, W, N)
+            assert np.max(np.abs(conjugated_toeplitz_matrix(spec, W, N) - C)) \
+                <= tol
+            assert np.max(np.abs(assemble_section(spec, W, N) - C)) <= tol
+            K0 = k0_matrix(n, h, W, N)
+            assert K0.shape == (N, N)
+            assert np.max(np.abs(K0 - k0_reference(n, h, W, N))) <= tol
+
+
+def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
+    N = 24
+    for spec, _, _ in reference_symbols():
+        K = N + max(0, -spec.full_coeffs().lo)
+        for W in reference_pairs(N):
+            short = OuterPair(
+                CoeffVector(IndexWindow(0, K - 1), W.w_coeffs.coeffs[:K]),
+                CoeffVector(IndexWindow(0, K - 1), W.winv_coeffs.coeffs[:K]),
+                W.residual)
+            assert np.array_equal(conjugated_toeplitz_matrix(spec, short, N),
+                                  conjugated_toeplitz_matrix(spec, W, N))
 
 
 def test_section_norm_bounded_by_symbol_sup():
     rng = np.random.default_rng(29)
     for _ in range(3):
         spec = laurent(-2, rng.standard_normal(6))
-        T = toeplitz_matrix(spec, 128).entries
+        T = toeplitz_matrix(spec, 128)
         smax = np.linalg.svd(T, compute_uv=False)[0]
         assert smax <= symbol_sup(spec) + 1e-9
 
@@ -205,15 +266,3 @@ def test_csa_decompose_with_tail():
     n, h = csa_decompose(base, tail)
     assert n == 1
     assert h.coeff(0) == 1 and h.coeff(2) == 2 and h.coeff(4) == 4
-
-
-# --------------------------------------------------------------- matrix I/O
-
-def test_operator_matrix_serialization():
-    M = OperatorMatrix(2, np.array([[1 + 2j, 0], [0.5, -1j]]))
-    back = OperatorMatrix.from_json_dict(M.to_json_dict())
-    assert np.array_equal(back.entries, M.entries)
-    csv = M.to_csv().splitlines()
-    assert csv[0] == "i,j,re,im"
-    assert len(csv) == 5
-    assert csv[1].startswith("0,0,1,2")

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toepnorm import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                      cauchy_singular, fejer_mean, grid_sup, multiply,
-                      riesz_project, synthesize, truncate_pn, unit)
+                      cauchy_singular, multiply, riesz_project, synthesize,
+                      truncate_pn, unit)
 
 
 def cv(lo, coeffs):
@@ -225,34 +225,6 @@ def test_multiply_algebra_properties(a, b, c):
         <= 1e-11 * dist_scale
 
 
-# --------------------------------------------------------------- fejer_mean
-
-def test_fejer_order_zero_keeps_mean_only():
-    c = cv(-2, [1.0, 2.0, 3.0, 4.0, 5.0])
-    out = fejer_mean(c, 0)
-    assert out.window == IndexWindow(0, 0)
-    assert out.coeffs[0] == 3.0
-
-
-def test_fejer_weights_converge_to_identity():
-    c = cv(-2, [1.0, 2.0, 3.0, 4.0, 5.0])
-    out = fejer_mean(c, 10 ** 6)
-    for k in range(-2, 3):
-        assert abs(out.coeff(k) - c.coeff(k)) < 1e-5 * abs(c.coeff(k))
-
-
-def test_fejer_halves_first_harmonic():
-    out = fejer_mean(unit(1), 1)
-    assert out.coeff(1) == 0.5
-
-
-@settings(max_examples=30, deadline=None)
-@given(coeff_vectors(max_len=10, lo_range=10), st.integers(0, 12))
-def test_fejer_sup_contraction(c, d):
-    out = fejer_mean(c, d)
-    assert grid_sup(out) <= grid_sup(c) * (1 + 1e-12) + 1e-12
-
-
 # ------------------------------------------------------------ validation/io
 
 def test_coeff_vector_rejects_nan():
@@ -274,6 +246,3 @@ def test_json_roundtrips():
     c = cv(-2, [1 + 2j, 0.5, -1.0])
     c2 = CoeffVector.from_json_dict(c.to_json_dict())
     assert c2.window == c.window and np.array_equal(c2.coeffs, c.coeffs)
-    g = synthesize(c, 8)
-    g2 = GridFunction.from_json_dict(g.to_json_dict())
-    assert g2.size == g.size and np.array_equal(g2.samples, g.samples)
