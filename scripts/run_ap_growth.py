@@ -10,7 +10,8 @@ growth; the closed-form verdict is printed alongside.
 import argparse
 import sys
 
-from toepnorm import ap_characteristic, khvedelidze_ap_check, sample_power_weight
+from toepnorm import khvedelidze_ap_check
+from toepnorm.acceptance import ap_characteristics
 from toepnorm.weights import PowerWeight
 
 
@@ -25,7 +26,7 @@ def main() -> int:
 
     lams = [float(s) for s in args.exponents.split(",")]
     ps = [float(s) for s in args.p.split(",")]
-    grids = [int(s) for s in args.grids.split(",")]
+    grids = tuple(int(s) for s in args.grids.split(","))
 
     header = ["p", "lambda", "in_ap"] + [f"char_{M}" for M in grids] + \
              [f"growth_{a}_{b}" for a, b in zip(grids, grids[1:])]
@@ -33,9 +34,7 @@ def main() -> int:
     for p in ps:
         for lam in lams:
             pw = PowerWeight(((0.0, lam),))
-            chars = [ap_characteristic(sample_power_weight(pw, M), p,
-                                       maxM=max(grids))
-                     for M in grids]
+            chars = ap_characteristics(pw, p, grids)
             growth = [b / a - 1.0 for a, b in zip(chars, chars[1:])]
             row = [f"{p:g}", f"{lam:g}", str(khvedelidze_ap_check(pw, p)).lower()]
             row += [f"{c:.17g}" for c in chars]

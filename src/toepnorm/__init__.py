@@ -2,8 +2,8 @@
 brackets on the unit circle."""
 
 from .spectral import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                       cauchy_singular, grid_sup, multiply, riesz_project,
-                       scale, synthesize, truncate_pn, unit)
+                       cauchy_singular, multiply, riesz_project, scale,
+                       synthesize, truncate_pn, unit)
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
                       constant_pair, evaluate_outer, khvedelidze_ap_check,
                       outer_pair, outer_pair_exact, outer_pair_refined,
@@ -13,14 +13,13 @@ from .operators import (SymbolSpec, apply_special_toeplitz,
                         symbol_sup, toeplitz_matrix)
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket,
-                         essential_lower_wavepacket, essential_upper,
                          theoretical_bounds)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoeffVector", "GridFunction", "IndexWindow", "add", "analyze",
-    "cauchy_singular", "grid_sup", "multiply", "riesz_project", "scale",
+    "cauchy_singular", "multiply", "riesz_project", "scale",
     "synthesize", "truncate_pn", "unit",
     "OuterPair", "PowerWeight", "ap_characteristic", "constant_pair",
     "evaluate_outer", "khvedelidze_ap_check", "outer_pair",
@@ -29,7 +28,5 @@ __all__ = [
     "conjugated_toeplitz_matrix", "csa_decompose", "k0_matrix", "symbol_sup",
     "toeplitz_matrix",
     "BracketParams", "NormEstimate",
-    "compression_deficiency_bound", "essential_bracket",
-    "essential_lower_wavepacket", "essential_upper",
-    "theoretical_bounds",
+    "compression_deficiency_bound", "essential_bracket", "theoretical_bounds",
 ]

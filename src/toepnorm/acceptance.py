@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (BracketParams, compression_deficiency_bound,
-                         essential_bracket, essential_upper, theoretical_bounds)
+from .estimation import (BracketParams, NormEstimate,
+                         compression_deficiency_bound, essential_bracket,
+                         theoretical_bounds)
 from .operators import (SymbolSpec, conjugated_toeplitz_matrix, k0_matrix,
                         symbol_sup, toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow, multiply
-from .weights import (OuterPair, PowerWeight, ap_characteristic,
+from .weights import (PowerWeight, ap_characteristic,
                       evaluate_outer, khvedelidze_ap_check, outer_pair,
                       outer_pair_exact, outer_pair_refined,
                       sample_power_weight)
@@ -75,20 +76,49 @@ def _seeded_h(rng, degree: int = 4) -> CoeffVector:
     return CoeffVector(IndexWindow(0, degree), coeffs)
 
 
-def identity_residual(n: int, h: CoeffVector, W: OuterPair, N: int
+def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
                       ) -> tuple[float, np.ndarray]:
     """Residual of the conjugation identity on N x N sections.
 
-    Returns the Frobenius-relative residual
+    W is the two-grid refined outer pair of ``pw`` at grid 8N with outer
+    window [0, 4N - 1].  Returns the Frobenius-relative residual
     ||C - T - K0|| / ||T|| of C = M_W T(e_{-n}h) M_{1/W}, T = T(e_{-n}h)
     and K0 from ``k0_matrix``, together with the singular values of K0.
     """
+    W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
     spec = SymbolSpec.shifted(n, h)
     T = toeplitz_matrix(spec, N)
     C = conjugated_toeplitz_matrix(spec, W, N)
     K0 = k0_matrix(n, h, W, N)
     res = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
     return res, np.linalg.svd(K0, compute_uv=False)
+
+
+def weighted_brackets(a: SymbolSpec, weights: list[PowerWeight],
+                      params: BracketParams
+                      ) -> tuple[NormEstimate, list[NormEstimate]]:
+    """The unweighted bracket of ``a`` and one bracket per weight.
+
+    Each weight's outer pair is the one-grid construction from 8N samples
+    on the outer window [0, N + n + 15], n = max(0, -lo): the section reads
+    coefficients below N + n only, and the grid error scales like 1/(8N).
+    """
+    N = params.N
+    n_neg = max(0, -a.full_coeffs().lo)
+    base = essential_bracket(a, None, params)
+    ests = [essential_bracket(
+                a, outer_pair(sample_power_weight(pw, 8 * N),
+                              IndexWindow(0, N + n_neg + 15)), params)
+            for pw in weights]
+    return base, ests
+
+
+def ap_characteristics(pw: PowerWeight, p: float, grids: tuple[int, ...]
+                       ) -> list[float]:
+    """Arc-scan A_p characteristic of ``pw`` sampled on each grid size,
+    every scan with the arc resolution of the finest grid."""
+    return [ap_characteristic(sample_power_weight(pw, M), p, maxM=max(grids))
+            for M in grids]
 
 
 def run_conjugation_identity() -> CriterionResult:
@@ -113,8 +143,7 @@ def run_conjugation_identity() -> CriterionResult:
             res = {}
             rank_ratio = 0.0
             for N in (128, 256):
-                W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
-                res[N], sv = identity_residual(n, hs[n], W, N)
+                res[N], sv = identity_residual(n, hs[n], pw, N)
                 rank_ratio = max(rank_ratio, float(sv[n] / sv[0]))
             ok_res = res[128] <= 1e-6
             ok_dec = res[256] < res[128]
@@ -181,29 +210,25 @@ def run_unweighted_bracket() -> CriterionResult:
 def run_weight_independence() -> CriterionResult:
     """Weighted upper estimates against the unweighted one.
 
-    For every test symbol and weight the conjugated-section norm at N=1024,
-    m=64 must agree with the unweighted section norm to within 2% of
-    sup|a|, and the worst deviation must shrink when N doubles to 2048.
-    Outer pairs come from the one-grid construction at M = 8N, whose error
-    scales like 1/M and therefore halves with the section size.
+    For every test symbol and weight the upper end of the conjugated
+    section's bracket (:func:`weighted_brackets`, N=1024, m=64) must agree
+    with the unweighted one to within 2% of sup|a|, and the worst deviation
+    must shrink when N doubles to 2048.  Outer pairs come from the one-grid
+    construction at M = 8N, whose error scales like 1/M and therefore
+    halves with the section size.
     """
     t0 = time.perf_counter()
     rows = []
     dev_ok = True
     shrink_ok = True
+    weights = [pw for _, pw in independence_weights()]
     for name, spec in bracket_symbols():
         sup = symbol_sup(spec)
-        n_neg = max(0, -spec.full_coeffs().lo)
         devs = {}
         for N in (1024, 2048):
-            up0 = essential_upper(spec, None, 64, N)
-            dmax = 0.0
-            for wname, pw in independence_weights():
-                W = outer_pair(sample_power_weight(pw, 8 * N),
-                               IndexWindow(0, N + n_neg + 15))
-                upw = essential_upper(spec, W, 64, N)
-                dmax = max(dmax, abs(upw - up0))
-            devs[N] = dmax
+            base, ests = weighted_brackets(spec, weights,
+                                           BracketParams(N=N, m=64))
+            devs[N] = max(abs(est.upper - base.upper) for est in ests)
         ok_dev = devs[1024] <= 0.02 * sup
         ok_shrink = devs[2048] < devs[1024]
         dev_ok &= ok_dev
@@ -253,10 +278,7 @@ def run_ap_classification() -> CriterionResult:
             admissible = khvedelidze_ap_check(pw, p)
             s = max(-1.0 / p - lam, lam - (1.0 - 1.0 / p))
             predicted = 2.0 ** max(s, 0.0) - 1.0
-            chars = []
-            for M in (256, 512, 1024):
-                w = sample_power_weight(pw, M)
-                chars.append(ap_characteristic(w, p, maxM=1024))
+            chars = ap_characteristics(pw, p, (256, 512, 1024))
             g1 = chars[1] / chars[0] - 1.0
             g2 = chars[2] / chars[1] - 1.0
             if admissible:
@@ -328,7 +350,10 @@ def run_theoretical_bounds() -> CriterionResult:
     return CriterionResult("theoretical_bounds", ok_all, elapsed, rows, checks)
 
 
+CRITERIA = (run_conjugation_identity, run_unweighted_bracket,
+            run_weight_independence, run_ap_classification,
+            run_outer_validation, run_theoretical_bounds)
+
+
 def run_all() -> list[CriterionResult]:
-    return [run_conjugation_identity(), run_unweighted_bracket(),
-            run_weight_independence(), run_ap_classification(),
-            run_outer_validation(), run_theoretical_bounds()]
+    return [run() for run in CRITERIA]

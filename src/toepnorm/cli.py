@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance
-from .estimation import BracketParams, essential_bracket
+from .estimation import BracketParams
 from .operators import SymbolSpec, csa_decompose, symbol_sup
 from .spectral import CoeffVector, IndexWindow
-from .weights import (PowerWeight, ap_characteristic, khvedelidze_ap_check,
-                      outer_pair, outer_pair_refined, sample_power_weight)
+from .weights import PowerWeight, khvedelidze_ap_check
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -154,8 +153,7 @@ def cmd_ap_check(cfg: ExperimentConfig) -> int:
     M = cfg.grid
     for pw in cfg.weights:
         verdict = khvedelidze_ap_check(pw, cfg.p)
-        c1 = ap_characteristic(sample_power_weight(pw, M), cfg.p, maxM=2 * M)
-        c2 = ap_characteristic(sample_power_weight(pw, 2 * M), cfg.p, maxM=2 * M)
+        c1, c2 = acceptance.ap_characteristics(pw, cfg.p, (M, 2 * M))
         rows.append({"weight": pw.label(), "in_ap": verdict,
                      "char_M": c1, "char_2M": c2,
                      "growth_ratio": c2 / c1 - 1.0})
@@ -178,8 +176,7 @@ def cmd_verify_identity(cfg: ExperimentConfig) -> int:
         res = {}
         rank = 0
         for size in (N, 2 * N):
-            W = outer_pair_refined(pw, 8 * size, IndexWindow(0, 4 * size - 1))
-            res[size], sv = acceptance.identity_residual(n, h, W, size)
+            res[size], sv = acceptance.identity_residual(n, h, pw, size)
             rank = max(rank, int(np.sum(sv > 1e-8 * max(sv[0], 1e-300))))
         decreasing = res[2 * N] < res[N]
         # below rounding level there is no truncation error left to decay
@@ -201,18 +198,13 @@ def cmd_essnorm(cfg: ExperimentConfig) -> int:
     N = cfg.section or 1024
     params = BracketParams(N=N, m=cfg.tail, L=cfg.packet, thetas=cfg.thetas)
     sup = symbol_sup(cfg.symbol)
-    n_neg = max(0, -cfg.symbol.full_coeffs().lo)
-    rows = []
-    est0 = essential_bracket(cfg.symbol, None, params)
-    rows.append({"weight": "1", "lower": est0.lower, "upper": est0.upper,
-                 "grid_sup": sup,
-                 "rel_dev_from_gridsup": abs(est0.upper - sup) / sup,
-                 "rel_dev_from_unweighted": 0.0})
+    est0, ests = acceptance.weighted_brackets(cfg.symbol, cfg.weights, params)
+    rows = [{"weight": "1", "lower": est0.lower, "upper": est0.upper,
+             "grid_sup": sup,
+             "rel_dev_from_gridsup": abs(est0.upper - sup) / sup,
+             "rel_dev_from_unweighted": 0.0}]
     max_dev = 0.0
-    for pw in cfg.weights:
-        W = outer_pair(sample_power_weight(pw, 8 * N),
-                       IndexWindow(0, N + n_neg + 15))
-        est = essential_bracket(cfg.symbol, W, params)
+    for pw, est in zip(cfg.weights, ests):
         dev = abs(est.upper - est0.upper) / sup
         max_dev = max(max_dev, dev)
         rows.append({"weight": pw.label(), "lower": est.lower,
@@ -225,6 +217,34 @@ def cmd_essnorm(cfg: ExperimentConfig) -> int:
                         "rel_dev_from_gridsup", "rel_dev_from_unweighted"],
                  cfg.format, cfg.output)
     return EXIT_OK
+
+
+def write_tables(results: dict, out_dir: str) -> None:
+    """Write the four CSV tables of ``reproduce`` into ``out_dir`` from the
+    verification suite's results, keyed by criterion name."""
+    _write_table(results["ap_classification"].rows,
+                 ["p", "lambda", "admissible", "char_256", "char_512",
+                  "char_1024", "growth_1", "growth_2", "s",
+                  "predicted_growth", "signal_agrees"],
+                 "csv", os.path.join(out_dir, "ap_check.csv"))
+    _write_table(results["conjugation_identity"].rows,
+                 ["lambda", "n", "residual_128", "residual_256",
+                  "decreasing", "rank_ratio", "pass"],
+                 "csv", os.path.join(out_dir, "identity.csv"))
+    ess_rows = [{"check": "bracket", **r}
+                for r in results["unweighted_bracket"].rows]
+    ess_rows += [{"check": "independence", **r}
+                 for r in results["weight_independence"].rows]
+    _write_table(ess_rows,
+                 ["check", "symbol", "lower", "upper",
+                  "deficiency_bound", "certified_upper", "grid_sup",
+                  "width_frac", "contains_sup", "max_dev_1024",
+                  "max_dev_2048", "within_2pct", "shrinks"],
+                 "csv", os.path.join(out_dir, "essnorm.csv"))
+    outer_rows = (results["outer_validation"].rows
+                  + results["theoretical_bounds"].rows)
+    _write_table(outer_rows, ["quantity", "value", "threshold", "pass"],
+                 "csv", os.path.join(out_dir, "outer_validation.csv"))
 
 
 def cmd_reproduce(out_dir: str) -> int:
@@ -240,29 +260,7 @@ def cmd_reproduce(out_dir: str) -> int:
 
     results = {r.name: r for r in acceptance.run_all()}
     try:
-        _write_table(results["ap_classification"].rows,
-                     ["p", "lambda", "admissible", "char_256", "char_512",
-                      "char_1024", "growth_1", "growth_2", "s",
-                      "predicted_growth", "signal_agrees"],
-                     "csv", os.path.join(out_dir, "ap_check.csv"))
-        _write_table(results["conjugation_identity"].rows,
-                     ["lambda", "n", "residual_128", "residual_256",
-                      "decreasing", "rank_ratio", "pass"],
-                     "csv", os.path.join(out_dir, "identity.csv"))
-        ess_rows = [{"check": "bracket", **r}
-                    for r in results["unweighted_bracket"].rows]
-        ess_rows += [{"check": "independence", **r}
-                     for r in results["weight_independence"].rows]
-        _write_table(ess_rows,
-                     ["check", "symbol", "lower", "upper",
-                      "deficiency_bound", "certified_upper", "grid_sup",
-                      "width_frac", "contains_sup", "max_dev_1024",
-                      "max_dev_2048", "within_2pct", "shrinks"],
-                     "csv", os.path.join(out_dir, "essnorm.csv"))
-        outer_rows = (results["outer_validation"].rows
-                      + results["theoretical_bounds"].rows)
-        _write_table(outer_rows, ["quantity", "value", "threshold", "pass"],
-                     "csv", os.path.join(out_dir, "outer_validation.csv"))
+        write_tables(results, out_dir)
     except OSError as exc:
         print(f"write failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -306,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("essnorm", help="essential-norm bracket table")
     common(sp, symbol=True)
-    sp.add_argument("--p", type=float)
     sp.add_argument("--N", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--L", type=int)

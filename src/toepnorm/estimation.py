@@ -1,23 +1,25 @@
-"""Operator-norm and essential-norm estimation for finite sections.
+"""Essential-norm brackets for finite sections.
 
 The essential norm of a Toeplitz operator (its distance to the compacts) is
-bracketed by two computable surrogates on an N x N section:
+bracketed on one N x N section by ``essential_bracket``, the only norm
+routine here:
 
-* upper side: the largest singular value of the section with its first m
+* upper end: the largest singular value of the section with its first m
   columns zeroed, i.e. the norm of A(I - P_m).  Discarding a finite-rank
   piece can only move the norm toward the essential norm, the value is
   nonincreasing in m, and on H^2 it converges (in m, then N) to sup|a| for
   the symbol classes treated here.  Note the section norm approaches the
-  limit from below, so at finite N the "upper" surrogate typically sits a
-  few parts in 1e5 under sup|a|.  On H^2 the a-priori bound
+  limit from below, so at finite N the upper end typically sits a few parts
+  in 1e5 under sup|a|.  On H^2 the a-priori bound
   ``compression_deficiency_bound`` caps that deficiency from the symbol's
   coefficient window, N and m alone: upper / sqrt(1 - beta) is a certified
   upper end for sup|a|.
-* lower side: the largest value of ||A u|| over modulated wave packets
-  u = L^(-1/2) sum_l e^(i l theta) e_{jmin+l}.  Packets supported above jmin
-  are feasible test vectors for A(I - P_jmin), so with jmin = m the bracket
-  is ordered by construction; compact perturbations vanish on such
-  high-frequency packets as jmin grows.
+* lower end: the largest value of ||A u|| over modulated wave packets
+  u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
+  m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
+  ordered by construction; compact perturbations vanish on such
+  high-frequency packets as m grows.  Only the L columns the packets
+  touch enter the product.
 
 Weighted spaces are handled by conjugating with the outer function of the
 weight (an isometry onto the unweighted space), so a single flat-metric
@@ -71,10 +73,6 @@ class NormEstimate:
         if min(self.N, self.m, self.L, self.thetas) <= 0:
             raise ValueError("all truncation parameters must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "N": self.N,
-                "m": self.m, "L": self.L, "thetas": self.thetas}
-
 
 def _sigma_max_dense(A: np.ndarray) -> float:
     scale = float(np.max(np.abs(A))) if A.size else 0.0
@@ -118,43 +116,11 @@ def assemble_section(a: SymbolSpec, W: OuterPair | None, N: int) -> np.ndarray:
     return A
 
 
-def _wave_packets(N: int, L: int, jmin: int, thetas: int) -> np.ndarray:
-    """Columns are the packets u_theta on a uniform theta grid of given size."""
+def _wave_packets(L: int, thetas: int) -> np.ndarray:
+    """L x thetas block whose columns are the packets u_theta on their
+    support, for a uniform theta grid of the given size."""
     ths = 2.0 * np.pi * np.arange(thetas) / thetas
-    ls = np.arange(L)
-    U = np.zeros((N, thetas), dtype=complex)
-    U[jmin:jmin + L, :] = np.exp(1j * np.outer(ls, ths)) / math.sqrt(L)
-    return U
-
-
-def _max_degree(a: SymbolSpec) -> int:
-    return max(0, a.full_coeffs().hi)
-
-
-def essential_upper(a: SymbolSpec, W: OuterPair | None, m: int, N: int) -> float:
-    """Norm of the section with its first m columns zeroed, ||A (I - P_m)||.
-
-    Computed as an exact largest singular value (dense SVD); power iteration
-    is not used here because the top of the singular spectrum of a Toeplitz
-    section clusters too tightly for it to converge within its cap.
-    """
-    if not (1 <= m <= N // 4):
-        raise ValueError("tail cutoff must satisfy 1 <= m <= N/4")
-    A = assemble_section(a, W, N)
-    A[:, :m] = 0.0
-    return _sigma_max_dense(A)
-
-
-def essential_lower_wavepacket(a: SymbolSpec, W: OuterPair | None, L: int,
-                               jmin: int, thetas: int, N: int) -> float:
-    """Largest ||A u_theta|| over modulated wave packets starting at jmin."""
-    if L < 1 or thetas < 1 or jmin < 0:
-        raise ValueError("packet parameters must be positive")
-    if jmin + L > N - _max_degree(a):
-        raise ValueError("wave packet would overflow the section window")
-    A = assemble_section(a, W, N)
-    U = _wave_packets(N, L, jmin, thetas)
-    return float(np.max(np.linalg.norm(A @ U, axis=0)))
+    return np.exp(1j * np.outer(np.arange(L), ths)) / math.sqrt(L)
 
 
 def compression_deficiency_bound(a: SymbolSpec, W: OuterPair | None, m: int,
@@ -195,18 +161,26 @@ def compression_deficiency_bound(a: SymbolSpec, W: OuterPair | None, m: int,
 
 def essential_bracket(a: SymbolSpec, W: OuterPair | None,
                       params: BracketParams = BracketParams()) -> NormEstimate:
-    """Bracket the essential norm: wave-packet lower bound at jmin = m against
-    the column-zeroed section norm, on one shared section."""
+    """Bracket the essential norm on one shared section A.
+
+    The upper end is ||A (I - P_m)||, an exact largest singular value (dense
+    SVD; the top of a Toeplitz section's singular spectrum clusters too
+    tightly for power iteration).  The lower end is the largest
+    ||A u_theta|| over the wave packets on columns m .. m+L-1, applied as
+    A[:, m:m+L] times the L x thetas modulation block.
+    """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
         raise ValueError("tail cutoff must satisfy 1 <= m <= N/4")
-    if m + L > N - _max_degree(a):
+    if L < 1 or thetas < 1:
+        raise ValueError("packet parameters must be positive")
+    if m + L > N - max(0, a.full_coeffs().hi):
         raise ValueError("wave packet would overflow the section window")
     A = assemble_section(a, W, N)
     A[:, :m] = 0.0
     upper = _sigma_max_dense(A)
-    U = _wave_packets(N, L, m, thetas)
-    lower = float(np.max(np.linalg.norm(A @ U, axis=0)))
+    lower = float(np.max(np.linalg.norm(A[:, m:m + L] @ _wave_packets(L, thetas),
+                                        axis=0)))
     # ||A u|| is a certified lower bound for the same sigma_max, so the SVD
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)

@@ -199,12 +199,3 @@ def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
 
 def scale(a: CoeffVector, factor: complex) -> CoeffVector:
     return CoeffVector(a.window, factor * a.coeffs)
-
-
-def grid_sup(c: CoeffVector, oversample: int = 4) -> float:
-    """Sup of |c| estimated by dense sampling at >= oversample * window length."""
-    target = max(2, oversample * len(c.window), 2 * (abs(c.lo) + abs(c.hi) + 1))
-    size = 1
-    while size < target:
-        size <<= 1
-    return float(np.max(np.abs(synthesize(c, size).samples)))

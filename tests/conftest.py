@@ -1,0 +1,23 @@
+"""Shared fixtures: the verification suite runs at most once per session."""
+
+import pytest
+
+from toepnorm import acceptance
+
+
+@pytest.fixture(scope="session")
+def criterion():
+    """Look up the result of an ``acceptance.run_*`` runner, running each
+    one once per session; the acceptance tests and the ``reproduce`` test
+    share the results."""
+    cache = {}
+
+    def result(runner):
+        if runner not in cache:
+            r = cache[runner] = runner()
+            print(f"\n[{r.name}] elapsed {r.elapsed:.2f}s")
+            for check, ok in r.checks.items():
+                print(f"  {check}: {'PASS' if ok else 'FAIL'}")
+        return cache[runner]
+
+    return result

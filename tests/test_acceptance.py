@@ -17,47 +17,35 @@ import pytest
 
 from toepnorm import acceptance
 
-_cache = {}
 
-
-def _result(name, runner):
-    if name not in _cache:
-        _cache[name] = runner()
-        r = _cache[name]
-        print(f"\n[{r.name}] elapsed {r.elapsed:.2f}s")
-        for check, ok in r.checks.items():
-            print(f"  {check}: {'PASS' if ok else 'FAIL'}")
-    return _cache[name]
+@pytest.fixture(scope="module")
+def identity(criterion):
+    return criterion(acceptance.run_conjugation_identity)
 
 
 @pytest.fixture(scope="module")
-def identity():
-    return _result("identity", acceptance.run_conjugation_identity)
+def bracket(criterion):
+    return criterion(acceptance.run_unweighted_bracket)
 
 
 @pytest.fixture(scope="module")
-def bracket():
-    return _result("bracket", acceptance.run_unweighted_bracket)
+def independence(criterion):
+    return criterion(acceptance.run_weight_independence)
 
 
 @pytest.fixture(scope="module")
-def independence():
-    return _result("independence", acceptance.run_weight_independence)
+def classification(criterion):
+    return criterion(acceptance.run_ap_classification)
 
 
 @pytest.fixture(scope="module")
-def classification():
-    return _result("classification", acceptance.run_ap_classification)
+def outer(criterion):
+    return criterion(acceptance.run_outer_validation)
 
 
 @pytest.fixture(scope="module")
-def outer():
-    return _result("outer", acceptance.run_outer_validation)
-
-
-@pytest.fixture(scope="module")
-def bounds():
-    return _result("bounds", acceptance.run_theoretical_bounds)
+def bounds(criterion):
+    return criterion(acceptance.run_theoretical_bounds)
 
 
 # 1. conjugation identity residuals

@@ -7,8 +7,7 @@ import pytest
 
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       SymbolSpec, compression_deficiency_bound,
-                      essential_bracket, essential_lower_wavepacket,
-                      essential_upper, outer_pair, sample_power_weight,
+                      essential_bracket, outer_pair, sample_power_weight,
                       symbol_sup, theoretical_bounds)
 from toepnorm.weights import PowerWeight
 
@@ -27,33 +26,36 @@ SYM_FLAT = laurent(-1, [1.0])
 SYM_CURVED = laurent(-1, [1.0, 0.0, 0.0, 0.5])
 
 
-# ------------------------------------------------------------ essential_upper
+# ------------------------------------- upper end: column-zeroed section norm
+
+def upper(a, W, m, N):
+    return essential_bracket(a, W, BracketParams(N=N, m=m, L=16, thetas=16)).upper
+
 
 def test_essential_upper_identity_symbol():
-    assert abs(essential_upper(laurent(0, [1.0]), None, 8, 128) - 1.0) < 1e-8
+    assert abs(upper(laurent(0, [1.0]), None, 8, 128) - 1.0) < 1e-8
 
 
 def test_essential_upper_identity_symbol_weighted():
     from toepnorm import outer_pair_exact
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 255))
-    assert abs(essential_upper(laurent(0, [1.0]), W, 8, 128) - 1.0) < 1e-8
+    assert abs(upper(laurent(0, [1.0]), W, 8, 128) - 1.0) < 1e-8
 
 
 def test_essential_upper_pure_shift():
-    assert abs(essential_upper(SYM_FLAT, None, 32, 512) - 1.0) < 1e-6
+    assert abs(upper(SYM_FLAT, None, 32, 512) - 1.0) < 1e-6
 
 
 def test_essential_upper_weighted_close_to_sup():
     spec = laurent(-1, [2.0, 0.0, 0.0, 1.0])
     pw = PowerWeight(((0.0, 0.3),))
-    up = essential_upper(spec, naive_pair(pw, 1024), 64, 1024)
+    up = upper(spec, naive_pair(pw, 1024), 64, 1024)
     sup = symbol_sup(spec)
     assert abs(up - sup) <= 0.03 * sup
 
 
 def test_essential_upper_monotone_in_m():
-    vals = [essential_upper(SYM_CURVED, None, m, 1024)
-            for m in (8, 16, 32, 64)]
+    vals = [upper(SYM_CURVED, None, m, 1024) for m in (8, 16, 32, 64)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9
 
@@ -64,7 +66,7 @@ def test_deficiency_bound_caps_section_deficiency():
     for N in (64, 128, 256):
         m = N // 16
         beta = compression_deficiency_bound(SYM_CURVED, None, m, N)
-        up = essential_upper(SYM_CURVED, None, m, N)
+        up = upper(SYM_CURVED, None, m, N)
         assert 0.0 < sup - up <= beta * sup
         betas.append(beta)
     for b_N, b_2N in zip(betas, betas[1:]):
@@ -78,34 +80,40 @@ def test_deficiency_bound_refuses_weighted_section():
 
 
 def test_essential_upper_parameter_validation():
-    with pytest.raises(ValueError):
-        essential_upper(SYM_FLAT, None, 0, 128)
-    with pytest.raises(ValueError):
-        essential_upper(SYM_FLAT, None, 100, 128)
+    for m, L, thetas in ((0, 16, 16), (100, 16, 16), (8, 0, 16), (8, 16, 0)):
+        with pytest.raises(ValueError):
+            essential_bracket(SYM_FLAT, None,
+                              BracketParams(N=128, m=m, L=L, thetas=thetas))
 
 
-# ------------------------------------------------- essential_lower_wavepacket
+# ----------------------------------------------- lower end: wave-packet bound
 
 def test_lower_identity_symbol_exact():
-    val = essential_lower_wavepacket(laurent(0, [1.0]), None, 32, 16, 64, 256)
-    assert abs(val - 1.0) < 1e-12
+    est = essential_bracket(laurent(0, [1.0]), None,
+                            BracketParams(N=256, m=16, L=32, thetas=64))
+    assert abs(est.lower - 1.0) < 1e-12
 
 
 def test_lower_pure_shift():
-    val = essential_lower_wavepacket(SYM_FLAT, None, 64, 64, 16, 512)
-    assert val >= 0.99
+    est = essential_bracket(SYM_FLAT, None,
+                            BracketParams(N=512, m=64, L=64, thetas=16))
+    assert est.lower >= 0.99
 
 
 def test_lower_within_three_percent_of_sup():
     spec = laurent(-1, [2.0, 0.0, 0.0, 1.0])
     sup = symbol_sup(spec)
-    val = essential_lower_wavepacket(spec, None, 128, 64, 256, 512)
-    assert sup * 0.97 <= val <= sup + 1e-9
+    est = essential_bracket(spec, None,
+                            BracketParams(N=512, m=64, L=128, thetas=256))
+    assert sup * 0.97 <= est.lower <= sup + 1e-9
 
 
 def test_lower_rejects_overflowing_packet():
-    with pytest.raises(ValueError):
-        essential_lower_wavepacket(SYM_CURVED, None, 256, 900, 16, 1024)
+    # hi = 2: the packet's last column m + L - 1 must stay below N - 2
+    essential_bracket(SYM_CURVED, None, BracketParams(N=64, m=16, L=46, thetas=4))
+    with pytest.raises(ValueError, match="overflow"):
+        essential_bracket(SYM_CURVED, None,
+                          BracketParams(N=64, m=16, L=47, thetas=4))
 
 
 # ----------------------------------------------------------- essential_bracket
@@ -144,12 +152,11 @@ def test_bracket_scale_equivariance():
     assert abs(scaled.upper - 2.5 * base.upper) <= 1e-12 * scaled.upper
 
 
-def test_norm_estimate_validation_and_json():
+def test_norm_estimate_validation():
     with pytest.raises(ValueError):
         NormEstimate(2.0, 1.0, 8, 1, 1, 1)
-    est = NormEstimate(0.9, 1.0, 8, 1, 1, 1)
-    d = est.to_json_dict()
-    assert d["lower"] == 0.9 and d["thetas"] == 1
+    with pytest.raises(ValueError):
+        NormEstimate(0.9, 1.0, 8, 0, 1, 1)
 
 
 # --------------------------------------------------------- theoretical_bounds

@@ -141,7 +141,7 @@ def test_conjugation_of_constant_symbol_is_identity_matrix():
 
 def test_conjugation_identity_small():
     N = 128
-    rel, _ = identity_residual(1, unit(0), refined_pair(0.3, N), N)
+    rel, _ = identity_residual(1, unit(0), PowerWeight(((0.0, 0.3),)), N)
     assert rel <= 1e-6
 
 
@@ -149,7 +149,7 @@ def test_conjugation_identity_decreases_with_section_size():
     rng = np.random.default_rng(23)
     h = cv(0, rng.standard_normal(9) + 1j * rng.standard_normal(9))
     for lam in (0.3, -0.3):
-        res = {N: identity_residual(4, h, refined_pair(lam, N), N)[0]
+        res = {N: identity_residual(4, h, PowerWeight(((0.0, lam),)), N)[0]
                for N in (128, 256)}
         assert res[128] <= 1e-6
         assert res[256] < res[128]
