@@ -2,15 +2,13 @@
 brackets on the unit circle."""
 
 from .spectral import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                       cauchy_singular, multiply, riesz_project, scale,
-                       synthesize, truncate_pn, unit)
+                       multiply, riesz_project, synthesize, truncate_pn, unit)
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
-                      constant_pair, evaluate_outer, khvedelidze_ap_check,
-                      outer_pair, outer_pair_exact, outer_pair_refined,
+                      evaluate_outer, khvedelidze_ap_check, outer_pair,
+                      outer_pair_exact, outer_pair_refined,
                       sample_power_weight)
-from .operators import (SymbolSpec, apply_special_toeplitz,
-                        conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
-                        symbol_sup, toeplitz_matrix)
+from .operators import (apply_special_toeplitz, conjugated_toeplitz_matrix,
+                        csa_decompose, k0_matrix, symbol_sup, toeplitz_matrix)
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket,
                          theoretical_bounds)
@@ -19,14 +17,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffVector", "GridFunction", "IndexWindow", "add", "analyze",
-    "cauchy_singular", "multiply", "riesz_project", "scale",
-    "synthesize", "truncate_pn", "unit",
-    "OuterPair", "PowerWeight", "ap_characteristic", "constant_pair",
-    "evaluate_outer", "khvedelidze_ap_check", "outer_pair",
-    "outer_pair_exact", "outer_pair_refined", "sample_power_weight",
-    "SymbolSpec", "apply_special_toeplitz",
-    "conjugated_toeplitz_matrix", "csa_decompose", "k0_matrix", "symbol_sup",
-    "toeplitz_matrix",
+    "multiply", "riesz_project", "synthesize", "truncate_pn", "unit",
+    "OuterPair", "PowerWeight", "ap_characteristic", "evaluate_outer",
+    "khvedelidze_ap_check", "outer_pair", "outer_pair_exact",
+    "outer_pair_refined", "sample_power_weight",
+    "apply_special_toeplitz", "conjugated_toeplitz_matrix", "csa_decompose",
+    "k0_matrix", "symbol_sup", "toeplitz_matrix",
     "BracketParams", "NormEstimate",
     "compression_deficiency_bound", "essential_bracket", "theoretical_bounds",
 ]

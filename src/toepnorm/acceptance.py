@@ -23,8 +23,8 @@ import numpy as np
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket,
                          theoretical_bounds)
-from .operators import (SymbolSpec, conjugated_toeplitz_matrix, k0_matrix,
-                        symbol_sup, toeplitz_matrix)
+from .operators import (conjugated_toeplitz_matrix, k0_matrix, symbol_sup,
+                        toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow, multiply
 from .weights import (PowerWeight, ap_characteristic,
                       evaluate_outer, khvedelidze_ap_check, outer_pair,
@@ -47,13 +47,12 @@ class CriterionResult:
     checks: dict = field(default_factory=dict)
 
 
-def _symbol(lo: int, coeffs) -> SymbolSpec:
+def _symbol(lo: int, coeffs) -> CoeffVector:
     arr = np.asarray(coeffs, dtype=complex)
-    return SymbolSpec.from_laurent(
-        CoeffVector(IndexWindow(lo, lo + len(arr) - 1), arr))
+    return CoeffVector(IndexWindow(lo, lo + len(arr) - 1), arr)
 
 
-def bracket_symbols() -> list[tuple[str, SymbolSpec]]:
+def bracket_symbols() -> list[tuple[str, CoeffVector]]:
     return [
         ("e_-1", _symbol(-1, [1.0])),
         ("e_-1+0.5e_2", _symbol(-1, [1.0, 0.0, 0.0, 0.5])),
@@ -86,15 +85,15 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     and K0 from ``k0_matrix``, together with the singular values of K0.
     """
     W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
-    spec = SymbolSpec.shifted(n, h)
-    T = toeplitz_matrix(spec, N)
-    C = conjugated_toeplitz_matrix(spec, W, N)
+    a = CoeffVector(IndexWindow(-n, h.hi - n), h.coeffs)
+    T = toeplitz_matrix(a, N)
+    C = conjugated_toeplitz_matrix(a, W, N)
     K0 = k0_matrix(n, h, W, N)
     res = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
     return res, np.linalg.svd(K0, compute_uv=False)
 
 
-def weighted_brackets(a: SymbolSpec, weights: list[PowerWeight],
+def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
                       params: BracketParams
                       ) -> tuple[NormEstimate, list[NormEstimate]]:
     """The unweighted bracket of ``a`` and one bracket per weight.
@@ -102,11 +101,15 @@ def weighted_brackets(a: SymbolSpec, weights: list[PowerWeight],
     Each weight's outer pair is the one-grid construction from 8N samples
     on the outer window [0, N + n + 15], n = max(0, -lo): the section reads
     coefficients below N + n only, and the grid error scales like 1/(8N).
+    A weight with no points or only zero exponents is w == 1: its samples
+    are exactly 1, its outer pair is exactly (1, 1) and its section a
+    bitwise copy of the unweighted one, so it shares the unweighted bracket.
     """
     N = params.N
-    n_neg = max(0, -a.full_coeffs().lo)
+    n_neg = max(0, -a.lo)
     base = essential_bracket(a, None, params)
-    ests = [essential_bracket(
+    ests = [base if all(lam == 0.0 for _, lam in pw.points)
+            else essential_bracket(
                 a, outer_pair(sample_power_weight(pw, 8 * N),
                               IndexWindow(0, N + n_neg + 15)), params)
             for pw in weights]
@@ -185,10 +188,10 @@ def run_unweighted_bracket() -> CriterionResult:
     rows = []
     contain_ok = True
     width_ok = True
-    for name, spec in bracket_symbols():
-        est = essential_bracket(spec, None, params)
-        sup = symbol_sup(spec)
-        beta = compression_deficiency_bound(spec, None, params.m, params.N)
+    for name, a in bracket_symbols():
+        est = essential_bracket(a, None, params)
+        sup = symbol_sup(a)
+        beta = compression_deficiency_bound(a, None, params.m, params.N)
         certified = est.upper / math.sqrt(1.0 - beta)
         guard = _CONTAIN_GUARD * sup
         contains = (est.lower - guard <= sup) and (sup <= certified + guard)
@@ -222,11 +225,11 @@ def run_weight_independence() -> CriterionResult:
     dev_ok = True
     shrink_ok = True
     weights = [pw for _, pw in independence_weights()]
-    for name, spec in bracket_symbols():
-        sup = symbol_sup(spec)
+    for name, a in bracket_symbols():
+        sup = symbol_sup(a)
         devs = {}
         for N in (1024, 2048):
-            base, ests = weighted_brackets(spec, weights,
+            base, ests = weighted_brackets(a, weights,
                                            BracketParams(N=N, m=64))
             devs[N] = max(abs(est.upper - base.upper) for est in ests)
         ok_dev = devs[1024] <= 0.02 * sup

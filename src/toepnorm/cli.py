@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance
 from .estimation import BracketParams
-from .operators import SymbolSpec, csa_decompose, symbol_sup
+from .operators import csa_decompose, symbol_sup
 from .spectral import CoeffVector, IndexWindow
 from .weights import PowerWeight, khvedelidze_ap_check
 
@@ -30,7 +30,7 @@ EXIT_IO = 3
 
 @dataclass
 class ExperimentConfig:
-    symbol: SymbolSpec | None = None
+    symbol: CoeffVector | None = None
     weights: list = field(default_factory=list)
     p: float = 2.0
     grid: int = 256
@@ -53,7 +53,7 @@ class ExperimentConfig:
             raise ValueError("section must be positive")
 
 
-def parse_symbol(text: str) -> SymbolSpec:
+def parse_symbol(text: str) -> CoeffVector:
     """Parse 'idx:coeff[,idx:coeff...]', e.g. '-1:1,2:0.5' or '0:1+2j'."""
     terms = {}
     for part in text.split(","):
@@ -73,7 +73,7 @@ def parse_symbol(text: str) -> SymbolSpec:
     coeffs = np.zeros(hi - lo + 1, dtype=complex)
     for k, v in terms.items():
         coeffs[k - lo] = v
-    return SymbolSpec.from_laurent(CoeffVector(IndexWindow(lo, hi), coeffs))
+    return CoeffVector(IndexWindow(lo, hi), coeffs)
 
 
 def parse_weight(text: str) -> PowerWeight:
@@ -96,7 +96,7 @@ def _load_config(path: str) -> ExperimentConfig:
         raw = json.load(fh)
     cfg = ExperimentConfig()
     if "symbol" in raw:
-        cfg.symbol = SymbolSpec.from_json_dict(raw["symbol"])
+        cfg.symbol = CoeffVector.from_json_dict(raw["symbol"])
     if "weights" in raw:
         cfg.weights = [PowerWeight.from_json_dict(w) for w in raw["weights"]]
     for key in ("p", "grid", "section", "tail", "packet", "thetas",
@@ -165,10 +165,7 @@ def cmd_ap_check(cfg: ExperimentConfig) -> int:
 def cmd_verify_identity(cfg: ExperimentConfig) -> int:
     if cfg.symbol is None:
         raise ValueError("verify-identity requires a symbol")
-    if cfg.symbol.kind == "laurent":
-        n, h = csa_decompose(cfg.symbol)
-    else:
-        n, h = cfg.symbol.n, cfg.symbol.h
+    n, h = csa_decompose(cfg.symbol)
     N = cfg.section or 128
     rows = []
     all_pass = True
@@ -195,6 +192,8 @@ def cmd_verify_identity(cfg: ExperimentConfig) -> int:
 def cmd_essnorm(cfg: ExperimentConfig) -> int:
     if cfg.symbol is None:
         raise ValueError("essnorm requires a symbol")
+    if cfg.p != 2:
+        raise ValueError("essnorm computes on H^2 only: p must be 2")
     N = cfg.section or 1024
     params = BracketParams(N=N, m=cfg.tail, L=cfg.packet, thetas=cfg.thetas)
     sup = symbol_sup(cfg.symbol)

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svdvals
 
-from .operators import (SymbolSpec, _conjugated_columns, _section,
-                        toeplitz_matrix)
+from .operators import _conjugated_columns, _section, toeplitz_matrix
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
@@ -89,7 +88,7 @@ def _require_outer_window(W: OuterPair, needed: int):
             f"outer pair window too short for this section: need length >= {needed}")
 
 
-def assemble_section(a: SymbolSpec, W: OuterPair | None, N: int) -> np.ndarray:
+def assemble_section(a: CoeffVector, W: OuterPair | None, N: int) -> np.ndarray:
     """Dense N x N section of T(a), or of M_W T(a) M_{1/W} when W is given.
 
     The conjugated section is Toeplitz away from its first n = max(0, -lo)
@@ -103,16 +102,14 @@ def assemble_section(a: SymbolSpec, W: OuterPair | None, N: int) -> np.ndarray:
     """
     if W is None:
         return toeplitz_matrix(a, N)
-    full = a.full_coeffs()
-    n_neg = max(0, -full.lo)
+    n_neg = max(0, -a.lo)
     _require_outer_window(W, N + n_neg)
     g = np.convolve(W.w_coeffs.coeffs,
-                    np.convolve(full.coeffs, W.winv_coeffs.coeffs))
-    A = _section(CoeffVector(IndexWindow(full.lo, full.lo + len(g) - 1), g),
-                 N, N)
+                    np.convolve(a.coeffs, W.winv_coeffs.coeffs))
+    A = _section(CoeffVector(IndexWindow(a.lo, a.lo + len(g) - 1), g), N, N)
     k = min(n_neg, N)
     if k:
-        A[:, :k] = _conjugated_columns(full, W, N, k)
+        A[:, :k] = _conjugated_columns(a, W, N, k)
     return A
 
 
@@ -123,7 +120,7 @@ def _wave_packets(L: int, thetas: int) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(L), ths)) / math.sqrt(L)
 
 
-def compression_deficiency_bound(a: SymbolSpec, W: OuterPair | None, m: int,
+def compression_deficiency_bound(a: CoeffVector, W: OuterPair | None, m: int,
                                  N: int) -> float:
     """A-priori beta with ||T_N(a)(I - P_m)||^2 >= (1 - beta) sup|a|^2.
 
@@ -151,15 +148,14 @@ def compression_deficiency_bound(a: SymbolSpec, W: OuterPair | None, m: int,
     """
     if W is not None:
         raise ValueError("the deficiency bound holds for unweighted sections only")
-    full = a.full_coeffs()
-    K = N - max(m, -full.lo) - max(full.hi, 0)
+    K = N - max(m, -a.lo) - max(a.hi, 0)
     if K < 1:
         raise ValueError("section leaves no room for a packet past the cutoff")
-    n = full.hi - full.lo
+    n = a.hi - a.lo
     return (n * math.pi) ** 2 / 8.0 * 4.0 * math.sin(math.pi / (2 * (K + 1))) ** 2
 
 
-def essential_bracket(a: SymbolSpec, W: OuterPair | None,
+def essential_bracket(a: CoeffVector, W: OuterPair | None,
                       params: BracketParams = BracketParams()) -> NormEstimate:
     """Bracket the essential norm on one shared section A.
 
@@ -174,7 +170,7 @@ def essential_bracket(a: SymbolSpec, W: OuterPair | None,
         raise ValueError("tail cutoff must satisfy 1 <= m <= N/4")
     if L < 1 or thetas < 1:
         raise ValueError("packet parameters must be positive")
-    if m + L > N - max(0, a.full_coeffs().hi):
+    if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
     A = assemble_section(a, W, N)
     A[:, :m] = 0.0

@@ -16,82 +16,19 @@ lower-triangular Toeplitz matrix, T(a) a Toeplitz matrix, P_n a restriction
 to the first n rows and T(e_{-n}) the removal of the first n rows.  No
 section is assembled column by column.
 
-Symbols of the form e_{-n} h with analytic h admit the exact representation
+A symbol is a finite Laurent polynomial, passed as its ``CoeffVector``.
+Written as e_{-n} h with analytic h, it admits the exact representation
 T(e_{-n} h) f = e_{-n} (I - P_n)(h f), implemented by
-``apply_special_toeplitz``; ``csa_decompose`` rewrites a finite Laurent
-symbol in that shifted-analytic form.
+``apply_special_toeplitz``; ``csa_decompose`` returns that (n, h).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
 
-from .spectral import CoeffVector, IndexWindow, add, multiply, synthesize, unit
+from .spectral import CoeffVector, IndexWindow, multiply, synthesize, unit
 from .weights import OuterPair
-
-_KIND_LAURENT = "laurent"
-_KIND_SHIFTED = "shifted_analytic"
-
-
-@dataclass(eq=False)
-class SymbolSpec:
-    """A finite Laurent polynomial, or e_{-n} h with analytic polynomial h."""
-
-    kind: str
-    laurent: CoeffVector | None = None
-    n: int | None = None
-    h: CoeffVector | None = None
-
-    def __post_init__(self):
-        if self.kind == _KIND_LAURENT:
-            if self.laurent is None:
-                raise ValueError("laurent symbol requires coefficients")
-        elif self.kind == _KIND_SHIFTED:
-            if self.n is None or self.h is None:
-                raise ValueError("shifted symbol requires n and h")
-            if self.n < 1:
-                raise ValueError("shift order n must be >= 1")
-            if self.h.lo != 0:
-                raise ValueError("h must be analytic (window starting at 0)")
-        else:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-
-    @classmethod
-    def from_laurent(cls, c: CoeffVector) -> "SymbolSpec":
-        return cls(_KIND_LAURENT, laurent=c)
-
-    @classmethod
-    def shifted(cls, n: int, h: CoeffVector) -> "SymbolSpec":
-        return cls(_KIND_SHIFTED, n=n, h=h)
-
-    def full_coeffs(self) -> CoeffVector:
-        """The full Laurent coefficient sequence of the symbol."""
-        if self.kind == _KIND_LAURENT:
-            return self.laurent
-        win = IndexWindow(-self.n, self.h.hi - self.n)
-        return CoeffVector(win, self.h.coeffs.copy())
-
-    def to_json_dict(self) -> dict:
-        if self.kind == _KIND_LAURENT:
-            return {"kind": self.kind, **self.laurent.to_json_dict()}
-        return {"kind": self.kind, "n": self.n, "h": self.h.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SymbolSpec":
-        if d["kind"] == _KIND_LAURENT:
-            return cls.from_laurent(CoeffVector.from_json_dict(d))
-        return cls.shifted(int(d["n"]), CoeffVector.from_json_dict(d["h"]))
-
-    def label(self) -> str:
-        c = self.full_coeffs()
-        parts = []
-        for k, v in zip(c.window.indices(), c.coeffs):
-            if v != 0:
-                parts.append(f"{v:.6g}*e_{k}" if v.imag else f"{v.real:.6g}*e_{k}")
-        return " + ".join(parts) if parts else "0"
 
 
 def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
@@ -105,11 +42,11 @@ def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
     return _toeplitz(col, row)
 
 
-def toeplitz_matrix(a: SymbolSpec, N: int) -> np.ndarray:
+def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:
     """N x N section with entries a-hat(i - j), constant along diagonals."""
     if N < 1:
         raise ValueError("section size must be >= 1")
-    return _section(a.full_coeffs(), N, N)
+    return _section(a, N, N)
 
 
 def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVector:
@@ -156,7 +93,7 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
 
 
-def _conjugated_columns(full: CoeffVector, W: OuterPair, N: int,
+def _conjugated_columns(a: CoeffVector, W: OuterPair, N: int,
                         cols: int) -> np.ndarray:
     """Columns 0..cols-1 of the N x N section of M_W T(a) M_{1/W}.
 
@@ -165,12 +102,12 @@ def _conjugated_columns(full: CoeffVector, W: OuterPair, N: int,
     (N+n) x cols.  Rows < N of the composition reach coefficients of W and
     1/W below N+n only; shorter outer windows count as zero-padded.
     """
-    n = max(0, -full.lo)
-    inner = _section(full, N, N + n) @ _section(W.winv_coeffs, N + n, cols)
+    n = max(0, -a.lo)
+    inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, cols)
     return _section(W.w_coeffs, N, N) @ inner
 
 
-def conjugated_toeplitz_matrix(a: SymbolSpec, W: OuterPair, N: int) -> np.ndarray:
+def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     """Section of the conjugated operator M_W T(a) M_{1/W}.
 
     Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j))), built as
@@ -179,32 +116,21 @@ def conjugated_toeplitz_matrix(a: SymbolSpec, W: OuterPair, N: int) -> np.ndarra
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
-    return _conjugated_columns(a.full_coeffs(), W, N, N)
+    return _conjugated_columns(a, W, N, N)
 
 
-def csa_decompose(a: SymbolSpec, plus_tail: CoeffVector | None = None
-                  ) -> tuple[int, CoeffVector]:
-    """Rewrite a finite Laurent symbol (plus optional analytic tail) as e_{-n} h.
+def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
+    """Rewrite a finite Laurent symbol as e_{-n} h.
 
-    n = max(1, -lowest frequency of a); h = e_n * (a + tail) is analytic and
-    the reconstruction e_{-n} h reproduces the input coefficientwise.
+    n = max(1, -lowest frequency of a); h = e_n * a is analytic and the
+    reconstruction e_{-n} h reproduces the input coefficientwise.
     """
-    if a.kind != _KIND_LAURENT:
-        raise ValueError("decomposition expects a laurent symbol")
-    base = a.laurent
-    if plus_tail is not None:
-        if plus_tail.lo < 0:
-            raise ValueError("tail must be analytic")
-        combined = add(base, plus_tail)
-    else:
-        combined = base
-    n = max(1, -base.lo)
-    shifted = multiply(unit(n), combined)
+    n = max(1, -a.lo)
+    shifted = multiply(unit(n), a)
     win = IndexWindow(0, max(shifted.hi, 0))
     return n, CoeffVector(win, shifted.on_window(win))
 
 
-def symbol_sup(a: SymbolSpec, size: int = 1 << 16) -> float:
+def symbol_sup(a: CoeffVector, size: int = 1 << 16) -> float:
     """Dense-grid supremum of |a| (default 2^16 sample points)."""
-    full = a.full_coeffs()
-    return float(np.max(np.abs(synthesize(full, size).samples)))
+    return float(np.max(np.abs(synthesize(a, size).samples)))

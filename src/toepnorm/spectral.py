@@ -1,14 +1,15 @@
-"""Fourier analysis on the unit circle and the basic projection operators.
+"""Fourier analysis on the unit circle and the projections P and P_n.
 
 Functions on the circle are represented in two ways:
 
 * ``CoeffVector``: a finite window of Fourier/Laurent coefficients, entry k
   holding the coefficient of z**(lo+k).  Windows with lo >= 0 represent
-  analytic (Hardy-space) elements.
+  analytic (Hardy-space) elements; a Toeplitz symbol, a finite Laurent
+  polynomial, is passed as its CoeffVector.
 * ``GridFunction``: samples on the uniform *offset* grid
-  theta_k = 2*pi*(k + 1/2) / M.  The half-sample offset keeps sampled power
-  weights away from their singular points when those sit on the unoffset
-  lattice.
+  theta_k = 2*pi*(k + 1/2) / M (``grid_thetas``).  The half-sample offset
+  keeps sampled power weights away from their singular points when those
+  sit on the unoffset lattice.
 
 All operations are pure; none of them mutates its inputs.
 """
@@ -110,9 +111,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * (np.arange(self.size) + 0.5) / self.size
-
 
 def unit(n: int) -> CoeffVector:
     """The monomial z**n as a CoeffVector."""
@@ -158,12 +156,6 @@ def riesz_project(c: CoeffVector) -> CoeffVector:
     return CoeffVector(win, c.on_window(win))
 
 
-def cauchy_singular(c: CoeffVector) -> CoeffVector:
-    """Flip the sign of every negative-frequency coefficient (S = 2P - I)."""
-    signs = np.where(c.window.indices() < 0, -1.0, 1.0)
-    return CoeffVector(c.window, signs * c.coeffs)
-
-
 def truncate_pn(c: CoeffVector, n: int) -> CoeffVector:
     """Keep coefficients at frequencies 0..n-1 only; output window is [0, n-1]."""
     if n < 1:
@@ -195,7 +187,3 @@ def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
     """Coefficientwise sum on the union window."""
     win = IndexWindow(min(a.lo, b.lo), max(a.hi, b.hi))
     return CoeffVector(win, a.on_window(win) + b.on_window(win))
-
-
-def scale(a: CoeffVector, factor: complex) -> CoeffVector:
-    return CoeffVector(a.window, factor * a.coeffs)

@@ -279,18 +279,7 @@ def evaluate_outer(w, z: complex) -> complex:
             acc += lam * np.log(1.0 - np.exp(-1j * a) * z)
         return complex(np.exp(acc))
     vals = _positive_real_samples(w)
-    t = np.exp(1j * w.thetas())
+    t = np.exp(1j * grid_thetas(w.size))
     kernel = (t + z) / (t - z)
     return complex(np.exp(np.mean(kernel * np.log(vals))))
 
-
-def constant_pair(value: float, length: int) -> OuterPair:
-    """Outer pair of the constant weight w == value > 0."""
-    if not value > 0:
-        raise ValueError("constant weight must be positive")
-    win = IndexWindow(0, length - 1)
-    wc = np.zeros(length, dtype=complex)
-    wic = np.zeros(length, dtype=complex)
-    wc[0] = value
-    wic[0] = 1.0 / value
-    return OuterPair(CoeffVector(win, wc), CoeffVector(win, wic), 0.0)

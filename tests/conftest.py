@@ -1,8 +1,13 @@
-"""Shared fixtures: the verification suite runs at most once per session."""
+"""Shared fixtures: the verification suite runs at most once per session,
+and hypothesis draws the same examples on every run."""
 
 import pytest
+from hypothesis import settings
 
 from toepnorm import acceptance
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -151,6 +151,28 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert abs(rows[0]["upper"] - 1.0) < 1e-9
 
 
+def test_config_shifted_analytic_symbol_is_config_error(tmp_path, capsys):
+    # a config symbol is {"lo", "coeffs"}; the e_{-n} h form is not read
+    cfg = {"symbol": {"kind": "shifted_analytic", "n": 1,
+                      "h": {"lo": 0, "coeffs": [[1.0, 0.0]]}},
+           "section": 64}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["verify-identity", "--config", str(path)], capsys)
+    assert code == 2
+    assert "configuration error" in err
+
+
+def test_essnorm_config_p_other_than_2_is_config_error(tmp_path, capsys):
+    cfg = {"symbol": {"lo": -1, "coeffs": [[1.0, 0.0]]}, "p": 4,
+           "section": 64, "tail": 8, "packet": 16, "thetas": 8}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["essnorm", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "configuration error" in err
+
+
 def test_unreadable_config_is_config_error(capsys):
     code, _, _ = run(["essnorm", "--config", "/nonexistent/cfg.json"], capsys)
     assert code == 2

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
-                      SymbolSpec, compression_deficiency_bound,
-                      essential_bracket, outer_pair, sample_power_weight,
-                      symbol_sup, theoretical_bounds)
+                      compression_deficiency_bound, essential_bracket,
+                      outer_pair, sample_power_weight, symbol_sup,
+                      theoretical_bounds)
+from toepnorm.acceptance import bracket_symbols
 from toepnorm.weights import PowerWeight
 
 
 def laurent(lo, coeffs):
     coeffs = np.asarray(coeffs, dtype=complex)
-    return SymbolSpec.from_laurent(
-        CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs))
+    return CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
 
 
 def naive_pair(pw, N):
@@ -143,13 +143,23 @@ def test_bracket_weighted_overlaps_unweighted():
 
 
 def test_bracket_scale_equivariance():
-    from toepnorm import scale
     params = BracketParams(N=256, m=16, L=32, thetas=32)
     base = essential_bracket(SYM_CURVED, None, params)
-    scaled_sym = SymbolSpec.from_laurent(scale(SYM_CURVED.laurent, 2.5))
+    scaled_sym = CoeffVector(SYM_CURVED.window, 2.5 * SYM_CURVED.coeffs)
     scaled = essential_bracket(scaled_sym, None, params)
     assert abs(scaled.lower - 2.5 * base.lower) <= 1e-12 * scaled.lower
     assert abs(scaled.upper - 2.5 * base.upper) <= 1e-12 * scaled.upper
+
+
+def test_bracket_trivial_weight_is_bitwise_unweighted():
+    # acceptance.weighted_brackets gives w == 1 the unweighted bracket; its
+    # grid pair (grid 8N, window N + n + 15) yields the same numbers bitwise
+    params = BracketParams(N=256)
+    flat = sample_power_weight(PowerWeight(((0.0, 0.0),)), 8 * params.N)
+    for _, a in bracket_symbols():
+        W = outer_pair(flat, IndexWindow(0, params.N + max(0, -a.lo) + 15))
+        assert essential_bracket(a, W, params) == \
+            essential_bracket(a, None, params)
 
 
 def test_norm_estimate_validation():

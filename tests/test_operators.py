@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from toepnorm import (CoeffVector, IndexWindow, OuterPair, SymbolSpec,
+from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       apply_special_toeplitz, conjugated_toeplitz_matrix,
-                      constant_pair, csa_decompose, k0_matrix, multiply,
-                      outer_pair_exact, outer_pair_refined, riesz_project,
-                      symbol_sup, toeplitz_matrix, truncate_pn, unit)
+                      csa_decompose, k0_matrix, multiply, outer_pair_exact,
+                      outer_pair_refined, riesz_project, symbol_sup,
+                      toeplitz_matrix, truncate_pn, unit)
 from toepnorm.acceptance import identity_residual
 from toepnorm.estimation import assemble_section
 from toepnorm.weights import PowerWeight
@@ -18,10 +18,6 @@ def cv(lo, coeffs):
     return CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
 
 
-def laurent(lo, coeffs):
-    return SymbolSpec.from_laurent(cv(lo, coeffs))
-
-
 def refined_pair(lam, N, factor=4):
     pw = PowerWeight(((0.0, lam),))
     return outer_pair_refined(pw, 8 * N, IndexWindow(0, factor * N - 1))
@@ -30,31 +26,30 @@ def refined_pair(lam, N, factor=4):
 # ------------------------------------------------------------ toeplitz_matrix
 
 def test_toeplitz_shift_symbol():
-    T = toeplitz_matrix(laurent(1, [1.0]), 3)
+    T = toeplitz_matrix(cv(1, [1.0]), 3)
     expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     assert np.array_equal(T, expected)
 
 
 def test_toeplitz_identity_symbol():
-    T = toeplitz_matrix(laurent(0, [1.0]), 5)
+    T = toeplitz_matrix(cv(0, [1.0]), 5)
     assert np.array_equal(T, np.eye(5, dtype=complex))
 
 
 def test_toeplitz_shifted_kind_consistency():
-    # e_{-2} * e_2 is the constant symbol.
-    spec = SymbolSpec.shifted(2, cv(0, [0.0, 0.0, 1.0]))
-    T = toeplitz_matrix(spec, 4)
+    # e_{-2} h with h = e_2 is the constant symbol.
+    T = toeplitz_matrix(cv(-2, [0.0, 0.0, 1.0]), 4)
     assert np.array_equal(T, np.eye(4, dtype=complex))
 
 
 def test_toeplitz_diagonal_constancy_and_nesting():
     rng = np.random.default_rng(5)
-    spec = laurent(-2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    T = toeplitz_matrix(spec, 12)
+    a = cv(-2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    T = toeplitz_matrix(a, 12)
     for d in range(-11, 12):
         vals = np.diagonal(T, -d)
         assert np.all(vals == vals[0])
-    T2 = toeplitz_matrix(spec, 24)
+    T2 = toeplitz_matrix(a, 24)
     assert np.array_equal(T, T2[:12, :12])
 
 
@@ -95,8 +90,7 @@ def test_column_consistency_with_sections():
     rng = np.random.default_rng(13)
     n, N = 2, 24
     h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    spec = SymbolSpec.shifted(n, h)
-    T = toeplitz_matrix(spec, N)
+    T = toeplitz_matrix(cv(-n, h.coeffs), N)
     win = IndexWindow(0, N - 1)
     for j in range(N):
         col = apply_special_toeplitz(n, h, unit(j)).on_window(win)
@@ -107,7 +101,8 @@ def test_column_consistency_with_sections():
 
 def test_k0_vanishes_for_constant_weight():
     h = cv(0, [1.0, 2.0, 0.5])
-    K0 = k0_matrix(2, h, constant_pair(1.0, 64), 16)
+    W = outer_pair_exact(PowerWeight(), IndexWindow(0, 63))
+    K0 = k0_matrix(2, h, W, 16)
     assert np.max(np.abs(K0)) == 0.0
 
 
@@ -126,16 +121,17 @@ def test_k0_rank_bounds():
 # ------------------------------------------------- conjugated_toeplitz_matrix
 
 def test_conjugation_by_constant_weight_is_identity_map():
-    spec = laurent(-1, [1.0, 0.0, 0.5])
+    a = cv(-1, [1.0, 0.0, 0.5])
     N = 16
-    T = toeplitz_matrix(spec, N)
-    C = conjugated_toeplitz_matrix(spec, constant_pair(1.0, 64), N)
+    T = toeplitz_matrix(a, N)
+    W = outer_pair_exact(PowerWeight(), IndexWindow(0, 63))
+    C = conjugated_toeplitz_matrix(a, W, N)
     assert np.array_equal(C, T)
 
 
 def test_conjugation_of_constant_symbol_is_identity_matrix():
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 127))
-    C = conjugated_toeplitz_matrix(laurent(0, [1.0]), W, 32)
+    C = conjugated_toeplitz_matrix(cv(0, [1.0]), W, 32)
     assert np.max(np.abs(C - np.eye(32))) < 1e-8
 
 
@@ -159,12 +155,11 @@ def test_conjugation_identity_decreases_with_section_size():
 
 def conjugated_reference(a, W, N):
     """Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j)))."""
-    full = a.full_coeffs()
     win = IndexWindow(0, N - 1)
     out = np.zeros((N, N), dtype=complex)
     for j in range(N):
         x = riesz_project(multiply(W.winv_coeffs, unit(j)))
-        y = riesz_project(multiply(full, x))
+        y = riesz_project(multiply(a, x))
         out[:, j] = riesz_project(multiply(W.w_coeffs, y)).on_window(win)
     return out
 
@@ -187,11 +182,10 @@ def k0_reference(n, h, W, N):
 
 def reference_symbols():
     """2e_-2 + e_1 + 0.3e_3 (lo < 0 < hi) and e_{-3} h, with (n, h) for K0."""
-    laurent_spec = laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])
+    a = cv(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])
     rng = np.random.default_rng(37)
     h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    return [(laurent_spec, *csa_decompose(laurent_spec)),
-            (SymbolSpec.shifted(3, h), 3, h)]
+    return [(a, *csa_decompose(a)), (cv(-3, h.coeffs), 3, h)]
 
 
 def reference_pairs(N):
@@ -202,13 +196,13 @@ def reference_pairs(N):
 
 @pytest.mark.parametrize("N", (2, 24, 40))  # N = 2 < n = 3 for e_{-3} h
 def test_sections_match_column_reference(N):
-    for spec, n, h in reference_symbols():
-        tol = 1e-13 * np.max(np.abs(toeplitz_matrix(spec, N)))
+    for a, n, h in reference_symbols():
+        tol = 1e-13 * np.max(np.abs(toeplitz_matrix(a, N)))
         for W in reference_pairs(N):
-            C = conjugated_reference(spec, W, N)
-            assert np.max(np.abs(conjugated_toeplitz_matrix(spec, W, N) - C)) \
+            C = conjugated_reference(a, W, N)
+            assert np.max(np.abs(conjugated_toeplitz_matrix(a, W, N) - C)) \
                 <= tol
-            assert np.max(np.abs(assemble_section(spec, W, N) - C)) <= tol
+            assert np.max(np.abs(assemble_section(a, W, N) - C)) <= tol
             K0 = k0_matrix(n, h, W, N)
             assert K0.shape == (N, N)
             assert np.max(np.abs(K0 - k0_reference(n, h, W, N))) <= tol
@@ -216,34 +210,34 @@ def test_sections_match_column_reference(N):
 
 def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
     N = 24
-    for spec, _, _ in reference_symbols():
-        K = N + max(0, -spec.full_coeffs().lo)
+    for a, _, _ in reference_symbols():
+        K = N + max(0, -a.lo)
         for W in reference_pairs(N):
             short = OuterPair(
                 CoeffVector(IndexWindow(0, K - 1), W.w_coeffs.coeffs[:K]),
                 CoeffVector(IndexWindow(0, K - 1), W.winv_coeffs.coeffs[:K]),
                 W.residual)
-            assert np.array_equal(conjugated_toeplitz_matrix(spec, short, N),
-                                  conjugated_toeplitz_matrix(spec, W, N))
+            assert np.array_equal(conjugated_toeplitz_matrix(a, short, N),
+                                  conjugated_toeplitz_matrix(a, W, N))
 
 
 def test_section_norm_bounded_by_symbol_sup():
     rng = np.random.default_rng(29)
     for _ in range(3):
-        spec = laurent(-2, rng.standard_normal(6))
-        T = toeplitz_matrix(spec, 128)
+        a = cv(-2, rng.standard_normal(6))
+        T = toeplitz_matrix(a, 128)
         smax = np.linalg.svd(T, compute_uv=False)[0]
-        assert smax <= symbol_sup(spec) + 1e-9
+        assert smax <= symbol_sup(a) + 1e-9
 
 
 # -------------------------------------------------------------- csa_decompose
 
 def test_csa_decompose_examples():
-    n, h = csa_decompose(laurent(-2, [1.0, 0.0, 0.0, 3.0]))
+    n, h = csa_decompose(cv(-2, [1.0, 0.0, 0.0, 3.0]))
     assert n == 2
     assert h.coeff(0) == 1 and h.coeff(3) == 3
 
-    analytic = laurent(1, [2.0, 0.0, 1.0])
+    analytic = cv(1, [2.0, 0.0, 1.0])
     n2, h2 = csa_decompose(analytic)
     assert n2 == 1
     assert h2.coeff(2) == 2 and h2.coeff(4) == 1
@@ -251,18 +245,8 @@ def test_csa_decompose_examples():
 
 def test_csa_decompose_roundtrip_bitwise():
     rng = np.random.default_rng(31)
-    spec = laurent(-3, rng.standard_normal(7) + 1j * rng.standard_normal(7))
-    n, h = csa_decompose(spec)
-    rebuilt = SymbolSpec.shifted(n, h).full_coeffs()
-    original = spec.full_coeffs()
-    for k in range(min(rebuilt.lo, original.lo),
-                   max(rebuilt.hi, original.hi) + 1):
-        assert rebuilt.coeff(k) == original.coeff(k)
-
-
-def test_csa_decompose_with_tail():
-    base = laurent(-1, [1.0, 0.0, 2.0])
-    tail = cv(3, [4.0])
-    n, h = csa_decompose(base, tail)
-    assert n == 1
-    assert h.coeff(0) == 1 and h.coeff(2) == 2 and h.coeff(4) == 4
+    a = cv(-3, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    n, h = csa_decompose(a)
+    rebuilt = cv(-n, h.coeffs)
+    for k in range(min(rebuilt.lo, a.lo), max(rebuilt.hi, a.hi) + 1):
+        assert rebuilt.coeff(k) == a.coeff(k)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toepnorm import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                      cauchy_singular, multiply, riesz_project, synthesize,
-                      truncate_pn, unit)
+                      multiply, riesz_project, synthesize, truncate_pn, unit)
+from toepnorm.spectral import grid_thetas
 
 
 def cv(lo, coeffs):
@@ -45,7 +45,7 @@ def test_analyze_mixture_against_quadrature_oracle():
     # f = 2 e_{-1} + 5 e_3 sampled on M=16; oracle values from the defining
     # integral evaluated by a much finer midpoint sum.
     f = lambda th: 2 * np.exp(-1j * th) + 5 * np.exp(3j * th)
-    g = GridFunction(16, f(GridFunction(16, np.zeros(16)).thetas()))
+    g = GridFunction(16, f(grid_thetas(16)))
     got = analyze(g, IndexWindow(-4, 4))
     th_fine = 2 * np.pi * (np.arange(4096) + 0.5) / 4096
     for k in range(-4, 5):
@@ -68,7 +68,7 @@ def test_synthesize_constant():
 
 def test_synthesize_first_monomial():
     g = synthesize(unit(1), 4)
-    assert np.allclose(g.samples, np.exp(1j * g.thetas()), atol=1e-15)
+    assert np.allclose(g.samples, np.exp(1j * grid_thetas(4)), atol=1e-15)
 
 
 def test_synthesize_rejects_window_beyond_nyquist():
@@ -92,7 +92,7 @@ def test_roundtrip_property(c):
     assert np.max(np.abs(back.coeffs - c.coeffs)) < 1e-12 * scale
 
 
-# ----------------------------------------------------------- riesz / cauchy
+# ------------------------------------------------------------------- riesz
 
 def test_riesz_kills_antianalytic():
     out = riesz_project(unit(-3))
@@ -110,19 +110,6 @@ def test_riesz_linearity_example():
     c = cv(-1, [1.0, 0.0, 4.0])
     out = riesz_project(c)
     assert out.coeff(-1) == 0 and out.coeff(1) == 4
-
-
-def test_cauchy_fixed_point_and_flip():
-    assert cauchy_singular(unit(0)).coeff(0) == 1
-    assert cauchy_singular(unit(-1)).coeff(-1) == -1
-
-
-@settings(max_examples=50, deadline=None)
-@given(coeff_vectors())
-def test_cauchy_involution_bitwise(c):
-    back = cauchy_singular(cauchy_singular(c))
-    assert back.window == c.window
-    assert np.array_equal(back.coeffs, c.coeffs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ from toepnorm import (CoeffVector, GridFunction, IndexWindow,
                       ap_characteristic, evaluate_outer, khvedelidze_ap_check,
                       multiply, outer_pair, outer_pair_exact,
                       outer_pair_refined, sample_power_weight, synthesize)
+from toepnorm.spectral import grid_thetas
 from toepnorm.weights import PowerWeight
 
 
@@ -227,6 +228,6 @@ def test_power_weight_validation_and_json():
 def test_sample_power_weight_values():
     pw = single(1.0)
     g = sample_power_weight(pw, 16)
-    th = g.thetas()
+    th = grid_thetas(16)
     assert np.allclose(g.samples.real, np.abs(2 * np.sin(th / 2)), atol=1e-14)
     assert np.all(g.samples.imag == 0)
