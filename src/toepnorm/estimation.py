@@ -13,7 +13,13 @@ routine here:
   in 1e5 under sup|a|.  On H^2 the a-priori bound
   ``compression_deficiency_bound`` caps that deficiency from the symbol's
   coefficient window, N and m alone: upper / sqrt(1 - beta) is a certified
-  upper end for sup|a|.
+  upper end for sup|a|.  The value is the square root of the top eigenvalue
+  of the Gram matrix G = B^H B of the nonzero block B = A[:, m:], not a full
+  SVD: that eigenvalue has absolute error O(eps ||G||) = O(eps sigma_max^2),
+  so sigma_max keeps relative error O(eps); squaring hurts only the small
+  singular values (Golub & Van Loan, Matrix Computations, 8.6; Demmel,
+  Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from the
+  full-spectrum driver, since the top of the spectrum clusters.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -32,14 +38,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
+# Unused, but perfbench/tracing.py traces ``estimation.svdvals`` by name.
+from scipy.linalg import svdvals  # noqa: F401
 
 from .operators import _conjugated_columns, _section, toeplitz_matrix
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
 # Matrices whose imaginary part is below this relative level are treated as
-# real for the dense SVD (halves the LAPACK cost on real-symmetric data).
+# real for the Gram eigenvalue (a real symmetric G costs a quarter of the
+# complex Hermitian one in the product and in the tridiagonalisation).
 _REAL_CAST_RTOL = 1e-12
 
 
@@ -73,13 +81,27 @@ class NormEstimate:
             raise ValueError("all truncation parameters must be positive")
 
 
-def _sigma_max_dense(A: np.ndarray) -> float:
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
+def _sigma_max_dense(B: np.ndarray) -> float:
+    """Largest singular value of B as sqrt(lambda_max(B^H B)).
+
+    The eigenvalues come from the full-spectrum driver (syevd/heevd:
+    tridiagonalisation, then the root-free QR of sterf).  The
+    single-eigenvalue drivers (evr, evx) break down when the top of the
+    spectrum clusters, as it does for a unimodular symbol, where G is close
+    to I; after tridiagonalisation the whole spectrum costs only O(n^2)
+    more.  Product and eigenvalues both run in NumPy's BLAS, which builds
+    the sections too.  SciPy loads a BLAS of its own: handing it NumPy's
+    product made this step about twice as slow at N = 1024 (two BLAS
+    threads, 2-vCPU box), the idle workers of one library competing with
+    the other's.
+    """
+    scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale == 0.0:
         return 0.0
-    if np.max(np.abs(A.imag)) <= _REAL_CAST_RTOL * scale:
-        A = np.ascontiguousarray(A.real)
-    return float(svdvals(A)[0])
+    if np.max(np.abs(B.imag)) <= _REAL_CAST_RTOL * scale:
+        B = np.ascontiguousarray(B.real)
+    lam = np.linalg.eigvalsh(B.conj().T @ B)[-1]
+    return math.sqrt(max(float(lam), 0.0))
 
 
 def _require_outer_window(W: OuterPair, needed: int):
@@ -159,11 +181,13 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
                       params: BracketParams = BracketParams()) -> NormEstimate:
     """Bracket the essential norm on one shared section A.
 
-    The upper end is ||A (I - P_m)||, an exact largest singular value (dense
-    SVD; the top of a Toeplitz section's singular spectrum clusters too
-    tightly for power iteration).  The lower end is the largest
-    ||A u_theta|| over the wave packets on columns m .. m+L-1, applied as
-    A[:, m:m+L] times the L x thetas modulation block.
+    The upper end is ||A (I - P_m)|| = sigma_max(A[:, m:]), the square root
+    of the top eigenvalue of the dense Gram matrix from a full-spectrum
+    driver (the top of a Toeplitz section's singular spectrum clusters too
+    tightly for power iteration or a single-eigenvalue driver).  The lower
+    end is the largest ||A u_theta|| over the wave packets on columns
+    m .. m+L-1, applied as A[:, m:m+L] times the L x thetas modulation
+    block.
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -173,11 +197,10 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
     A = assemble_section(a, W, N)
-    A[:, :m] = 0.0
-    upper = _sigma_max_dense(A)
+    upper = _sigma_max_dense(A[:, m:])
     lower = float(np.max(np.linalg.norm(A[:, m:m + L] @ _wave_packets(L, thetas),
                                         axis=0)))
-    # ||A u|| is a certified lower bound for the same sigma_max, so the SVD
+    # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)
     return NormEstimate(lower, upper, N, m, L, thetas)

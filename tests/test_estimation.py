@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
-                      outer_pair, sample_power_weight, symbol_sup,
-                      theoretical_bounds)
+                      outer_pair, outer_pair_exact, sample_power_weight,
+                      symbol_sup, theoretical_bounds)
 from toepnorm.acceptance import bracket_symbols
+from toepnorm.estimation import _sigma_max_dense, assemble_section
 from toepnorm.weights import PowerWeight
 
 
@@ -84,6 +86,32 @@ def test_essential_upper_parameter_validation():
         with pytest.raises(ValueError):
             essential_bracket(SYM_FLAT, None,
                               BracketParams(N=128, m=m, L=L, thetas=thetas))
+
+
+def test_sigma_max_matches_svdvals():
+    # the Gram eigenvalue against a full SVD of the same nonzero block
+    def grid_pair(a, N):
+        pw = PowerWeight(((0.0, 0.3),))
+        return outer_pair(sample_power_weight(pw, 8 * N),
+                          IndexWindow(0, N + max(0, -a.lo) + 15))
+
+    sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    assert np.max(np.abs(assemble_section(sym_complex, None, 64).imag)) > 0.5
+    cases = []
+    for _, a in bracket_symbols():
+        cases += [(a, None, 1024, 64), (a, grid_pair(a, 1024), 1024, 64)]
+    cases += [
+        (sym_complex, None, 256, 16),       # Hermitian G
+        (SYM_FLAT, None, 512, 32),          # clustered top: G = I
+        (laurent(0, [1.0]),
+         outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 255)),
+         128, 8),
+    ]
+    for a, W, N, m in cases:
+        B = assemble_section(a, W, N)[:, m:]
+        ref = svdvals(B)[0]
+        assert abs(_sigma_max_dense(B) - ref) <= 1e-14 * ref
+    assert _sigma_max_dense(np.zeros((64, 56), dtype=complex)) == 0.0
 
 
 # ----------------------------------------------- lower end: wave-packet bound
