@@ -1,14 +1,14 @@
 """Toeplitz finite sections, Muckenhoupt weights and essential-norm
 brackets on the unit circle."""
 
-from .spectral import (CoeffVector, GridFunction, IndexWindow, add, analyze,
-                       multiply, riesz_project, synthesize, truncate_pn, unit)
+from .spectral import (CoeffVector, GridFunction, IndexWindow, analyze,
+                       synthesize)
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
                       evaluate_outer, khvedelidze_ap_check, outer_pair,
                       outer_pair_exact, outer_pair_refined,
                       sample_power_weight)
-from .operators import (apply_special_toeplitz, conjugated_toeplitz_matrix,
-                        csa_decompose, k0_matrix, symbol_sup, toeplitz_matrix)
+from .operators import (conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
+                        symbol_sup, toeplitz_matrix)
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket,
                          theoretical_bounds)
@@ -16,12 +16,11 @@ from .estimation import (BracketParams, NormEstimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffVector", "GridFunction", "IndexWindow", "add", "analyze",
-    "multiply", "riesz_project", "synthesize", "truncate_pn", "unit",
+    "CoeffVector", "GridFunction", "IndexWindow", "analyze", "synthesize",
     "OuterPair", "PowerWeight", "ap_characteristic", "evaluate_outer",
     "khvedelidze_ap_check", "outer_pair", "outer_pair_exact",
     "outer_pair_refined", "sample_power_weight",
-    "apply_special_toeplitz", "conjugated_toeplitz_matrix", "csa_decompose",
+    "conjugated_toeplitz_matrix", "csa_decompose",
     "k0_matrix", "symbol_sup", "toeplitz_matrix",
     "BracketParams", "NormEstimate",
     "compression_deficiency_bound", "essential_bracket", "theoretical_bounds",

@@ -41,7 +41,7 @@ import numpy as np
 # Unused, but perfbench/tracing.py traces ``estimation.svdvals`` by name.
 from scipy.linalg import svdvals  # noqa: F401
 
-from .operators import _conjugated_columns, _section, toeplitz_matrix
+from .operators import _conjugated_columns, _section
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
@@ -63,22 +63,16 @@ class BracketParams:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A bracket [lower, upper] with the truncation parameters behind it."""
+    """A bracket [lower, upper] of an essential norm."""
 
     lower: float
     upper: float
-    N: int
-    m: int
-    L: int
-    thetas: int
 
     def __post_init__(self):
         if not (self.lower >= 0 and self.upper >= 0):
             raise ValueError("bracket endpoints must be nonnegative")
         if self.lower > self.upper + 1e-9:
             raise ValueError("bracket lower end exceeds upper end")
-        if min(self.N, self.m, self.L, self.thetas) <= 0:
-            raise ValueError("all truncation parameters must be positive")
 
 
 def _sigma_max_dense(B: np.ndarray) -> float:
@@ -110,29 +104,35 @@ def _require_outer_window(W: OuterPair, needed: int):
             f"outer pair window too short for this section: need length >= {needed}")
 
 
-def assemble_section(a: CoeffVector, W: OuterPair | None, N: int) -> np.ndarray:
-    """Dense N x N section of T(a), or of M_W T(a) M_{1/W} when W is given.
+def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
+                     m: int) -> np.ndarray:
+    """Columns m..N-1 of the dense N x N section of T(a), or of
+    M_W T(a) M_{1/W} when W is given: the block A[:, m:] that the bracket
+    reads.
 
     The conjugated section is Toeplitz away from its first n = max(0, -lo)
     columns: for e_j with j >= n the inner projection in
     P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
-    the one convolution g = w * a * winv.  Only the leading columns need the
-    projected composition, taken from the product of the factor sections
-    for those columns alone (the discarded outer-window tail never reaches
-    rows < N).  The identity check compares the literal product against
-    T + K0, so this shortcut serves the brackets only.
+    the one convolution g = w * a * winv (g = a without a weight), and the
+    block is the section of g shifted by m.  Only leading columns below n
+    need the projected composition, taken from the product of the factor
+    sections (the discarded outer-window tail never reaches rows < N).  The
+    identity check compares the literal product against T + K0, so this
+    shortcut serves the brackets only.
     """
-    if W is None:
-        return toeplitz_matrix(a, N)
-    n_neg = max(0, -a.lo)
-    _require_outer_window(W, N + n_neg)
-    g = np.convolve(W.w_coeffs.coeffs,
-                    np.convolve(a.coeffs, W.winv_coeffs.coeffs))
-    A = _section(CoeffVector(IndexWindow(a.lo, a.lo + len(g) - 1), g), N, N)
+    n_neg = 0
+    g = a.coeffs
+    if W is not None:
+        n_neg = max(0, -a.lo)
+        _require_outer_window(W, N + n_neg)
+        g = np.convolve(W.w_coeffs.coeffs,
+                        np.convolve(a.coeffs, W.winv_coeffs.coeffs))
+    B = _section(CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g),
+                 N, N - m)
     k = min(n_neg, N)
-    if k:
-        A[:, :k] = _conjugated_columns(a, W, N, k)
-    return A
+    if m < k:
+        B[:, :k - m] = _conjugated_columns(a, W, N, k)[:, m:]
+    return B
 
 
 def _wave_packets(L: int, thetas: int) -> np.ndarray:
@@ -196,14 +196,14 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("packet parameters must be positive")
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
-    A = assemble_section(a, W, N)
-    upper = _sigma_max_dense(A[:, m:])
-    lower = float(np.max(np.linalg.norm(A[:, m:m + L] @ _wave_packets(L, thetas),
+    B = assemble_section(a, W, N, m)
+    upper = _sigma_max_dense(B)
+    lower = float(np.max(np.linalg.norm(B[:, :L] @ _wave_packets(L, thetas),
                                         axis=0)))
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)
-    return NormEstimate(lower, upper, N, m, L, thetas)
+    return NormEstimate(lower, upper)
 
 
 def theoretical_bounds(p: float) -> tuple[float, float]:

@@ -18,8 +18,8 @@ section is assembled column by column.
 
 A symbol is a finite Laurent polynomial, passed as its ``CoeffVector``.
 Written as e_{-n} h with analytic h, it admits the exact representation
-T(e_{-n} h) f = e_{-n} (I - P_n)(h f), implemented by
-``apply_special_toeplitz``; ``csa_decompose`` returns that (n, h).
+T(e_{-n} h) f = e_{-n} (I - P_n)(h f); ``csa_decompose`` returns that
+(n, h), the form in which ``k0_matrix`` takes the symbol.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
 
-from .spectral import CoeffVector, IndexWindow, multiply, synthesize, unit
+from .spectral import CoeffVector, IndexWindow, synthesize
 from .weights import OuterPair
 
 
@@ -49,26 +49,6 @@ def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:
     return _section(a, N, N)
 
 
-def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVector:
-    """Apply T(e_{-n} h) to analytic f via e_{-n} (I - P_n)(h f).
-
-    Dropping the first n coefficients of h*f and shifting down by n agrees
-    exactly with projecting e_{-n} h f onto nonnegative frequencies.
-    """
-    if n < 1:
-        raise ValueError("shift order n must be >= 1")
-    if h.lo != 0:
-        raise ValueError("h must be analytic (window starting at 0)")
-    if f.lo < 0:
-        raise ValueError("f must be analytic (no negative frequencies)")
-    hf = multiply(h, f)
-    if hf.hi < n:
-        return CoeffVector(IndexWindow(0, 0), np.zeros(1, dtype=complex))
-    win = IndexWindow(0, hf.hi - n)
-    out = np.array([hf.coeff(k + n) for k in range(len(win))])
-    return CoeffVector(win, out)
-
-
 def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     """Section of the finite-rank correction
 
@@ -77,8 +57,9 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     The first term vanishes identically because e_{-n} P_n maps into
     negative frequencies only, so the section is the product of the factors
     of the second term: the lower-triangular section of M_{h/W} keeps its
-    rows < n (P_n), the columns < n of the section of M_W take them to rows
-    0..N+n-1, and T(e_{-n}) drops the first n of those.  The result is
+    rows < n (P_n), the product of the n x n corner of M_h and the first n
+    rows of M_{1/W}; the columns < n of the section of M_W take them to
+    rows 0..N+n-1, and T(e_{-n}) drops the first n of those.  The result is
     returned as a full N x N matrix and not sliced to its first n columns:
     columns >= n come out of the product as exact zeros, so the rank bound
     checked on K0 is a property of the composition, not of its storage.
@@ -89,7 +70,7 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
         raise ValueError("shift order n must be >= 1")
     if h.lo != 0:
         raise ValueError("h must be analytic (window starting at 0)")
-    pn_hw = _section(multiply(h, W.winv_coeffs), n, N)
+    pn_hw = _section(h, n, n) @ _section(W.winv_coeffs, n, N)
     return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
 
 
@@ -126,7 +107,7 @@ def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
     reconstruction e_{-n} h reproduces the input coefficientwise.
     """
     n = max(1, -a.lo)
-    shifted = multiply(unit(n), a)
+    shifted = CoeffVector(IndexWindow(a.lo + n, a.hi + n), a.coeffs)
     win = IndexWindow(0, max(shifted.hi, 0))
     return n, CoeffVector(win, shifted.on_window(win))
 

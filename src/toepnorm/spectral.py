@@ -1,4 +1,4 @@
-"""Fourier analysis on the unit circle and the projections P and P_n.
+"""Fourier coefficient windows and grid samples on the unit circle.
 
 Functions on the circle are represented in two ways:
 
@@ -11,7 +11,11 @@ Functions on the circle are represented in two ways:
   keeps sampled power weights away from their singular points when those
   sit on the unoffset lattice.
 
-All operations are pure; none of them mutates its inputs.
+``analyze`` and ``synthesize`` move between the two.  The Riesz
+projection P and its truncation P_n are not applied to single windows:
+they act on finite sections, as row and column restrictions of structured
+matrices (:mod:`toepnorm.operators`).  All operations are pure; none of
+them mutates its inputs.
 """
 
 from __future__ import annotations
@@ -19,11 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Above this window length, multiply() switches from direct convolution
-# (bit-reproducible) to zero-padded FFT convolution.
-_DIRECT_CONV_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class IndexWindow:
@@ -84,10 +83,6 @@ class CoeffVector:
                 self.coeffs[lo - self.lo:hi - self.lo + 1]
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"lo": int(self.lo),
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoeffVector":
         coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
@@ -110,11 +105,6 @@ class GridFunction:
             raise ValueError("sample array does not match the grid size")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-
-
-def unit(n: int) -> CoeffVector:
-    """The monomial z**n as a CoeffVector."""
-    return CoeffVector(IndexWindow(n, n), np.array([1.0 + 0.0j]))
 
 
 def grid_thetas(size: int) -> np.ndarray:
@@ -149,41 +139,3 @@ def synthesize(c: CoeffVector, size: int) -> GridFunction:
     spec[ks % size] = c.coeffs * np.exp(1j * np.pi * ks / size)
     return GridFunction(size, np.fft.ifft(spec) * size)
 
-
-def riesz_project(c: CoeffVector) -> CoeffVector:
-    """Annihilate all negative-frequency coefficients."""
-    win = IndexWindow(max(c.lo, 0), max(c.hi, 0))
-    return CoeffVector(win, c.on_window(win))
-
-
-def truncate_pn(c: CoeffVector, n: int) -> CoeffVector:
-    """Keep coefficients at frequencies 0..n-1 only; output window is [0, n-1]."""
-    if n < 1:
-        raise ValueError("truncation order must be >= 1")
-    win = IndexWindow(0, n - 1)
-    return CoeffVector(win, c.on_window(win))
-
-
-def multiply(a: CoeffVector, b: CoeffVector) -> CoeffVector:
-    """Pointwise product as an exact Cauchy-product convolution.
-
-    The output window is [a.lo + b.lo, a.hi + b.hi]; there is never any
-    circular wrap-around.  Short windows use direct convolution, long ones a
-    zero-padded FFT.
-    """
-    win = IndexWindow(a.lo + b.lo, a.hi + b.hi)
-    if max(len(a.coeffs), len(b.coeffs)) <= _DIRECT_CONV_LIMIT:
-        out = np.convolve(a.coeffs, b.coeffs)
-    else:
-        n = len(a.coeffs) + len(b.coeffs) - 1
-        p = 1
-        while p < n:
-            p <<= 1
-        out = np.fft.ifft(np.fft.fft(a.coeffs, p) * np.fft.fft(b.coeffs, p))[:n]
-    return CoeffVector(win, out)
-
-
-def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
-    """Coefficientwise sum on the union window."""
-    win = IndexWindow(min(a.lo, b.lo), max(a.hi, b.hi))
-    return CoeffVector(win, a.on_window(win) + b.on_window(win))

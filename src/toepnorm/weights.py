@@ -25,6 +25,9 @@ Three constructions are provided, trading generality for accuracy:
                             log W(z) = -sum_j lambda_j sum_k (e^{-i k a_j}/k) z^k
                             exponentiated by the Cauchy-product recurrence.
                             Exact to rounding.
+
+``evaluate_outer`` evaluates the outer function of a power weight inside
+the disk from the same closed form, W(z) = prod_j (1 - e^{-i a_j} z)^{lambda_j}.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (CoeffVector, GridFunction, IndexWindow, analyze,
-                       grid_thetas, multiply, synthesize)
+                       grid_thetas, synthesize)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,9 +55,6 @@ class PowerWeight:
         if len(set(angles)) != len(angles):
             raise ValueError("weight points must have pairwise distinct angles")
         object.__setattr__(self, "points", pts)
-
-    def to_json_dict(self) -> dict:
-        return {"points": [{"angle": a, "exponent": lam} for a, lam in self.points]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PowerWeight":
@@ -261,25 +261,13 @@ def outer_pair_exact(w: PowerWeight, win: IndexWindow) -> OuterPair:
     return OuterPair(CoeffVector(win, wc), CoeffVector(win, wic), residual)
 
 
-def evaluate_outer(w, z: complex) -> complex:
-    """Evaluate the outer function W at a point of the open disk.
-
-    For grid input this is the midpoint-rule Schwarz integral
-    exp((1/2pi) int (e^{it}+z)/(e^{it}-z) log w dt); its accuracy for cusped
-    weights is limited by the same O(1/M) alias as ``outer_pair``.  For a
-    ``PowerWeight`` the closed form prod (1 - e^{-i a_j} z)^{lambda_j} is
-    used instead.
-    """
+def evaluate_outer(w: PowerWeight, z: complex) -> complex:
+    """Evaluate the outer function of a power weight at a point of the open
+    disk by its closed form W(z) = prod_j (1 - e^{-i a_j} z)^{lambda_j}."""
     z = complex(z)
     if abs(z) > 0.99:
         raise ValueError("evaluation point must satisfy |z| <= 0.99")
-    if isinstance(w, PowerWeight):
-        acc = 0.0 + 0.0j
-        for a, lam in w.points:
-            acc += lam * np.log(1.0 - np.exp(-1j * a) * z)
-        return complex(np.exp(acc))
-    vals = _positive_real_samples(w)
-    t = np.exp(1j * grid_thetas(w.size))
-    kernel = (t + z) / (t - z)
-    return complex(np.exp(np.mean(kernel * np.log(vals))))
-
+    acc = 0.0 + 0.0j
+    for a, lam in w.points:
+        acc += lam * np.log(1.0 - np.exp(-1j * a) * z)
+    return complex(np.exp(acc))

@@ -1,0 +1,25 @@
+"""The public API: every exported name serves the library itself."""
+
+import re
+from pathlib import Path
+
+import toepnorm
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_export_has_a_library_caller():
+    # A name exported from toepnorm must be used somewhere in the package
+    # other than __init__.py and its own module, or by a study script;
+    # names that only tests use belong in tests/reference.py.
+    pkg = ROOT / "src" / "toepnorm"
+    sources = {p: p.read_text() for p in
+               list(pkg.glob("*.py")) + list((ROOT / "scripts").glob("*.py"))}
+    uncalled = []
+    for name in toepnorm.__all__:
+        home = pkg / (getattr(toepnorm, name).__module__.split(".")[-1] + ".py")
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for p, text in sources.items()
+                   if p not in (pkg / "__init__.py", home)):
+            uncalled.append(name)
+    assert uncalled == []

@@ -96,7 +96,8 @@ def test_sigma_max_matches_svdvals():
                           IndexWindow(0, N + max(0, -a.lo) + 15))
 
     sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
-    assert np.max(np.abs(assemble_section(sym_complex, None, 64).imag)) > 0.5
+    assert np.max(np.abs(assemble_section(sym_complex, None, 64, 16).imag)) \
+        > 0.5
     cases = []
     for _, a in bracket_symbols():
         cases += [(a, None, 1024, 64), (a, grid_pair(a, 1024), 1024, 64)]
@@ -108,7 +109,7 @@ def test_sigma_max_matches_svdvals():
          128, 8),
     ]
     for a, W, N, m in cases:
-        B = assemble_section(a, W, N)[:, m:]
+        B = assemble_section(a, W, N, m)
         ref = svdvals(B)[0]
         assert abs(_sigma_max_dense(B) - ref) <= 1e-14 * ref
     assert _sigma_max_dense(np.zeros((64, 56), dtype=complex)) == 0.0
@@ -192,9 +193,7 @@ def test_bracket_trivial_weight_is_bitwise_unweighted():
 
 def test_norm_estimate_validation():
     with pytest.raises(ValueError):
-        NormEstimate(2.0, 1.0, 8, 1, 1, 1)
-    with pytest.raises(ValueError):
-        NormEstimate(0.9, 1.0, 8, 0, 1, 1)
+        NormEstimate(2.0, 1.0)
 
 
 # --------------------------------------------------------- theoretical_bounds
