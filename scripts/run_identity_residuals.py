@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from toepnorm import CoeffVector, IndexWindow
-from toepnorm.acceptance import identity_residual
+from toepnorm.acceptance import identity_residual, seeded_h
 from toepnorm.weights import PowerWeight
 
 
@@ -30,10 +29,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20240901)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    coeffs = (rng.standard_normal(args.degree + 1)
-              + 1j * rng.standard_normal(args.degree + 1)) / np.sqrt(2)
-    h = CoeffVector(IndexWindow(0, args.degree), coeffs)
+    h = seeded_h(np.random.default_rng(args.seed), args.degree)
     pw = PowerWeight(((0.0, args.exponent),))
 
     print("N,residual,rank_ratio")

@@ -1,6 +1,11 @@
 """Command-line front end: weight classification, identity checks and
 essential-norm tables, emitted as CSV or JSON.
 
+Each subcommand reads its settings from its own flags, which carry the
+defaults.  The range checks on those flags (p > 1, every size positive)
+are made here, so a bad value is a configuration error even where no
+library call would see it.
+
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
 """
@@ -9,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,31 +29,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-@dataclass
-class ExperimentConfig:
-    symbol: CoeffVector | None = None
-    weights: list = field(default_factory=list)
-    p: float = 2.0
-    grid: int = 256
-    section: int | None = None
-    tail: int = 64
-    packet: int = 64
-    thetas: int = 256
-    output: str | None = None
-    format: str = "csv"
-
-    def validate(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
-        for name in ("grid", "tail", "packet", "thetas"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.section is not None and self.section <= 0:
-            raise ValueError("section must be positive")
 
 
 def parse_symbol(text: str) -> CoeffVector:
@@ -91,34 +69,16 @@ def parse_weight(text: str) -> PowerWeight:
     return PowerWeight(tuple(points))
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cfg = ExperimentConfig()
-    if "symbol" in raw:
-        cfg.symbol = CoeffVector.from_json_dict(raw["symbol"])
-    if "weights" in raw:
-        cfg.weights = [PowerWeight.from_json_dict(w) for w in raw["weights"]]
-    for key in ("p", "grid", "section", "tail", "packet", "thetas",
-                "output", "format"):
-        if key in raw:
-            setattr(cfg, key, raw[key])
-    return cfg
+def _symbol(args) -> CoeffVector:
+    if not args.symbol:
+        raise ValueError(f"{args.command} requires a symbol")
+    return parse_symbol(args.symbol)
 
 
-def _merge_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "symbol", None):
-        cfg.symbol = parse_symbol(args.symbol)
-    if getattr(args, "weight", None):
-        cfg.weights = [parse_weight(w) for w in args.weight]
-    for flag, attr in (("p", "p"), ("grid", "grid"), ("N", "section"),
-                       ("m", "tail"), ("L", "packet"), ("thetas", "thetas"),
-                       ("out", "output"), ("format", "format")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    cfg.validate()
-    return cfg
+def _check_positive(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) <= 0:
+            raise ValueError(f"--{flag} must be positive")
 
 
 def _fmt(value) -> str:
@@ -131,9 +91,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(rows: list, columns: list, cfg_format: str,
+def _write_table(rows: list, columns: list, fmt: str,
                  output: str | None) -> None:
-    if cfg_format == "csv":
+    if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
@@ -148,28 +108,32 @@ def _write_table(rows: list, columns: list, cfg_format: str,
             fh.write(text)
 
 
-def cmd_ap_check(cfg: ExperimentConfig) -> int:
+def cmd_ap_check(args) -> int:
+    if not args.p > 1:
+        raise ValueError("p must exceed 1")
+    _check_positive(args, "grid")
+    weights = [parse_weight(w) for w in args.weight]
     rows = []
-    M = cfg.grid
-    for pw in cfg.weights:
-        verdict = khvedelidze_ap_check(pw, cfg.p)
-        c1, c2 = acceptance.ap_characteristics(pw, cfg.p, (M, 2 * M))
+    M = args.grid
+    for pw in weights:
+        verdict = khvedelidze_ap_check(pw, args.p)
+        c1, c2 = acceptance.ap_characteristics(pw, args.p, (M, 2 * M))
         rows.append({"weight": pw.label(), "in_ap": verdict,
                      "char_M": c1, "char_2M": c2,
                      "growth_ratio": c2 / c1 - 1.0})
     _write_table(rows, ["weight", "in_ap", "char_M", "char_2M", "growth_ratio"],
-                 cfg.format, cfg.output)
+                 args.format, args.out)
     return EXIT_OK
 
 
-def cmd_verify_identity(cfg: ExperimentConfig) -> int:
-    if cfg.symbol is None:
-        raise ValueError("verify-identity requires a symbol")
-    n, h = csa_decompose(cfg.symbol)
-    N = cfg.section or 128
+def cmd_verify_identity(args) -> int:
+    _check_positive(args, "N")
+    n, h = csa_decompose(_symbol(args))
+    weights = [parse_weight(w) for w in args.weight]
+    N = args.N
     rows = []
     all_pass = True
-    for pw in cfg.weights:
+    for pw in weights:
         res = {}
         rank = 0
         for size in (N, 2 * N):
@@ -185,25 +149,23 @@ def cmd_verify_identity(cfg: ExperimentConfig) -> int:
                      "decreasing": decreasing, "k0_rank": rank, "pass": ok})
     _write_table(rows, ["weight", "n", "residual_N", "residual_2N",
                         "decreasing", "k0_rank", "pass"],
-                 cfg.format, cfg.output)
+                 args.format, args.out)
     return EXIT_OK if all_pass else EXIT_VERIFICATION
 
 
-def cmd_essnorm(cfg: ExperimentConfig) -> int:
-    if cfg.symbol is None:
-        raise ValueError("essnorm requires a symbol")
-    if cfg.p != 2:
-        raise ValueError("essnorm computes on H^2 only: p must be 2")
-    N = cfg.section or 1024
-    params = BracketParams(N=N, m=cfg.tail, L=cfg.packet, thetas=cfg.thetas)
-    sup = symbol_sup(cfg.symbol)
-    est0, ests = acceptance.weighted_brackets(cfg.symbol, cfg.weights, params)
+def cmd_essnorm(args) -> int:
+    _check_positive(args, "N", "m", "L", "thetas")
+    a = _symbol(args)
+    weights = [parse_weight(w) for w in args.weight]
+    params = BracketParams(N=args.N, m=args.m, L=args.L, thetas=args.thetas)
+    sup = symbol_sup(a)
+    est0, ests = acceptance.weighted_brackets(a, weights, params)
     rows = [{"weight": "1", "lower": est0.lower, "upper": est0.upper,
              "grid_sup": sup,
              "rel_dev_from_gridsup": abs(est0.upper - sup) / sup,
              "rel_dev_from_unweighted": 0.0}]
     max_dev = 0.0
-    for pw, est in zip(cfg.weights, ests):
+    for pw, est in zip(weights, ests):
         dev = abs(est.upper - est0.upper) / sup
         max_dev = max(max_dev, dev)
         rows.append({"weight": pw.label(), "lower": est.lower,
@@ -214,7 +176,7 @@ def cmd_essnorm(cfg: ExperimentConfig) -> int:
                  "rel_dev_from_unweighted": max_dev})
     _write_table(rows, ["weight", "lower", "upper", "grid_sup",
                         "rel_dev_from_gridsup", "rel_dev_from_unweighted"],
-                 cfg.format, cfg.output)
+                 args.format, args.out)
     return EXIT_OK
 
 
@@ -281,32 +243,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, symbol=False):
-        sp.add_argument("--config", help="JSON config file")
         if symbol:
             sp.add_argument("--symbol",
                             help="Laurent symbol, 'idx:coeff[,idx:coeff...]'")
-        sp.add_argument("--weight", action="append",
+        sp.add_argument("--weight", action="append", default=[],
                         help="power weight, 'angle:exp[,angle:exp...]' "
                              "(repeatable)")
-        sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("ap-check", help="Muckenhoupt classification report")
     common(sp)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--grid", type=int, help="weight grid size M")
+    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--grid", type=int, default=256, help="weight grid size M")
 
     sp = sub.add_parser("verify-identity",
                         help="conjugation identity and finite-rank check")
     common(sp, symbol=True)
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--N", type=int, default=128)
 
     sp = sub.add_parser("essnorm", help="essential-norm bracket table")
     common(sp, symbol=True)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--thetas", type=int)
+    sp.add_argument("--N", type=int, default=1024)
+    sp.add_argument("--m", type=int, default=64)
+    sp.add_argument("--L", type=int, default=64)
+    sp.add_argument("--thetas", type=int, default=256)
 
     sp = sub.add_parser("reproduce",
                         help="run the full verification suite, write tables")
@@ -315,24 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "reproduce":
         return cmd_reproduce(args.out_dir)
-    try:
-        cfg = _load_config(args.config) if args.config else ExperimentConfig()
-        cfg = _merge_flags(cfg, args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     handler = {"ap-check": cmd_ap_check,
                "verify-identity": cmd_verify_identity,
                "essnorm": cmd_essnorm}[args.command]
     try:
-        return handler(cfg)
+        return handler(args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

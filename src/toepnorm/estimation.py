@@ -142,8 +142,7 @@ def _wave_packets(L: int, thetas: int) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(L), ths)) / math.sqrt(L)
 
 
-def compression_deficiency_bound(a: CoeffVector, W: OuterPair | None, m: int,
-                                 N: int) -> float:
+def compression_deficiency_bound(a: CoeffVector, m: int, N: int) -> float:
     """A-priori beta with ||T_N(a)(I - P_m)||^2 >= (1 - beta) sup|a|^2.
 
     Derivation (unweighted sections only).  Let the symbol's window be
@@ -166,10 +165,8 @@ def compression_deficiency_bound(a: CoeffVector, W: OuterPair | None, m: int,
 
     which falls like 1/N^2 and vanishes when |a| is constant (n = 0).  Hence
     sup|a| <= ||A(I - P_m)|| / sqrt(1 - beta) whenever beta < 1.  A weighted
-    section is not T_N(a), so W must be None.
+    section is not T_N(a); the bound does not apply to it.
     """
-    if W is not None:
-        raise ValueError("the deficiency bound holds for unweighted sections only")
     K = N - max(m, -a.lo) - max(a.hi, 0)
     if K < 1:
         raise ValueError("section leaves no room for a packet past the cutoff")

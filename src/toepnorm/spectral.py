@@ -83,12 +83,6 @@ class CoeffVector:
                 self.coeffs[lo - self.lo:hi - self.lo + 1]
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoeffVector":
-        coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
-        lo = int(d["lo"])
-        return cls(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
-
 
 @dataclass(eq=False)
 class GridFunction:

@@ -56,10 +56,6 @@ class PowerWeight:
             raise ValueError("weight points must have pairwise distinct angles")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PowerWeight":
-        return cls(tuple((p["angle"], p["exponent"]) for p in d["points"]))
-
     def label(self) -> str:
         if not self.points:
             return "1"
@@ -138,9 +134,8 @@ def ap_characteristic(w: GridFunction, p: float, maxM: int = 512) -> float:
     cp = np.concatenate([[0.0], np.cumsum(np.concatenate([wp, wp]))])
     cq = np.concatenate([[0.0], np.cumsum(np.concatenate([wq, wq]))])
     starts = np.arange(0, M, stride)
-    lengths = range(stride, M + 1, stride) if stride > 1 else range(1, M + 1)
     best = 0.0
-    for L in lengths:
+    for L in range(stride, M + 1, stride):
         avg_p = (cp[starts + L] - cp[starts]) / L
         avg_q = (cq[starts + L] - cq[starts]) / L
         val = np.max(avg_p ** (1.0 / p) * avg_q ** (1.0 / q))

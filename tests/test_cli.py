@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, table formats, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,27 @@ def test_missing_symbol_is_config_error(capsys):
 def test_bad_p_is_config_error(capsys):
     code, _, err = run(["ap-check", "--weight", "0:0.1", "--p", "0.5"], capsys)
     assert code == 2
+
+
+def test_bad_p_without_weight_is_config_error(capsys):
+    # no library call sees p when there is no weight to classify
+    code, out, err = run(["ap-check", "--p", "0.5"], capsys)
+    assert code == 2
+    assert out == "" and "configuration error" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["ap-check", "--grid", "0"],
+    ["verify-identity", "--symbol=-1:1", "--N", "0"],
+    ["essnorm", "--symbol=-1:1", "--N", "0"],
+    ["essnorm", "--symbol=-1:1", "--m", "0"],
+    ["essnorm", "--symbol=-1:1", "--L", "0"],
+    ["essnorm", "--symbol=-1:1", "--thetas", "0"],
+])
+def test_nonpositive_size_is_config_error(args, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == "" and "configuration error" in err
 
 
 # ------------------------------------------------------------ verify-identity
@@ -136,48 +159,6 @@ def test_essnorm_deterministic_bytes(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-# -------------------------------------------------------------------- config
-
-def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = {"symbol": {"kind": "laurent", "lo": 0, "coeffs": [[1.0, 0.0]]},
-           "section": 128, "tail": 8, "packet": 16, "thetas": 8,
-           "format": "csv"}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run(["essnorm", "--config", str(path), "--format", "json"],
-                       capsys)
-    assert code == 0
-    rows = json.loads(out)
-    assert abs(rows[0]["upper"] - 1.0) < 1e-9
-
-
-def test_config_shifted_analytic_symbol_is_config_error(tmp_path, capsys):
-    # a config symbol is {"lo", "coeffs"}; the e_{-n} h form is not read
-    cfg = {"symbol": {"kind": "shifted_analytic", "n": 1,
-                      "h": {"lo": 0, "coeffs": [[1.0, 0.0]]}},
-           "section": 64}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, _, err = run(["verify-identity", "--config", str(path)], capsys)
-    assert code == 2
-    assert "configuration error" in err
-
-
-def test_essnorm_config_p_other_than_2_is_config_error(tmp_path, capsys):
-    cfg = {"symbol": {"lo": -1, "coeffs": [[1.0, 0.0]]}, "p": 4,
-           "section": 64, "tail": 8, "packet": 16, "thetas": 8}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run(["essnorm", "--config", str(path)], capsys)
-    assert code == 2
-    assert out == "" and "configuration error" in err
-
-
-def test_unreadable_config_is_config_error(capsys):
-    code, _, _ = run(["essnorm", "--config", "/nonexistent/cfg.json"], capsys)
-    assert code == 2
-
-
 # ----------------------------------------------------------------- reproduce
 
 def test_reproduce_writes_tables_and_is_deterministic(tmp_path, capsys,
@@ -215,3 +196,18 @@ def test_console_entry_point_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("weight,in_ap")
+
+
+# -------------------------------------------------------------------- README
+
+def test_readme_commands_run(capsys):
+    # every documented example but the full suite runs and exits 0
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = [line.split("#", 1)[0] for line in block.splitlines()
+                if line.startswith("toepnorm")
+                and not line.startswith("toepnorm reproduce")]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line

@@ -67,18 +67,12 @@ def test_deficiency_bound_caps_section_deficiency():
     betas = []
     for N in (64, 128, 256):
         m = N // 16
-        beta = compression_deficiency_bound(SYM_CURVED, None, m, N)
+        beta = compression_deficiency_bound(SYM_CURVED, m, N)
         up = upper(SYM_CURVED, None, m, N)
         assert 0.0 < sup - up <= beta * sup
         betas.append(beta)
     for b_N, b_2N in zip(betas, betas[1:]):
         assert 3.5 < b_N / b_2N < 4.5
-
-
-def test_deficiency_bound_refuses_weighted_section():
-    W = naive_pair(PowerWeight(((0.0, 0.3),)), 64)
-    with pytest.raises(ValueError):
-        compression_deficiency_bound(SYM_CURVED, W, 4, 64)
 
 
 def test_essential_upper_parameter_validation():

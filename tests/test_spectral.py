@@ -230,9 +230,3 @@ def test_index_window_rejects_empty():
     with pytest.raises(ValueError):
         IndexWindow(3, 2)
 
-
-def test_json_roundtrips():
-    c = CoeffVector.from_json_dict(
-        {"lo": -2, "coeffs": [[1.0, 2.0], [0.5, 0.0], [-1.0, 0.0]]})
-    assert c.window == IndexWindow(-2, 0)
-    assert np.array_equal(c.coeffs, [1 + 2j, 0.5, -1.0])

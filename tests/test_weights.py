@@ -222,10 +222,6 @@ def test_evaluate_outer_rejects_near_boundary():
 def test_power_weight_validation_and_json():
     with pytest.raises(ValueError):
         PowerWeight(((0.0, 1.0), (0.0, 2.0)))
-    pw = PowerWeight.from_json_dict(
-        {"points": [{"angle": 0.0, "exponent": 0.25},
-                    {"angle": math.pi, "exponent": -0.25}]})
-    assert pw.points == ((0.0, 0.25), (math.pi, -0.25))
 
 
 def test_sample_power_weight_values():
