@@ -2,9 +2,9 @@
 essential-norm tables, emitted as CSV or JSON.
 
 Each subcommand reads its settings from its own flags, which carry the
-defaults.  The range checks on those flags (p > 1, every size positive)
-are made here, so a bad value is a configuration error even where no
-library call would see it.
+defaults.  The range checks on those flags (p > 1, every size positive,
+a symbol not identically zero) are made here, so a bad value is a
+configuration error even where no library call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -72,7 +72,10 @@ def parse_weight(text: str) -> PowerWeight:
 def _symbol(args) -> CoeffVector:
     if not args.symbol:
         raise ValueError(f"{args.command} requires a symbol")
-    return parse_symbol(args.symbol)
+    a = parse_symbol(args.symbol)
+    if not np.any(a.coeffs):
+        raise ValueError("symbol must not be zero")
+    return a
 
 
 def _check_positive(args, *flags) -> None:

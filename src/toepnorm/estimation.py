@@ -18,8 +18,15 @@ routine here:
   SVD: that eigenvalue has absolute error O(eps ||G||) = O(eps sigma_max^2),
   so sigma_max keeps relative error O(eps); squaring hurts only the small
   singular values (Golub & Van Loan, Matrix Computations, 8.6; Demmel,
-  Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from the
-  full-spectrum driver, since the top of the spectrum clusters.
+  Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from a
+  full-spectrum driver, since the top of the spectrum clusters.  Without a
+  weight, B is the section of a Laurent polynomial of span u = hi - lo, so
+  G is a band matrix of bandwidth u.  When u <= (N - m) // 32 (the cutoff
+  ``_BAND_RATIO``), the band is built from the coefficient products
+  a_t conj(a_{t-d}) and reduced to tridiagonal form in O(N^2 u) (Schwarz,
+  Numer. Math. 12, 1968; LAPACK sbtrd) instead of O(N^3).  A weighted block
+  fills every diagonal and keeps the dense Gram matrix, as does a symbol
+  of wider span.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -38,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 # Unused, but perfbench/tracing.py traces ``estimation.svdvals`` by name.
 from scipy.linalg import svdvals  # noqa: F401
 
@@ -49,6 +57,14 @@ from .weights import OuterPair
 # real for the Gram eigenvalue (a real symmetric G costs a quarter of the
 # complex Hermitian one in the product and in the tridiagonalisation).
 _REAL_CAST_RTOL = 1e-12
+
+# An unweighted block whose symbol span hi - lo is at most (N - m) // this
+# ratio takes sigma_max from the banded Gram matrix.  Measured crossover
+# (2 vCPUs, OpenBLAS, two threads, medians of 5): at N - m = 960 the banded
+# path takes 61 ms at span 32 against 81 ms dense and loses by span 64
+# (102 against 78 ms); at N - m = 1984 it takes 406 ms at span 64 against
+# 621 ms and breaks even near span 96.
+_BAND_RATIO = 32
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,46 @@ def _sigma_max_dense(B: np.ndarray) -> float:
     if np.max(np.abs(B.imag)) <= _REAL_CAST_RTOL * scale:
         B = np.ascontiguousarray(B.real)
     lam = np.linalg.eigvalsh(B.conj().T @ B)[-1]
+    return math.sqrt(max(float(lam), 0.0))
+
+
+def _gram_band(c: np.ndarray, lo: int, N: int, m: int) -> np.ndarray:
+    """Lower band storage ab[d, p] = G[p + d, p] of G = B^H B for the
+    unweighted block B = T_N(a)[:, m:], where c holds a's coefficients on
+    its window [lo, lo + u].
+
+    Column p of B (section column j = m + p) holds a_t in row j + t, so
+    G[p + d, p] = sum of a_t conj(a_{t-d}) over t in [lo + d, lo + u] with
+    the shared row j + t inside the section: the top cut (rows >= 0) trims
+    the first columns when m < -lo, the row cut (rows < N) the last hi.
+    Entries past the end of diagonal d (p >= N - m - d) are never read.
+    """
+    u = len(c) - 1
+    j = np.arange(m, N)[:, None]
+    ab = np.empty((u + 1, N - m), dtype=c.dtype)
+    for d in range(u + 1):
+        rows = j + np.arange(lo + d, lo + u + 1)
+        inside = (rows >= 0) & (rows < N)
+        ab[d] = inside @ (c[d:] * c[:u + 1 - d].conj())
+    return ab
+
+
+def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
+    """sigma_max(T_N(a)[:, m:]) as sqrt(lambda_max(G)) from G's band.
+
+    G has bandwidth u = hi - lo, and LAPACK's banded full-spectrum driver
+    (sbevd/hbevd: band-to-tridiagonal reduction, O(K^2 u) for K = N - m,
+    then sterf) replaces the O(K^3) dense path.  A single-eigenvalue driver
+    is avoided for the reason given in ``_sigma_max_dense``.  a's
+    coefficients are B's entries, so the real cast follows the same rule.
+    """
+    c = a.coeffs
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return 0.0
+    if np.max(np.abs(c.imag)) <= _REAL_CAST_RTOL * scale:
+        c = c.real
+    lam = eigvals_banded(_gram_band(c, a.lo, N, m), lower=True)[-1]
     return math.sqrt(max(float(lam), 0.0))
 
 
@@ -179,9 +235,13 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     """Bracket the essential norm on one shared section A.
 
     The upper end is ||A (I - P_m)|| = sigma_max(A[:, m:]), the square root
-    of the top eigenvalue of the dense Gram matrix from a full-spectrum
-    driver (the top of a Toeplitz section's singular spectrum clusters too
-    tightly for power iteration or a single-eigenvalue driver).  The lower
+    of the top eigenvalue of the Gram matrix from a full-spectrum driver
+    (the top of a Toeplitz section's singular spectrum clusters too tightly
+    for power iteration or a single-eigenvalue driver).  Without a weight
+    and with span hi - lo <= (N - m) // _BAND_RATIO the Gram matrix is
+    taken in band storage (``_sigma_max_banded``); otherwise it is formed
+    densely (``_sigma_max_dense``).  The choice rests on the block's
+    structure alone and changes sigma_max by rounding only.  The lower
     end is the largest ||A u_theta|| over the wave packets on columns
     m .. m+L-1, applied as A[:, m:m+L] times the L x thetas modulation
     block.
@@ -194,7 +254,10 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
     B = assemble_section(a, W, N, m)
-    upper = _sigma_max_dense(B)
+    if W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO:
+        upper = _sigma_max_banded(a, N, m)
+    else:
+        upper = _sigma_max_dense(B)
     lower = float(np.max(np.linalg.norm(B[:, :L] @ _wave_packets(L, thetas),
                                         axis=0)))
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram

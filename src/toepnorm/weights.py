@@ -33,7 +33,7 @@ the disk from the same closed form, W(z) = prod_j (1 - e^{-i a_j} z)^{lambda_j}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,6 @@ and hypothesis draws the same examples on every run."""
 import pytest
 from hypothesis import settings
 
-from toepnorm import acceptance
-
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 

@@ -83,6 +83,17 @@ def test_nonpositive_size_is_config_error(args, capsys):
     assert out == "" and "configuration error" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["essnorm", "--symbol=0:0", "--N", "256", "--m", "16", "--L", "16",
+     "--thetas", "16"],
+    ["verify-identity", "--symbol=0:0", "--weight", "0:0.3", "--N", "32"],
+])
+def test_zero_symbol_is_config_error(args, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == "" and "configuration error" in err
+
+
 # ------------------------------------------------------------ verify-identity
 
 def test_verify_identity_passes_for_a2_weight(capsys):

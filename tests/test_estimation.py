@@ -11,7 +11,8 @@ from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       outer_pair, outer_pair_exact, sample_power_weight,
                       symbol_sup, theoretical_bounds)
 from toepnorm.acceptance import bracket_symbols
-from toepnorm.estimation import _sigma_max_dense, assemble_section
+from toepnorm.estimation import (_BAND_RATIO, _gram_band, _sigma_max_banded,
+                                 _sigma_max_dense, assemble_section)
 from toepnorm.weights import PowerWeight
 
 
@@ -101,12 +102,79 @@ def test_sigma_max_matches_svdvals():
         (laurent(0, [1.0]),
          outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 255)),
          128, 8),
+        (laurent(0, [1.0]), None, 128, 8),  # unimodular: G = I
     ]
     for a, W, N, m in cases:
         B = assemble_section(a, W, N, m)
         ref = svdvals(B)[0]
         assert abs(_sigma_max_dense(B) - ref) <= 1e-14 * ref
+        if W is None:
+            assert abs(_sigma_max_banded(a, N, m) - ref) <= 1e-14 * ref
     assert _sigma_max_dense(np.zeros((64, 56), dtype=complex)) == 0.0
+    assert _sigma_max_banded(laurent(-1, [0.0, 0.0]), 64, 8) == 0.0
+
+
+def random_laurent(rng, lo, span, complex_coeffs):
+    c = rng.standard_normal(span + 1)
+    if complex_coeffs:
+        c = c + 1j * rng.standard_normal(span + 1)
+    return laurent(lo, c)
+
+
+def test_gram_band_matches_dense_gram():
+    # N = 256, m = 16: span 7 = (N - m) // _BAND_RATIO is the cutoff
+    rng = np.random.default_rng(7)
+    cases = [(SYM_CURVED, 1024, 64),
+             (laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64)]
+    for complex_coeffs in (False, True):
+        cases += [
+            (random_laurent(rng, -3, 4, complex_coeffs), 128, 8),
+            (random_laurent(rng, -6, 5, complex_coeffs), 64, 2),  # top cut
+            (random_laurent(rng, -3, 7, complex_coeffs), 256, 16),
+        ]
+    for a, N, m in cases:
+        B = assemble_section(a, None, N, m)
+        G = B.conj().T @ B
+        ab = _gram_band(a.coeffs, a.lo, N, m)
+        K, scale = N - m, np.max(np.abs(G))
+        for d in range(a.hi - a.lo + 1):
+            dev = np.max(np.abs(ab[d, :K - d] - np.diagonal(G, -d)))
+            assert dev <= 1e-15 * scale
+
+
+def test_bracket_both_sides_of_band_cutoff(monkeypatch):
+    import toepnorm.estimation as est
+    taken = []
+
+    def recorded(name):
+        f = getattr(est, name)
+
+        def call(*args):
+            taken.append(name)
+            return f(*args)
+        return call
+
+    for name in ("_sigma_max_banded", "_sigma_max_dense"):
+        monkeypatch.setattr(est, name, recorded(name))
+    params = BracketParams(N=256, m=16, L=16, thetas=16)
+    cutoff = (params.N - params.m) // _BAND_RATIO
+    rng = np.random.default_rng(3)
+    for span, path in ((cutoff, "_sigma_max_banded"),
+                       (cutoff + 1, "_sigma_max_dense")):
+        a = random_laurent(rng, -3, span, True)
+        ref = svdvals(assemble_section(a, None, params.N, params.m))[0]
+        del taken[:]
+        assert abs(essential_bracket(a, None, params).upper - ref) \
+            <= 1e-14 * ref
+        assert taken == [path]
+
+
+def test_banded_upper_matches_dense_path():
+    params = BracketParams()
+    for _, a in bracket_symbols():
+        dense = _sigma_max_dense(assemble_section(a, None, params.N, params.m))
+        up = essential_bracket(a, None, params).upper
+        assert abs(up - dense) <= 4e-15 * dense
 
 
 # ----------------------------------------------- lower end: wave-packet bound
