@@ -101,7 +101,8 @@ def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
 
     Each weight's outer pair is the one-grid construction from 8N samples
     on the outer window [0, N + n + 15], n = max(0, -lo): the section reads
-    coefficients below N + n only, and the grid error scales like 1/(8N).
+    coefficients below N + n only, and the grid error of an exponent lambda
+    scales like M^-(1 - |lambda|) in the grid size M = 8N.
     A weight with no points or only zero exponents is w == 1: its samples
     are exactly 1, its outer pair is exactly (1, 1) and its section a
     bitwise copy of the unweighted one, so it shares the unweighted bracket.
@@ -216,8 +217,10 @@ def run_weight_independence() -> CriterionResult:
     section's bracket (:func:`weighted_brackets`, N=1024, m=64) must agree
     with the unweighted one to within 2% of sup|a|, and the worst deviation
     must shrink when N doubles to 2048.  Outer pairs come from the one-grid
-    construction at M = 8N, whose error scales like 1/M and therefore
-    halves with the section size.
+    construction at M = 8N, whose error for an exponent lambda scales like
+    M^-(1 - |lambda|): a factor 2^-0.7 = 0.616 per doubling at |lambda| =
+    0.3, against a measured max_dev_2048 / max_dev_1024 of 0.616, 0.613
+    and 0.654 for the three symbols.
     """
     t0 = time.perf_counter()
     rows = []

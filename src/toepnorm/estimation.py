@@ -45,9 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
-# Unused, but perfbench/tracing.py traces ``estimation.svdvals`` by name.
-from scipy.linalg import svdvals  # noqa: F401
 
 from .operators import _conjugated_columns, _section
 from .spectral import CoeffVector, IndexWindow
@@ -65,6 +62,17 @@ _REAL_CAST_RTOL = 1e-12
 # (102 against 78 ms); at N - m = 1984 it takes 406 ms at span 64 against
 # 621 ms and breaks even near span 96.
 _BAND_RATIO = 32
+
+
+def __getattr__(name):
+    # perfbench/tracing.py looks up ``estimation.svdvals`` by name, and
+    # nothing else uses it; it resolves here so that importing estimation
+    # does not load SciPy.  Re-aiming the benchmark at the traced layers of
+    # today (ROADMAP item 6) deletes this hook.
+    if name == "svdvals":
+        from scipy.linalg import svdvals
+        return svdvals
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,12 @@ def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
     is avoided for the reason given in ``_sigma_max_dense``.  a's
     coefficients are B's entries, so the real cast follows the same rule.
     """
+    # Imported here, not at module level: this is the package's only SciPy
+    # call, and loading scipy.linalg takes 0.25-0.35 s of the 0.45-0.7 s
+    # that ``import toepnorm.cli`` costs with it (2 vCPUs), a price that
+    # ap-check and verify-identity, which never get here, need not pay.
+    from scipy.linalg import eigvals_banded
+
     c = a.coeffs
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
@@ -161,10 +175,10 @@ def _require_outer_window(W: OuterPair, needed: int):
 
 
 def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
-                     m: int) -> np.ndarray:
-    """Columns m..N-1 of the dense N x N section of T(a), or of
-    M_W T(a) M_{1/W} when W is given: the block A[:, m:] that the bracket
-    reads.
+                     m: int, cols: int | None = None) -> np.ndarray:
+    """Columns m..m+cols-1 (by default m..N-1) of the dense N x N section of
+    T(a), or of M_W T(a) M_{1/W} when W is given: the block A[:, m:] that
+    the bracket reads, or its first cols columns.
 
     The conjugated section is Toeplitz away from its first n = max(0, -lo)
     columns: for e_j with j >= n the inner projection in
@@ -176,6 +190,7 @@ def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
     identity check compares the literal product against T + K0, so this
     shortcut serves the brackets only.
     """
+    cols = N - m if cols is None else cols
     n_neg = 0
     g = a.coeffs
     if W is not None:
@@ -184,8 +199,8 @@ def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
         g = np.convolve(W.w_coeffs.coeffs,
                         np.convolve(a.coeffs, W.winv_coeffs.coeffs))
     B = _section(CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g),
-                 N, N - m)
-    k = min(n_neg, N)
+                 N, cols)
+    k = min(n_neg, m + cols)
     if m < k:
         B[:, :k - m] = _conjugated_columns(a, W, N, k)[:, m:]
     return B
@@ -241,10 +256,10 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     and with span hi - lo <= (N - m) // _BAND_RATIO the Gram matrix is
     taken in band storage (``_sigma_max_banded``); otherwise it is formed
     densely (``_sigma_max_dense``).  The choice rests on the block's
-    structure alone and changes sigma_max by rounding only.  The lower
-    end is the largest ||A u_theta|| over the wave packets on columns
-    m .. m+L-1, applied as A[:, m:m+L] times the L x thetas modulation
-    block.
+    structure alone and changes sigma_max by rounding only; the banded path
+    builds only the columns A[:, m:m+L] of the section.  The lower end is
+    the largest ||A u_theta|| over the wave packets on columns m .. m+L-1,
+    applied as A[:, m:m+L] times the L x thetas modulation block.
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -253,10 +268,11 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("packet parameters must be positive")
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
-    B = assemble_section(a, W, N, m)
     if W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO:
         upper = _sigma_max_banded(a, N, m)
+        B = assemble_section(a, None, N, m, L)
     else:
+        B = assemble_section(a, W, N, m)
         upper = _sigma_max_dense(B)
     lower = float(np.max(np.linalg.norm(B[:, :L] @ _wave_packets(L, thetas),
                                         axis=0)))

@@ -25,7 +25,7 @@ T(e_{-n} h) f = e_{-n} (I - P_n)(h f); ``csa_decompose`` returns that
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import CoeffVector, IndexWindow, synthesize
 from .weights import OuterPair
@@ -35,11 +35,13 @@ def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix with entries c-hat(i - j), zero outside c's window.
 
     For analytic c this is the lower-triangular matrix of multiplication by
-    c, compressed to the first rows/cols monomials.
+    c, compressed to the first rows/cols monomials.  Row i is the slice
+    rows-1-i .. rows-2-i+cols of the reversed value window, so the matrix is
+    a copy of the reversed row order of its sliding windows (the inner
+    stride stays positive, which copies faster than a reversed one).
     """
-    col = c.on_window(IndexWindow(0, rows - 1))
-    row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
-    return _toeplitz(col, row)
+    vals = c.on_window(IndexWindow(1 - cols, rows - 1))[::-1].copy()
+    return sliding_window_view(vals, cols)[::-1].copy()
 
 
 def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, table formats, determinism."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import toepnorm
 from toepnorm import acceptance
 from toepnorm.cli import EXIT_OK, main, write_tables
 
@@ -207,6 +209,46 @@ def test_console_entry_point_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("weight,in_ap")
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from toepnorm import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["ap-check", "--weight", "0:0.3", "--grid", "64"]),
+             cli.main(["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
+                       "--N", "16"])]
+    before = scipy_modules()
+    codes.append(cli.main(["essnorm", "--symbol=-1:1", "--N", "256",
+                           "--m", "16", "--L", "16", "--thetas", "16"]))
+    after = scipy_modules()
+import scipy.linalg
+import toepnorm.estimation
+print(json.dumps({"codes": codes, "before": before,
+                  "banded_loads": "scipy.linalg" in after,
+                  "svdvals": toepnorm.estimation.svdvals
+                  is scipy.linalg.svdvals}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_banded_sigma_max():
+    # ap-check and verify-identity never call SciPy, so a fresh process that
+    # runs them must not import it; essnorm's banded sigma_max loads it on
+    # first use.  perfbench/tracing.py looks up estimation.svdvals by name.
+    src = Path(toepnorm.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"codes": [0, 0, 0], "before": [],
+                      "banded_loads": True, "svdvals": True}
 
 
 # -------------------------------------------------------------------- README

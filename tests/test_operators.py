@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
@@ -9,6 +10,7 @@ from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       toeplitz_matrix)
 from toepnorm.acceptance import identity_residual
 from toepnorm.estimation import assemble_section
+from toepnorm.operators import _section
 from toepnorm.weights import PowerWeight
 
 from reference import (apply_special_toeplitz, conjugated_reference,
@@ -53,6 +55,30 @@ def test_toeplitz_diagonal_constancy_and_nesting():
         assert np.all(vals == vals[0])
     T2 = toeplitz_matrix(a, 24)
     assert np.array_equal(T, T2[:12, :12])
+
+
+# ------------------------------------------------------------------ _section
+
+@pytest.mark.parametrize("lo,hi", [(-2, 3), (2, 5), (-6, -1)])
+@pytest.mark.parametrize("rows,cols", [(7, 4), (4, 7), (1, 1), (6, 6)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
+    # scipy.linalg.toeplitz of the first column and row is the reference the
+    # strided builder replaced; both only copy coefficients, so they agree
+    # bitwise.  Windows straddle 0, lie above it and lie below it.
+    rng = np.random.default_rng([hi - lo, rows, cols])
+    coeffs = rng.standard_normal(hi - lo + 1)
+    if kind == "complex":
+        coeffs = coeffs + 1j * rng.standard_normal(hi - lo + 1)
+    c = cv(lo, coeffs)
+    col = c.on_window(IndexWindow(0, rows - 1))
+    row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
+    S = _section(c, rows, cols)
+    expected = toeplitz(col, row)
+    assert S.dtype == expected.dtype and S.shape == (rows, cols)
+    assert S.tobytes() == expected.tobytes()
+    # assemble_section writes its leading columns into the result in place
+    assert S.flags.c_contiguous and S.flags.writeable
 
 
 # ----------------------------------------------------- apply_special_toeplitz
@@ -182,6 +208,9 @@ def test_sections_match_column_reference(N):
                 if m < N:
                     assert np.max(np.abs(assemble_section(a, W, N, m)
                                          - C[:, m:])) <= tol
+                    # one column only, cut inside the non-Toeplitz ones
+                    assert np.max(np.abs(assemble_section(a, W, N, m, 1)
+                                         - C[:, m:m + 1])) <= tol
             K0 = k0_matrix(n, h, W, N)
             assert K0.shape == (N, N)
             assert np.max(np.abs(K0 - k0_reference(n, h, W, N))) <= tol
