@@ -3,8 +3,9 @@ essential-norm tables, emitted as CSV or JSON.
 
 Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (p > 1, every size positive,
-a symbol not identically zero) are made here, so a bad value is a
-configuration error even where no library call would see it.
+a symbol not identically zero, N a power of two when a weight is given)
+are made here, so a bad value is a configuration error that names its flag
+even where no library call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -84,6 +85,13 @@ def _check_positive(args, *flags) -> None:
             raise ValueError(f"--{flag} must be positive")
 
 
+def _check_weighted_N(args) -> None:
+    # each weight's outer pair is sampled on a grid of 8N (verify-identity
+    # also 16N) points, and the grid FFTs need a power of two
+    if args.weight and args.N & (args.N - 1):
+        raise ValueError("--N must be a power of two when a --weight is given")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -131,6 +139,7 @@ def cmd_ap_check(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     _check_positive(args, "N")
+    _check_weighted_N(args)
     n, h = csa_decompose(_symbol(args))
     weights = [parse_weight(w) for w in args.weight]
     N = args.N
@@ -158,6 +167,7 @@ def cmd_verify_identity(args) -> int:
 
 def cmd_essnorm(args) -> int:
     _check_positive(args, "N", "m", "L", "thetas")
+    _check_weighted_N(args)
     a = _symbol(args)
     weights = [parse_weight(w) for w in args.weight]
     params = BracketParams(N=args.N, m=args.m, L=args.L, thetas=args.thetas)

@@ -41,6 +41,8 @@ Gram structure serves every weight.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,17 +110,21 @@ def _sigma_max_dense(B: np.ndarray) -> float:
     spectrum clusters, as it does for a unimodular symbol, where G is close
     to I; after tridiagonalisation the whole spectrum costs only O(n^2)
     more.  Product and eigenvalues both run in NumPy's BLAS, which builds
-    the sections too.  SciPy loads a BLAS of its own: handing it NumPy's
-    product made this step about twice as slow at N = 1024 (two BLAS
-    threads, 2-vCPU box), the idle workers of one library competing with
-    the other's.
+    the sections and serves the banded path too; a second BLAS in the
+    process (SciPy's, tried for this step) made it about twice as slow at
+    N = 1024 (two BLAS threads, 2-vCPU box), the idle workers of one library
+    competing with the other's.  A real B forms G as B.T @ B, with no
+    conjugated copy of B.
     """
     scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(B.imag)) <= _REAL_CAST_RTOL * scale:
         B = np.ascontiguousarray(B.real)
-    lam = np.linalg.eigvalsh(B.conj().T @ B)[-1]
+        G = B.T @ B
+    else:
+        G = B.conj().T @ B
+    lam = np.linalg.eigvalsh(G)[-1]
     return math.sqrt(max(float(lam), 0.0))
 
 
@@ -143,28 +149,74 @@ def _gram_band(c: np.ndarray, lo: int, N: int, m: int) -> np.ndarray:
     return ab
 
 
+@functools.cache
+def _numpy_band_evd():
+    """NumPy's own LAPACKE band eigenvalue drivers, keyed by band dtype, or
+    None when NumPy's LAPACK does not export them.
+
+    NumPy's wheels link a scipy-openblas LAPACK with 64-bit integers whose
+    symbols carry a ``64_`` suffix; loading the extension module that
+    already links it resolves them through its own dependencies, so no
+    second BLAS is loaded.  Only these suffixed names are bound: the suffix
+    fixes the integer width, so no ABI is guessed.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        drivers = {np.dtype(np.float64): lib.scipy_LAPACKE_dsbevd64_,
+                   np.dtype(np.complex128): lib.scipy_LAPACKE_zhbevd64_}
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for f in drivers.values():
+        # (layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz) -> info
+        f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64,
+                      ptr, i64, ptr, ptr, i64]
+        f.restype = i64
+    return drivers
+
+
+def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix G whose lower band
+    storage is ab[d, p] = G[p + d, p] (real or complex), from sbevd/hbevd
+    with jobz = 'N': band-to-tridiagonal reduction, then sterf.
+
+    The driver is NumPy's LAPACK when it exports it (``_numpy_band_evd``),
+    else SciPy's ``eigvals_banded``, which calls the same routine; importing
+    SciPy for it costs about 0.3 s and a second OpenBLAS (2 vCPUs).
+    """
+    drivers = _numpy_band_evd()
+    if drivers is None:
+        from scipy.linalg import eigvals_banded
+        return eigvals_banded(ab, lower=True)
+    # a column-major (kd + 1) x n copy (layout 102, LAPACK_COL_MAJOR): the
+    # driver overwrites its band
+    ab = np.array(ab, order="F")
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    w = np.empty(n)
+    info = drivers[ab.dtype](102, b"N", b"L", n, kd, ab.ctypes.data, kd + 1,
+                             w.ctypes.data, None, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded eigenvalue driver failed (info = {info})")
+    return w
+
+
 def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
     """sigma_max(T_N(a)[:, m:]) as sqrt(lambda_max(G)) from G's band.
 
     G has bandwidth u = hi - lo, and LAPACK's banded full-spectrum driver
-    (sbevd/hbevd: band-to-tridiagonal reduction, O(K^2 u) for K = N - m,
-    then sterf) replaces the O(K^3) dense path.  A single-eigenvalue driver
-    is avoided for the reason given in ``_sigma_max_dense``.  a's
-    coefficients are B's entries, so the real cast follows the same rule.
+    (``_band_eigvalsh``: O(K^2 u) band reduction for K = N - m, then sterf)
+    replaces the O(K^3) dense path.  A single-eigenvalue driver is avoided
+    for the reason given in ``_sigma_max_dense``.  a's coefficients are B's
+    entries, so the real cast follows the same rule.
     """
-    # Imported here, not at module level: this is the package's only SciPy
-    # call, and loading scipy.linalg takes 0.25-0.35 s of the 0.45-0.7 s
-    # that ``import toepnorm.cli`` costs with it (2 vCPUs), a price that
-    # ap-check and verify-identity, which never get here, need not pay.
-    from scipy.linalg import eigvals_banded
-
     c = a.coeffs
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(c.imag)) <= _REAL_CAST_RTOL * scale:
         c = c.real
-    lam = eigvals_banded(_gram_band(c, a.lo, N, m), lower=True)[-1]
+    lam = _band_eigvalsh(_gram_band(c, a.lo, N, m))[-1]
     return math.sqrt(max(float(lam), 0.0))
 
 

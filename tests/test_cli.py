@@ -96,6 +96,22 @@ def test_zero_symbol_is_config_error(args, capsys):
     assert out == "" and "configuration error" in err
 
 
+@pytest.mark.parametrize("args, code", [
+    (["essnorm", "--symbol=-1:1", "--weight", "0:0.3", "--N", "1000"], 2),
+    (["verify-identity", "--symbol=-1:1", "--weight", "0:0.3", "--N", "100"],
+     2),
+    (["essnorm", "--symbol=-1:1", "--N", "1000"], 0),
+])
+def test_weighted_N_must_be_a_power_of_two(args, code, capsys):
+    # the outer pairs' grids need a power of two; without a weight any N runs
+    got, out, err = run(args, capsys)
+    assert got == code
+    if code:
+        assert out == "" and "--N must be a power of two" in err
+    else:
+        assert out.startswith("weight,lower,upper") and err == ""
+
+
 # ------------------------------------------------------------ verify-identity
 
 def test_verify_identity_passes_for_a2_weight(capsys):
@@ -213,32 +229,29 @@ def test_console_entry_point_smoke():
 
 _COLD_START = """
 import contextlib, io, json, sys
-from toepnorm import cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from toepnorm import cli, estimation
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["ap-check", "--weight", "0:0.3", "--grid", "64"]),
              cli.main(["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
-                       "--N", "16"])]
-    before = scipy_modules()
-    codes.append(cli.main(["essnorm", "--symbol=-1:1", "--N", "256",
-                           "--m", "16", "--L", "16", "--thetas", "16"]))
-    after = scipy_modules()
+                       "--N", "16"]),
+             cli.main(["essnorm", "--symbol=-1:1", "--N", "256",
+                       "--m", "16", "--L", "16", "--thetas", "16"])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+numpy_lapack = estimation._numpy_band_evd() is not None
 import scipy.linalg
-import toepnorm.estimation
-print(json.dumps({"codes": codes, "before": before,
-                  "banded_loads": "scipy.linalg" in after,
-                  "svdvals": toepnorm.estimation.svdvals
-                  is scipy.linalg.svdvals}))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "numpy_lapack": numpy_lapack,
+                  "svdvals": estimation.svdvals is scipy.linalg.svdvals}))
 """
 
 
-def test_cold_start_loads_scipy_only_for_the_banded_sigma_max():
-    # ap-check and verify-identity never call SciPy, so a fresh process that
-    # runs them must not import it; essnorm's banded sigma_max loads it on
-    # first use.  perfbench/tracing.py looks up estimation.svdvals by name.
+def test_cold_start_loads_no_scipy():
+    # ap-check and verify-identity never call SciPy, and essnorm's banded
+    # sigma_max takes its driver from NumPy's LAPACK, so a fresh process that
+    # runs all three must not import it; only a NumPy whose LAPACK lacks the
+    # driver falls back to SciPy.  perfbench/tracing.py looks up
+    # estimation.svdvals by name.
     src = Path(toepnorm.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -247,8 +260,12 @@ def test_cold_start_loads_scipy_only_for_the_banded_sigma_max():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0, 0, 0], "before": [],
-                      "banded_loads": True, "svdvals": True}
+    assert result["codes"] == [0, 0, 0]
+    assert result["svdvals"]
+    if result["numpy_lapack"]:
+        assert result["loaded"] == []
+    else:
+        assert "scipy.linalg" in result["loaded"]
 
 
 # -------------------------------------------------------------------- README

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from scipy.linalg import eigvals_banded, svdvals
 
+import toepnorm.estimation as est
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
                       outer_pair, outer_pair_exact, sample_power_weight,
                       symbol_sup, theoretical_bounds)
 from toepnorm.acceptance import bracket_symbols
-from toepnorm.estimation import (_BAND_RATIO, _gram_band, _sigma_max_banded,
-                                 _sigma_max_dense, assemble_section)
+from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _gram_band,
+                                 _sigma_max_banded, _sigma_max_dense,
+                                 assemble_section)
 from toepnorm.weights import PowerWeight
 
 
@@ -142,8 +144,48 @@ def test_gram_band_matches_dense_gram():
             assert dev <= 1e-15 * scale
 
 
+@pytest.mark.parametrize("a, N, m", [
+    (laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64),   # real band
+    (laurent(-1, [1j, 0.0, 0.0, 0.4]), 512, 32),              # complex band
+    (laurent(-6, [0.3, 1.0, 0.5j, -0.2, 0.1, 0.7]), 256, 2),  # top cut
+    (laurent(-3, np.linspace(1.0, 2.0, 8) * 1j ** np.arange(8)),
+     256, 16),                                     # span 7 at the cutoff
+    (laurent(-1, [0.0, 0.0]), 64, 8),                         # zero band
+])
+def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m, monkeypatch):
+    # the same sbevd/hbevd from NumPy's LAPACK and through SciPy's fallback
+    assert a.hi - a.lo <= (N - m) // _BAND_RATIO
+    c = a.coeffs.real if not np.any(a.coeffs.imag) else a.coeffs
+    ab = _gram_band(c, a.lo, N, m)
+    lam = _band_eigvalsh(ab)
+    assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
+    upper = _sigma_max_banded(a, N, m)
+    monkeypatch.setattr(est, "_numpy_band_evd", lambda: None)
+    assert _band_eigvalsh(ab).tobytes() == lam.tobytes()
+    assert _sigma_max_banded(a, N, m) == upper
+    if not np.any(c):
+        assert upper == 0.0 and not np.any(lam)
+
+
+def test_band_driver_is_numpys_lapack():
+    # NumPy's scipy-openblas wheels export the driver, so the SciPy fallback
+    # must not run silently where they are installed
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"NumPy's LAPACK is {lapack.get('name')!r}")
+    assert est._numpy_band_evd() is not None
+
+
+def test_band_driver_failure_raises_linalg_error():
+    # LAPACKE refuses a band holding a NaN with info = -6
+    if est._numpy_band_evd() is None:
+        pytest.skip("NumPy's LAPACK does not export the band driver")
+    for dtype in (float, complex):
+        with pytest.raises(np.linalg.LinAlgError, match="info = -6"):
+            _band_eigvalsh(np.full((2, 8), np.nan, dtype=dtype))
+
+
 def test_bracket_both_sides_of_band_cutoff(monkeypatch):
-    import toepnorm.estimation as est
     taken = []
 
     def recorded(name):
