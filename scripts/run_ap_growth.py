@@ -34,8 +34,7 @@ def main() -> int:
     for p in ps:
         for lam in lams:
             pw = PowerWeight(((0.0, lam),))
-            chars = ap_characteristics(pw, p, grids)
-            growth = [b / a - 1.0 for a, b in zip(chars, chars[1:])]
+            chars, growth = ap_characteristics(pw, p, grids)
             row = [f"{p:g}", f"{lam:g}", str(khvedelidze_ap_check(pw, p)).lower()]
             row += [f"{c:.17g}" for c in chars]
             row += [f"{g:.17g}" for g in growth]

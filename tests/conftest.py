@@ -19,8 +19,8 @@ def criterion():
         if runner not in cache:
             r = cache[runner] = runner()
             print(f"\n[{r.name}] elapsed {r.elapsed:.2f}s")
-            for check, ok in r.checks.items():
-                print(f"  {check}: {'PASS' if ok else 'FAIL'}")
+            for name, check in r.checks.items():
+                print(f"  {name}: {check}")
         return cache[runner]
 
     return result

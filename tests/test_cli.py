@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, table formats, determinism."""
 
+import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 import toepnorm
 from toepnorm import acceptance
+from toepnorm.acceptance import Check
 from toepnorm.cli import EXIT_OK, main, write_tables
 
 
@@ -101,15 +104,19 @@ def test_zero_symbol_is_config_error(args, capsys):
     (["verify-identity", "--symbol=-1:1", "--weight", "0:0.3", "--N", "100"],
      2),
     (["essnorm", "--symbol=-1:1", "--N", "1000"], 0),
+    (["ap-check", "--weight", "0:0.3", "--grid", "100"], 2),
+    (["ap-check", "--grid", "100"], 0),
 ])
 def test_weighted_N_must_be_a_power_of_two(args, code, capsys):
-    # the outer pairs' grids need a power of two; without a weight any N runs
+    # the weights' grids need a power of two; without a weight any size runs
     got, out, err = run(args, capsys)
     assert got == code
     if code:
-        assert out == "" and "--N must be a power of two" in err
+        flag = "--grid" if args[0] == "ap-check" else "--N"
+        assert out == "" and f"{flag} must be a power of two" in err
     else:
-        assert out.startswith("weight,lower,upper") and err == ""
+        header = {"essnorm": "weight,lower,upper", "ap-check": "weight,in_ap"}
+        assert out.startswith(header[args[0]]) and err == ""
 
 
 # ------------------------------------------------------------ verify-identity
@@ -121,6 +128,15 @@ def test_verify_identity_passes_for_a2_weight(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("weight,n,residual_N")
     assert lines[1].endswith("true")
+
+
+def test_verify_identity_fails_above_the_residual_bound(capsys):
+    # |t-1|^0.45 leaves a residual of 8.1e-6 > 1e-6 at N=32
+    code, out, _ = run(["verify-identity", "--symbol=-1:1",
+                        "--weight", "0:0.45", "--N", "32"], capsys)
+    assert code == 1
+    row = out.strip().splitlines()[1].split(",")
+    assert float(row[2]) > 1e-6 and row[-1] == "false"
 
 
 def test_verify_identity_constant_weight(capsys):
@@ -209,6 +225,24 @@ def test_reproduce_writes_tables_and_is_deterministic(tmp_path, capsys,
     assert code == EXIT_OK
 
 
+def test_reproduce_reports_a_failing_check(tmp_path, capsys, criterion,
+                                           monkeypatch):
+    # the session's results with one check failing: reproduce prints it with
+    # its value and bound and exits 1
+    results = [criterion(run) for run in acceptance.CRITERIA]
+    failing = dataclasses.replace(
+        results[-1], checks={"bound_values_exact": Check(2e-15, "<=", 1e-15)})
+    monkeypatch.setattr(acceptance, "run_all",
+                        lambda: results[:-1] + [failing])
+    code, out, _ = run(["reproduce", str(tmp_path)], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "theoretical_bounds.bound_values_exact: FAIL (2e-15 <= 1e-15)" \
+        in lines
+    margin = re.compile(r"\w+\.\S+: (pass|FAIL) \(\S+ (<|<=|>=) \S+\)")
+    assert all(margin.fullmatch(line) for line in lines)
+
+
 def test_reproduce_into_file_path_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -246,18 +280,23 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 """
 
 
+def _run_python(*args):
+    """Run the interpreter in a fresh process that imports this toepnorm."""
+    src = Path(toepnorm.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 def test_cold_start_loads_no_scipy():
     # ap-check and verify-identity never call SciPy, and essnorm's banded
     # sigma_max takes its driver from NumPy's LAPACK, so a fresh process that
     # runs all three must not import it; only a NumPy whose LAPACK lacks the
     # driver falls back to SciPy.  perfbench/tracing.py looks up
     # estimation.svdvals by name.
-    src = Path(toepnorm.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _COLD_START],
-                          capture_output=True, text=True, env=env)
+    proc = _run_python("-c", _COLD_START)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
@@ -266,6 +305,23 @@ def test_cold_start_loads_no_scipy():
         assert result["loaded"] == []
     else:
         assert "scipy.linalg" in result["loaded"]
+
+
+@pytest.mark.parametrize("script, args, header, rows", [
+    ("run_identity_residuals.py", ["--sizes", "16,32"],
+     "N,residual,rank_ratio", 2),
+    ("run_ap_growth.py", ["--grids", "64,128"],
+     "p,lambda,in_ap,char_64,char_128,growth_64_128", 12),
+])
+def test_study_scripts_run(script, args, header, rows):
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    proc = _run_python(str(path), *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert all(len(line.split(",")) == header.count(",") + 1
+               for line in lines)
 
 
 # -------------------------------------------------------------------- README
