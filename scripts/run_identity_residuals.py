@@ -6,9 +6,10 @@ Frobenius-relative residual of
 
     M_W T(e_{-n} h) M_{1/W}  -  T(e_{-n} h)  -  K0
 
-over a sequence of section sizes, together with the numerical rank of the
-K0 section.  The residual is pure outer-construction error and should decay
-with the section size (the outer grid scales with N).
+over a sequence of section sizes, together with the rank ratio
+sigma_{n+1}/sigma_1 of the K0 section.  The residual is pure
+outer-construction error and should decay with the section size (the outer
+grid scales with N).
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from toepnorm.acceptance import identity_residual, seeded_h
+from toepnorm.acceptance import identity_residual, rank_ratio, seeded_h
 from toepnorm.weights import PowerWeight
 
 
@@ -35,7 +36,7 @@ def main() -> int:
     print("N,residual,rank_ratio")
     for N in (int(s) for s in args.sizes.split(",")):
         res, sv = identity_residual(args.n, h, pw, N)
-        print(f"{N},{res:.17g},{sv[args.n] / sv[0]:.17g}")
+        print(f"{N},{res:.17g},{rank_ratio(sv, args.n):.17g}")
     return 0
 
 

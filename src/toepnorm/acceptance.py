@@ -128,7 +128,16 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     W is the two-grid refined outer pair of ``pw`` at grid 8N with outer
     window [0, 4N - 1].  Returns the Frobenius-relative residual
     ||C - T - K0|| / ||T|| of C = M_W T(e_{-n}h) M_{1/W}, T = T(e_{-n}h)
-    and K0 from ``k0_matrix``, together with the singular values of K0.
+    and K0 from ``k0_matrix``, together with the N singular values of K0
+    in descending order.
+
+    They are taken from the columns of K0 that are not all zero, padded
+    with zeros to length N.  This is exact: K0 K0^H is the sum of c c^H
+    over the columns c of K0, to which a zero column adds nothing, so the
+    nonzero singular values are those of the nonzero columns.  Which
+    columns are nonzero is read from the full N x N product, never assumed
+    to be the first n, so a column >= n that the composition leaves
+    nonzero shows in the values and in :func:`rank_ratio`.
     """
     W = outer_pair_refined(pw, 8 * N, IndexWindow(0, 4 * N - 1))
     a = CoeffVector(IndexWindow(-n, h.hi - n), h.coeffs)
@@ -136,7 +145,16 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     C = conjugated_toeplitz_matrix(a, W, N)
     K0 = k0_matrix(n, h, W, N)
     res = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
-    return res, np.linalg.svd(K0, compute_uv=False)
+    nz = np.flatnonzero(np.any(K0, axis=0))
+    sv = np.zeros(N)
+    sv[:len(nz)] = np.linalg.svd(K0[:, nz], compute_uv=False)
+    return res, sv
+
+
+def rank_ratio(sv: np.ndarray, n: int) -> float:
+    """sigma_{n+1} / sigma_1 of descending singular values ``sv``: how far
+    the matrix is from rank n; 0 for the zero matrix."""
+    return float(np.max(sv[n:], initial=0.0) / sv[0]) if sv[0] else 0.0
 
 
 def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
@@ -144,8 +162,9 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
     """The conjugation identity's clauses for e_{-n} h and ``pw`` at sizes
     N and 2N: the residual (:func:`identity_residual`) at N is at most
     1e-6; at 2N it is strictly smaller or below the floor 1e-12; the larger
-    sigma_{n+1}/sigma_1 of the two K0 (``rank_ratio``, 0 for K0 = 0) is at
-    most 1e-8.  ``k0_rank`` counts the singular values above 1e-8 sigma_1.
+    sigma_{n+1}/sigma_1 of the two K0 (``rank_ratio``, :func:`rank_ratio`)
+    is at most 1e-8.  ``k0_rank`` counts the singular values above
+    1e-8 sigma_1.
 
     The floor.  C, T and K0 are products of inner dimension <= 2N + n, so
     the residual's rounding error is up to about 2 (2N + n) u ||W||_l1
@@ -159,9 +178,8 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
     for size in (N, 2 * N):
         r, sv = identity_residual(n, h, pw, size)
         res.append(r)
-        if sv[0]:
-            ratio = max(ratio, float(np.max(sv[n:], initial=0.0) / sv[0]))
-            rank = max(rank, int(np.sum(sv > 1e-8 * sv[0])))
+        ratio = max(ratio, rank_ratio(sv, n))
+        rank = max(rank, int(np.sum(sv > 1e-8 * sv[0])))
     checks = {f"residual_below_1e-6_at_{N}": Check(res[0], "<=", 1e-6),
               f"residual_decreases_at_{2 * N}":
                   Check(res[1], "<", max(res[0], 1e-12)),

@@ -3,9 +3,10 @@ essential-norm tables, emitted as CSV or JSON.
 
 Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (p > 1, every size positive,
-a symbol not identically zero, N and the grid a power of two when a
-weight is given) are made here, so a bad value is a configuration error
-that names its flag even where no library call would see it.
+a symbol not identically zero, N and the grid a power of two >= 2 when a
+weight is given, verify-identity's N above the symbol's shift order) are
+made here, so a bad value is a configuration error that names its flag
+even where no library call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -79,8 +80,8 @@ def _check_sizes(args, grid_flag: str, *flags: str) -> None:
         if getattr(args, flag) <= 0:
             raise ValueError(f"--{flag} must be positive")
     size = getattr(args, grid_flag)
-    if args.weight and size & (size - 1):
-        raise ValueError(f"--{grid_flag} must be a power of two when a "
+    if args.weight and (size < 2 or size & (size - 1)):
+        raise ValueError(f"--{grid_flag} must be a power of two >= 2 when a "
                          "--weight is given")
 
 
@@ -130,6 +131,8 @@ def cmd_ap_check(args) -> int:
 def cmd_verify_identity(args) -> int:
     _check_sizes(args, "N")
     n, h = csa_decompose(_symbol(args))
+    if args.N <= n:  # the N x N section of T(e_{-n} h) would be all zero
+        raise ValueError(f"--N must exceed the symbol's shift order n = {n}")
     weights = [parse_weight(w) for w in args.weight]
     rows = [{"weight": pw.label(), "n": n,
              **acceptance.identity_clauses(n, h, pw, args.N)[0]}

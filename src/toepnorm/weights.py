@@ -164,15 +164,20 @@ def _reciprocal_defect(wc: np.ndarray, wic: np.ndarray) -> float:
 
 def _pair_from_log_grid(vhat_w: np.ndarray, vhat_winv: np.ndarray,
                         size: int, win: IndexWindow) -> OuterPair:
-    """Exponentiate completed log spectra on a grid and analyze back."""
+    """Exponentiate completed log spectra on a grid and analyze back.
+
+    One analysis over [-(size // 2), win.hi] gives both the negative
+    frequencies, whose largest modulus is the defect, and ``win``, which
+    starts at 0.
+    """
     defect = 0.0
     coeffs = []
     for vhat in (vhat_w, vhat_winv):
         vc = CoeffVector(IndexWindow(0, len(vhat) - 1), vhat)
         wg = GridFunction(size, np.exp(synthesize(vc, size).samples))
-        neg = analyze(wg, IndexWindow(-(size // 2), -1))
-        defect = max(defect, float(np.max(np.abs(neg.coeffs))))
-        coeffs.append(analyze(wg, win))
+        full = analyze(wg, IndexWindow(-(size // 2), win.hi)).coeffs
+        defect = max(defect, float(np.max(np.abs(full[:size // 2]))))
+        coeffs.append(CoeffVector(win, full[size // 2:]))
     wc, wic = coeffs
     residual = max(defect, _reciprocal_defect(wc.coeffs, wic.coeffs))
     return OuterPair(wc, wic, residual)

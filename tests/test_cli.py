@@ -106,6 +106,7 @@ def test_zero_symbol_is_config_error(args, capsys):
     (["essnorm", "--symbol=-1:1", "--N", "1000"], 0),
     (["ap-check", "--weight", "0:0.3", "--grid", "100"], 2),
     (["ap-check", "--grid", "100"], 0),
+    (["ap-check", "--weight", "0:0.3", "--grid", "1"], 2),
 ])
 def test_weighted_N_must_be_a_power_of_two(args, code, capsys):
     # the weights' grids need a power of two; without a weight any size runs
@@ -120,6 +121,18 @@ def test_weighted_N_must_be_a_power_of_two(args, code, capsys):
 
 
 # ------------------------------------------------------------ verify-identity
+
+@pytest.mark.parametrize("args", [
+    ["--symbol=-1:1", "--weight", "0:0.3", "--N", "1"],
+    ["--symbol=-1:1", "--N", "1"],
+    ["--symbol=-3:1", "--weight", "0:0.3", "--N", "2"],
+])
+def test_verify_identity_N_must_exceed_the_shift_order(args, capsys):
+    # the N x N section of T(e_{-n} h) is all zero for N <= n
+    code, out, err = run(["verify-identity", *args], capsys)
+    assert code == 2
+    assert out == "" and "configuration error: --N must" in err
+
 
 def test_verify_identity_passes_for_a2_weight(capsys):
     code, out, _ = run(["verify-identity", "--symbol=-1:1",
@@ -312,11 +325,15 @@ def test_cold_start_loads_no_scipy():
      "N,residual,rank_ratio", 2),
     ("run_ap_growth.py", ["--grids", "64,128"],
      "p,lambda,in_ap,char_64,char_128,growth_64_128", 12),
+    # w == 1: K0 = 0, whose rank ratio reads 0
+    ("run_identity_residuals.py", ["--exponent", "0", "--sizes", "16,32"],
+     "N,residual,rank_ratio", 2),
 ])
 def test_study_scripts_run(script, args, header, rows):
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     proc = _run_python(str(path), *args)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "nan" not in proc.stdout
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows

@@ -8,7 +8,8 @@ from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
                       outer_pair_exact, outer_pair_refined, symbol_sup,
                       toeplitz_matrix)
-from toepnorm.acceptance import identity_residual
+from toepnorm import acceptance
+from toepnorm.acceptance import identity_residual, rank_ratio
 from toepnorm.estimation import assemble_section
 from toepnorm.operators import _section
 from toepnorm.weights import PowerWeight
@@ -144,6 +145,53 @@ def test_k0_rank_bounds():
         assert sv[n] / sv[0] <= 1e-8
         # columns beyond the first n vanish identically
         assert np.max(np.abs(K0[:, n:])) == 0.0
+
+
+# ------------------------------------ K0 singular values of identity_residual
+
+@pytest.mark.parametrize("N", (128, 256))
+def test_k0_singular_values_match_the_dense_svd(N, monkeypatch):
+    # the suite's 12 (n, lambda, N) cases of run_conjugation_identity
+    seen = []
+
+    def recording_k0(*args):
+        seen.append(k0_matrix(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(acceptance, "k0_matrix", recording_k0)
+    rng = np.random.default_rng(acceptance._SEED)
+    hs = {n: acceptance.seeded_h(rng) for n in (1, 2, 3)}
+    for n in (1, 2, 3):
+        for lam in (-0.3, 0.3):
+            _, sv = identity_residual(n, hs[n], PowerWeight(((0.0, lam),)), N)
+            K0 = seen[-1]
+            dense = np.linalg.svd(K0, compute_uv=False)
+            nz = np.flatnonzero(np.any(K0, axis=0))
+            assert sv.shape == (N,) and len(nz) == n
+            assert np.max(np.abs(sv - dense)) <= 1e-14 * dense[0]
+            assert np.all(sv[len(nz):] == 0.0)
+
+
+def test_k0_singular_values_for_constant_weight_are_zero():
+    _, sv = identity_residual(2, cv(0, [1.0, 2.0, 0.5]), PowerWeight(), 32)
+    assert sv.shape == (32,) and np.all(sv == 0.0)
+    assert rank_ratio(sv, 2) == 0.0
+
+
+def test_k0_rank_bound_fails_on_a_leaked_column(monkeypatch):
+    # a nonzero column past the first n must reach the rank clause
+    def leaky_k0(n, h, W, N):
+        K0 = k0_matrix(n, h, W, N)
+        K0[:, n + 5] = 1e-3 * np.max(np.abs(K0))
+        return K0
+
+    n, h, pw = 1, cv(0, [1.0, 0.5]), PowerWeight(((0.0, 0.3),))
+    assert acceptance.identity_clauses(n, h, pw, 32)[1][
+        "k0_rank_bound"].passed
+    monkeypatch.setattr(acceptance, "k0_matrix", leaky_k0)
+    cells, checks = acceptance.identity_clauses(n, h, pw, 32)
+    assert not checks["k0_rank_bound"].passed
+    assert cells["rank_ratio"] > 1e-8 and cells["k0_rank"] == n + 1
 
 
 # ------------------------------------------------- conjugated_toeplitz_matrix

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from toepnorm import (GridFunction, IndexWindow, ap_characteristic,
-                      evaluate_outer, khvedelidze_ap_check, outer_pair,
-                      outer_pair_exact, outer_pair_refined,
+from toepnorm import (CoeffVector, GridFunction, IndexWindow, analyze,
+                      ap_characteristic, evaluate_outer, khvedelidze_ap_check,
+                      outer_pair, outer_pair_exact, outer_pair_refined,
                       sample_power_weight, synthesize)
 from toepnorm.spectral import grid_thetas
-from toepnorm.weights import PowerWeight
+from toepnorm.weights import PowerWeight, _reciprocal_defect
 
 from reference import multiply, schwarz_outer
 
@@ -170,6 +170,47 @@ def test_outer_pair_leading_coefficient_normalization():
         c0 = pair.w_coeffs.coeff(0)
         assert c0.real > 0
         assert abs(c0.imag) < 1e-12
+
+
+def two_analyze_pair(uh, size, win):
+    """The outer pair from the log spectrum ``uh`` with the negative
+    frequencies and ``win`` analyzed in two separate FFTs."""
+    coeffs, defect = [], 0.0
+    for sign in (1.0, -1.0):
+        v = sign * uh
+        v[1:] *= 2.0
+        wg = GridFunction(size, np.exp(synthesize(
+            CoeffVector(IndexWindow(0, len(v) - 1), v), size).samples))
+        neg = analyze(wg, IndexWindow(-(size // 2), -1)).coeffs
+        defect = max(defect, float(np.max(np.abs(neg))))
+        coeffs.append(analyze(wg, win).coeffs)
+    return (*coeffs, max(defect, _reciprocal_defect(*coeffs)))
+
+
+def log_spectrum(pw, M):
+    g = sample_power_weight(pw, M)
+    return analyze(GridFunction(M, np.log(g.samples.real).astype(complex)),
+                   IndexWindow(0, M // 2 - 1)).coeffs
+
+
+@pytest.mark.parametrize("pw", [single(0.3), single(-0.3),
+                                PowerWeight(((0.0, 0.25), (math.pi, -0.25)))])
+def test_outer_pairs_match_the_two_fft_form_bitwise(pw):
+    # one analysis over both windows changes no bit of either pair
+    for N, n in ((128, 1), (256, 3), (1024, 3)):
+        win = IndexWindow(0, N + n + 15)
+        pairs = [(outer_pair(sample_power_weight(pw, 8 * N), win),
+                  two_analyze_pair(log_spectrum(pw, 8 * N), 8 * N, win))]
+        if N < 1024:
+            win = IndexWindow(0, 4 * N - 1)
+            uh = (2.0 * log_spectrum(pw, 16 * N)[:4 * N]
+                  - log_spectrum(pw, 8 * N))
+            pairs.append((outer_pair_refined(pw, 8 * N, win),
+                          two_analyze_pair(uh, 16 * N, win)))
+        for pair, (wc, wic, residual) in pairs:
+            assert np.array_equal(pair.w_coeffs.coeffs, wc)
+            assert np.array_equal(pair.winv_coeffs.coeffs, wic)
+            assert pair.residual == residual
 
 
 def test_outer_pair_rejects_bad_input():
