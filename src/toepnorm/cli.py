@@ -4,7 +4,8 @@ essential-norm tables, emitted as CSV or JSON.
 Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (p > 1, every size positive,
 a symbol not identically zero, N and the grid a power of two >= 2 when a
-weight is given, verify-identity's N above the symbol's shift order) are
+weight is given, verify-identity's N above the symbol's shift order,
+essnorm's m at most N/4 and its packets inside the section) are
 made here, so a bad value is a configuration error that names its flag
 even where no library call would see it.
 
@@ -146,6 +147,13 @@ def cmd_verify_identity(args) -> int:
 def cmd_essnorm(args) -> int:
     _check_sizes(args, "N", "m", "L", "thetas")
     a = _symbol(args)
+    if args.m > args.N // 4:
+        raise ValueError(f"--m must be at most N/4 = {args.N // 4}")
+    room = args.N - max(0, a.hi)
+    if args.m + args.L > room:
+        raise ValueError(f"--m + --L must be at most {room} (N less the "
+                         "symbol's highest positive frequency) for the wave "
+                         "packets to fit the section")
     weights = [parse_weight(w) for w in args.weight]
     params = BracketParams(N=args.N, m=args.m, L=args.L, thetas=args.thetas)
     sup = symbol_sup(a)

@@ -26,7 +26,11 @@ routine here:
   a_t conj(a_{t-d}) and reduced to tridiagonal form in O(N^2 u) (Schwarz,
   Numer. Math. 12, 1968; LAPACK sbtrd) instead of O(N^3).  A weighted block
   fills every diagonal and keeps the dense Gram matrix, as does a symbol
-  of wider span.
+  of wider span.  Either way B is real when its entries are, to the
+  relative level ``_REAL_CAST_RTOL``; the cast is decided once, on the
+  coefficient window B repeats (and the few leading columns of a weighted
+  section that are not Toeplitz), and the dense B is then built real or
+  complex from the start.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -52,9 +56,11 @@ from .operators import _conjugated_columns, _section
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
-# Matrices whose imaginary part is below this relative level are treated as
-# real for the Gram eigenvalue (a real symmetric G costs a quarter of the
-# complex Hermitian one in the product and in the tridiagonalisation).
+# A block whose imaginary parts are at most this fraction of its largest
+# entry is taken as real for the Gram eigenvalue (a real symmetric G costs a
+# quarter of the complex Hermitian one in the product and in the
+# tridiagonalisation).  The rule (``_real_cast``) is decided once, on the
+# coefficient windows that the block repeats, before the block is built.
 _REAL_CAST_RTOL = 1e-12
 
 # An unweighted block whose symbol span hi - lo is at most (N - m) // this
@@ -101,29 +107,51 @@ class NormEstimate:
             raise ValueError("bracket lower end exceeds upper end")
 
 
-def _sigma_max_dense(B: np.ndarray) -> float:
-    """Largest singular value of B as sqrt(lambda_max(B^H B)).
-
-    The eigenvalues come from the full-spectrum driver (syevd/heevd:
-    tridiagonalisation, then the root-free QR of sterf).  The
-    single-eigenvalue drivers (evr, evx) break down when the top of the
-    spectrum clusters, as it does for a unimodular symbol, where G is close
-    to I; after tridiagonalisation the whole spectrum costs only O(n^2)
-    more.  Product and eigenvalues both run in NumPy's BLAS, which builds
-    the sections and serves the banded path too; a second BLAS in the
-    process (SciPy's, tried for this step) made it about twice as slow at
-    N = 1024 (two BLAS threads, 2-vCPU box), the idle workers of one library
-    competing with the other's.  A real B forms G as B.T @ B, with no
-    conjugated copy of B.
-    """
-    scale = float(np.max(np.abs(B))) if B.size else 0.0
+def _real_cast(*windows: np.ndarray) -> bool | None:
+    """The real-cast rule for a block whose entries are the values of these
+    coefficient windows, and zeros: None when every value is zero (the
+    block's sigma_max is 0), else whether no imaginary part exceeds
+    _REAL_CAST_RTOL times the largest modulus among them.  Maxima are exact,
+    so the verdict is the one the whole block would give."""
+    scale = max(float(np.max(np.abs(w), initial=0.0)) for w in windows)
     if scale == 0.0:
+        return None
+    return all(np.max(np.abs(w.imag), initial=0.0) <= _REAL_CAST_RTOL * scale
+               for w in windows)
+
+
+def _sigma_max_dense(a: CoeffVector, W: OuterPair | None, N: int,
+                     m: int) -> float:
+    """sigma_max of the block B = A[:, m:] as sqrt(lambda_max(B^H B)).
+
+    The real cast is decided once, on the coefficient windows B repeats
+    (``_block_parts``: the values of g that its Toeplitz columns hold, and
+    its leading conjugated columns), so no matrix is scanned for it; B is
+    then built real or complex from the start, and a real B forms G as
+    B.T @ B (syrk), with no conjugated copy.  The eigenvalues come from the
+    full-spectrum driver (syevd/heevd: tridiagonalisation, then the
+    root-free QR of sterf).  The single-eigenvalue drivers (evr, evx) and
+    bisection for the top eigenvalue alone (stebz, RANGE = 'I': INFO = 2)
+    break down when the top of the spectrum clusters, as it does for a
+    unimodular symbol, where G is close to I; after tridiagonalisation the
+    whole spectrum costs only O(n^2) more.  Product and eigenvalues both run in
+    NumPy's BLAS, which builds the sections and serves the banded path too;
+    a second BLAS in the process (SciPy's, tried for this step) made it
+    about twice as slow at N = 1024 (two BLAS threads, 2-vCPU box), the
+    idle workers of one library competing with the other's.
+    """
+    K = N - m
+    g, lead = _block_parts(a, W, N, m, K)
+    p0 = lead.shape[1]
+    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
+    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
+        else lead[:0]
+    real = _real_cast(toeplitz, lead)
+    if real is None:
         return 0.0
-    if np.max(np.abs(B.imag)) <= _REAL_CAST_RTOL * scale:
-        B = np.ascontiguousarray(B.real)
-        G = B.T @ B
-    else:
-        G = B.conj().T @ B
+    B = _block(g, lead, N, K, real)
+    G = B.T @ B if real else B.conj().T @ B
+    del B  # eigvalsh works on a copy of G; B need not outlive the product
     lam = np.linalg.eigvalsh(G)[-1]
     return math.sqrt(max(float(lam), 0.0))
 
@@ -211,10 +239,10 @@ def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
     entries, so the real cast follows the same rule.
     """
     c = a.coeffs
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
+    real = _real_cast(c)
+    if real is None:
         return 0.0
-    if np.max(np.abs(c.imag)) <= _REAL_CAST_RTOL * scale:
+    if real:
         c = c.real
     lam = _band_eigvalsh(_gram_band(c, a.lo, N, m))[-1]
     return math.sqrt(max(float(lam), 0.0))
@@ -226,11 +254,12 @@ def _require_outer_window(W: OuterPair, needed: int):
             f"outer pair window too short for this section: need length >= {needed}")
 
 
-def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
-                     m: int, cols: int | None = None) -> np.ndarray:
-    """Columns m..m+cols-1 (by default m..N-1) of the dense N x N section of
-    T(a), or of M_W T(a) M_{1/W} when W is given: the block A[:, m:] that
-    the bracket reads, or its first cols columns.
+def _block_parts(a: CoeffVector, W: OuterPair | None, N: int, m: int,
+                 cols: int) -> tuple[CoeffVector, np.ndarray]:
+    """Columns m..m+cols-1 of the N x N section of T(a), or of
+    M_W T(a) M_{1/W} when W is given, as (g, lead): the section of g,
+    _section(g, N, cols), with its first lead.shape[1] columns replaced by
+    the complex columns lead.
 
     The conjugated section is Toeplitz away from its first n = max(0, -lo)
     columns: for e_j with j >= n the inner projection in
@@ -242,7 +271,6 @@ def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
     identity check compares the literal product against T + K0, so this
     shortcut serves the brackets only.
     """
-    cols = N - m if cols is None else cols
     n_neg = 0
     g = a.coeffs
     if W is not None:
@@ -250,12 +278,28 @@ def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
         _require_outer_window(W, N + n_neg)
         g = np.convolve(W.w_coeffs.coeffs,
                         np.convolve(a.coeffs, W.winv_coeffs.coeffs))
-    B = _section(CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g),
-                 N, cols)
+    g = CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g)
     k = min(n_neg, m + cols)
-    if m < k:
-        B[:, :k - m] = _conjugated_columns(a, W, N, k)[:, m:]
+    lead = (_conjugated_columns(a, W, N, k)[:, m:] if m < k
+            else np.empty((N, 0), dtype=complex))
+    return g, lead
+
+
+def _block(g: CoeffVector, lead: np.ndarray, N: int, cols: int,
+           real: bool = False) -> np.ndarray:
+    """The block of ``_block_parts``, or the real parts of its entries."""
+    B = _section(g, N, cols, real)
+    B[:, :lead.shape[1]] = lead.real if real else lead
     return B
+
+
+def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
+                     m: int, cols: int | None = None) -> np.ndarray:
+    """Columns m..m+cols-1 (by default m..N-1) of the dense N x N section of
+    T(a), or of M_W T(a) M_{1/W} when W is given: the block A[:, m:] that
+    the bracket reads, or its first cols columns (see ``_block_parts``)."""
+    cols = N - m if cols is None else cols
+    return _block(*_block_parts(a, W, N, m, cols), N, cols)
 
 
 def _wave_packets(L: int, thetas: int) -> np.ndarray:
@@ -308,10 +352,11 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     and with span hi - lo <= (N - m) // _BAND_RATIO the Gram matrix is
     taken in band storage (``_sigma_max_banded``); otherwise it is formed
     densely (``_sigma_max_dense``).  The choice rests on the block's
-    structure alone and changes sigma_max by rounding only; the banded path
-    builds only the columns A[:, m:m+L] of the section.  The lower end is
-    the largest ||A u_theta|| over the wave packets on columns m .. m+L-1,
-    applied as A[:, m:m+L] times the L x thetas modulation block.
+    structure alone and changes sigma_max by rounding only.  The lower end
+    is the largest ||A u_theta|| over the wave packets on columns
+    m .. m+L-1, applied as the complex columns A[:, m:m+L], built apart
+    from the upper end's block on both paths, times the L x thetas
+    modulation block.
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -322,11 +367,10 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("wave packet would overflow the section window")
     if W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO:
         upper = _sigma_max_banded(a, N, m)
-        B = assemble_section(a, None, N, m, L)
     else:
-        B = assemble_section(a, W, N, m)
-        upper = _sigma_max_dense(B)
-    lower = float(np.max(np.linalg.norm(B[:, :L] @ _wave_packets(L, thetas),
+        upper = _sigma_max_dense(a, W, N, m)
+    B = assemble_section(a, W, N, m, L)
+    lower = float(np.max(np.linalg.norm(B @ _wave_packets(L, thetas),
                                         axis=0)))
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.

@@ -31,8 +31,10 @@ from .spectral import CoeffVector, IndexWindow, synthesize
 from .weights import OuterPair
 
 
-def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix with entries c-hat(i - j), zero outside c's window.
+def _section(c: CoeffVector, rows: int, cols: int,
+             real: bool = False) -> np.ndarray:
+    """rows x cols matrix with entries c-hat(i - j), zero outside c's window;
+    with real=True, a float matrix of their real parts.
 
     For analytic c this is the lower-triangular matrix of multiplication by
     c, compressed to the first rows/cols monomials.  Row i is the slice
@@ -40,7 +42,8 @@ def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
     a copy of the reversed row order of its sliding windows (the inner
     stride stays positive, which copies faster than a reversed one).
     """
-    vals = c.on_window(IndexWindow(1 - cols, rows - 1))[::-1].copy()
+    vals = c.on_window(IndexWindow(1 - cols, rows - 1))[::-1]
+    vals = (vals.real if real else vals).copy()
     return sliding_window_view(vals, cols)[::-1].copy()
 
 

@@ -6,8 +6,11 @@ column at a time: the Riesz projection P, its truncation P_n, products as
 direct convolutions, T(e_{-n} h) by its shifted-analytic formula, and the
 column-wise conjugated and K0 sections assembled from them.  The Schwarz
 integral gives an outer function from grid samples independently of the
-cepstral constructions.
+cepstral constructions.  The dense sigma_max formula is kept in the form
+that reads the whole assembled block.
 """
+
+import math
 
 import numpy as np
 
@@ -93,6 +96,22 @@ def k0_reference(n, h, W, N):
         term2 = apply_special_toeplitz(n, unit(0), multiply(W.w_coeffs, t2))
         out[:, j] = term1.on_window(win) - term2.on_window(win)
     return out
+
+
+def sigma_max_of_block(B: np.ndarray) -> float:
+    """sqrt(lambda_max(B^H B)) of an assembled complex block, with the real
+    cast decided on the whole matrix: real when max |Im B| is at most 1e-12
+    max |B|, then G = B.T @ B of a contiguous copy of B.real, else
+    G = B^H B; the top eigenvalue from eigvalsh."""
+    scale = float(np.max(np.abs(B))) if B.size else 0.0
+    if scale == 0.0:
+        return 0.0
+    if np.max(np.abs(B.imag)) <= 1e-12 * scale:
+        B = np.ascontiguousarray(B.real)
+        G = B.T @ B
+    else:
+        G = B.conj().T @ B
+    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 def schwarz_outer(w: GridFunction, z: complex) -> complex:

@@ -200,6 +200,31 @@ def test_essnorm_trivial_weight_rows_equal_unweighted(capsys):
     assert weighted[5] == "0"
 
 
+@pytest.mark.parametrize("symbol, args, message", [
+    ("-1:1,2:0.5", ["--m", "32", "--N", "64"], "--m must be at most N/4 = 16"),
+    ("-1:1,2:0.5", ["--m", "17", "--N", "64", "--L", "8"],
+     "--m must be at most N/4 = 16"),
+    ("-1:1,2:0.5", ["--m", "8", "--L", "60", "--N", "64"],
+     "--m + --L must be at most 62"),
+    ("-1:1,2:0.5", ["--m", "16", "--L", "47", "--N", "64"],
+     "--m + --L must be at most 62"),
+    ("-1:1,2:0.5", ["--m", "16", "--L", "46", "--N", "64", "--thetas", "4"],
+     None),
+    ("-1:1", ["--m", "16", "--L", "48", "--N", "64", "--thetas", "4",
+              "--weight", "0:0.3"], None),
+])
+def test_essnorm_cutoff_and_packets_name_their_flags(symbol, args, message,
+                                                     capsys):
+    # hi = 2: the packets' last column m + L - 1 must stay below N - 2; a
+    # symbol with no positive frequency leaves the whole section
+    code, out, err = run(["essnorm", f"--symbol={symbol}", *args], capsys)
+    if message is None:
+        assert code == 0 and out.startswith("weight,lower,upper")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith(f"configuration error: {message}")
+
+
 def test_essnorm_rejects_p_flag(capsys):
     # essnorm computes on H^2 only; --p belongs to ap-check
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Essential-norm brackets and their a-priori bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from toepnorm.acceptance import bracket_symbols
 from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _gram_band,
                                  _sigma_max_banded, _sigma_max_dense,
                                  assemble_section)
-from toepnorm.weights import PowerWeight
+from toepnorm.weights import OuterPair, PowerWeight
+
+from reference import sigma_max_of_block
 
 
 def laurent(lo, coeffs):
@@ -85,19 +88,21 @@ def test_essential_upper_parameter_validation():
                               BracketParams(N=128, m=m, L=L, thetas=thetas))
 
 
+def grid_pair(pw, a, N):
+    # the pair of acceptance.weighted_brackets: grid 8N, window N + n + 15
+    return outer_pair(sample_power_weight(pw, 8 * N),
+                      IndexWindow(0, N + max(0, -a.lo) + 15))
+
+
 def test_sigma_max_matches_svdvals():
     # the Gram eigenvalue against a full SVD of the same nonzero block
-    def grid_pair(a, N):
-        pw = PowerWeight(((0.0, 0.3),))
-        return outer_pair(sample_power_weight(pw, 8 * N),
-                          IndexWindow(0, N + max(0, -a.lo) + 15))
-
+    pw = PowerWeight(((0.0, 0.3),))
     sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
     assert np.max(np.abs(assemble_section(sym_complex, None, 64, 16).imag)) \
         > 0.5
     cases = []
     for _, a in bracket_symbols():
-        cases += [(a, None, 1024, 64), (a, grid_pair(a, 1024), 1024, 64)]
+        cases += [(a, None, 1024, 64), (a, grid_pair(pw, a, 1024), 1024, 64)]
     cases += [
         (sym_complex, None, 256, 16),       # Hermitian G
         (SYM_FLAT, None, 512, 32),          # clustered top: G = I
@@ -107,13 +112,85 @@ def test_sigma_max_matches_svdvals():
         (laurent(0, [1.0]), None, 128, 8),  # unimodular: G = I
     ]
     for a, W, N, m in cases:
-        B = assemble_section(a, W, N, m)
-        ref = svdvals(B)[0]
-        assert abs(_sigma_max_dense(B) - ref) <= 1e-14 * ref
+        ref = svdvals(assemble_section(a, W, N, m))[0]
+        assert abs(_sigma_max_dense(a, W, N, m) - ref) <= 1e-14 * ref
         if W is None:
             assert abs(_sigma_max_banded(a, N, m) - ref) <= 1e-14 * ref
-    assert _sigma_max_dense(np.zeros((64, 56), dtype=complex)) == 0.0
-    assert _sigma_max_banded(laurent(-1, [0.0, 0.0]), 64, 8) == 0.0
+    zero = laurent(-1, [0.0, 0.0])
+    assert _sigma_max_dense(zero, None, 64, 8) == 0.0
+    assert _sigma_max_banded(zero, 64, 8) == 0.0
+
+
+def test_dense_upper_matches_whole_block_cast_bitwise():
+    # the cast decided on the coefficient window gives the bytes of the cast
+    # decided on the whole assembled block, on both branches and with
+    # leading conjugated columns (m < n = 3 for e_{-3} h)
+    weights = [PowerWeight(((0.0, 0.3),)),
+               PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
+    cases = [(a, grid_pair(pw, a, 1024), 1024, 64)
+             for _, a in bracket_symbols() for pw in weights]
+    sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    cases.append((sym_complex, grid_pair(weights[0], sym_complex, 256),
+                  256, 16))                         # Hermitian G
+    for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
+        a = laurent(-3, h)
+        cases += [(a, grid_pair(weights[0], a, 128), 128, m) for m in (1, 2)]
+    deep = laurent(-40, [1.0, 0.0, 0.5])     # n > N: no Toeplitz column
+    cases.append((deep, grid_pair(weights[0], deep, 32), 32, 4))
+    real = []
+    for a, W, N, m in cases:
+        B = assemble_section(a, W, N, m)
+        real.append(np.max(np.abs(B.imag)) <= 1e-12 * np.max(np.abs(B)))
+        ref = sigma_max_of_block(B)
+        assert _sigma_max_dense(a, W, N, m) == ref
+        if N == 1024:
+            est_ = essential_bracket(a, W, BracketParams(N=N, m=m))
+            assert est_.upper == max(ref, est_.lower)
+    # every real case carries the rounding-level imaginary part of g
+    assert real == [True] * 6 + [False] + [True] * 2 + [False] * 2 + [True]
+    assert all(np.any(assemble_section(a, W, N, m).imag)
+               for (a, W, N, m), r in zip(cases, real) if r)
+
+
+def test_real_cast_covers_the_leading_columns():
+    # W = 1 + i eps z and a = e_{-2}: g = W a W^{-1} is exactly e_{-2}, so
+    # its window is real, while the leading column j = 1 < n = 2 is
+    # P((1 - W) / z) = -i eps e_0.  Casting on g alone would drop it and
+    # give sigma_max = 1 instead of sqrt(1 + eps^2).
+    eps, N, m = 1e-6, 64, 1
+    w = np.zeros(N + 16, dtype=complex)
+    w[:2] = 1.0, 1j * eps
+    # successive products, so that w * winv cancels exactly past k = 0
+    winv = np.cumprod(np.r_[1.0, np.full(N + 15, -1j * eps)])
+    W = OuterPair(CoeffVector(IndexWindow(0, N + 15), w),
+                  CoeffVector(IndexWindow(0, N + 15), winv), 0.0)
+    a = laurent(-2, [1.0])
+    B = assemble_section(a, W, N, m)
+    assert abs(B[0, 0] + 1j * eps) <= 1e-22
+    assert not np.any(B[:, 1:].imag)
+    up = _sigma_max_dense(a, W, N, m)
+    assert up == sigma_max_of_block(B)
+    assert abs(up - math.sqrt(1.0 + eps ** 2)) <= 1e-15 and up > 1.0
+
+
+def test_weighted_bracket_peak_memory():
+    """Traced peak of one real weighted bracket at N = 1024, m = 64, in units
+    of one real block, N (N - m) 8 bytes: the block, its (N - m)^2 Gram
+    matrix (0.94 units) and O(N L) packet columns, with no complex block or
+    real copy beside them.  LAPACK's workspace, including eigvalsh's copy
+    of G, is allocated outside Python and not traced."""
+    params = BracketParams()
+    N, m = params.N, params.m
+    a = bracket_symbols()[1][1]
+    W = grid_pair(PowerWeight(((0.0, 0.3),)), a, N)
+    essential_bracket(a, W, params)
+    tracemalloc.start()
+    try:
+        essential_bracket(a, W, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * N * (N - m) * 8
 
 
 def random_laurent(rng, lo, span, complex_coeffs):
@@ -214,7 +291,7 @@ def test_bracket_both_sides_of_band_cutoff(monkeypatch):
 def test_banded_upper_matches_dense_path():
     params = BracketParams()
     for _, a in bracket_symbols():
-        dense = _sigma_max_dense(assemble_section(a, None, params.N, params.m))
+        dense = _sigma_max_dense(a, None, params.N, params.m)
         up = essential_bracket(a, None, params).upper
         assert abs(up - dense) <= 4e-15 * dense
 
