@@ -10,8 +10,7 @@ from .weights import (OuterPair, PowerWeight, ap_characteristic,
 from .operators import (conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
                         symbol_sup, toeplitz_matrix)
 from .estimation import (BracketParams, NormEstimate,
-                         compression_deficiency_bound, essential_bracket,
-                         theoretical_bounds)
+                         compression_deficiency_bound, essential_bracket)
 
 __version__ = "0.1.0"
 
@@ -23,5 +22,5 @@ __all__ = [
     "conjugated_toeplitz_matrix", "csa_decompose",
     "k0_matrix", "symbol_sup", "toeplitz_matrix",
     "BracketParams", "NormEstimate",
-    "compression_deficiency_bound", "essential_bracket", "theoretical_bounds",
+    "compression_deficiency_bound", "essential_bracket",
 ]

@@ -196,9 +196,8 @@ def write_tables(results: dict, out_dir: str) -> None:
                   "width_frac", "contains_sup", "max_dev_1024",
                   "max_dev_2048", "within_2pct", "shrinks"],
                  "csv", os.path.join(out_dir, "essnorm.csv"))
-    outer_rows = (results["outer_validation"].rows
-                  + results["theoretical_bounds"].rows)
-    _write_table(outer_rows, ["quantity", "value", "threshold", "pass"],
+    _write_table(results["outer_validation"].rows,
+                 ["quantity", "value", "threshold", "pass"],
                  "csv", os.path.join(out_dir, "outer_validation.csv"))
 
 

@@ -19,18 +19,10 @@ routine here:
   so sigma_max keeps relative error O(eps); squaring hurts only the small
   singular values (Golub & Van Loan, Matrix Computations, 8.6; Demmel,
   Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from a
-  full-spectrum driver, since the top of the spectrum clusters.  Without a
-  weight, B is the section of a Laurent polynomial of span u = hi - lo, so
-  G is a band matrix of bandwidth u.  When u <= (N - m) // 32 (the cutoff
-  ``_BAND_RATIO``), the band is built from the coefficient products
-  a_t conj(a_{t-d}) and reduced to tridiagonal form in O(N^2 u) (Schwarz,
-  Numer. Math. 12, 1968; LAPACK sbtrd) instead of O(N^3).  A weighted block
-  fills every diagonal and keeps the dense Gram matrix, as does a symbol
-  of wider span.  Either way B is real when its entries are, to the
-  relative level ``_REAL_CAST_RTOL``; the cast is decided once, on the
-  coefficient window B repeats (and the few leading columns of a weighted
-  section that are not Toeplitz), and the dense B is then built real or
-  complex from the start.
+  full-spectrum driver, since the top of the spectrum clusters.  G is
+  formed densely (``_sigma_max_dense``), or, for an unweighted block of
+  narrow span, in band storage (``_sigma_max_banded``); B is real when its
+  entries are, to the relative level ``_REAL_CAST_RTOL``.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -208,21 +200,17 @@ def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
     storage is ab[d, p] = G[p + d, p] (real or complex), from sbevd/hbevd
     with jobz = 'N': band-to-tridiagonal reduction, then sterf.
 
-    The driver is NumPy's LAPACK when it exports it (``_numpy_band_evd``),
-    else SciPy's ``eigvals_banded``, which calls the same routine; importing
-    SciPy for it costs about 0.3 s and a second OpenBLAS (2 vCPUs).
+    The driver is NumPy's LAPACK (``_numpy_band_evd``), which must export
+    it; ``essential_bracket`` takes the dense path where it does not.
     """
-    drivers = _numpy_band_evd()
-    if drivers is None:
-        from scipy.linalg import eigvals_banded
-        return eigvals_banded(ab, lower=True)
     # a column-major (kd + 1) x n copy (layout 102, LAPACK_COL_MAJOR): the
     # driver overwrites its band
     ab = np.array(ab, order="F")
     kd, n = ab.shape[0] - 1, ab.shape[1]
     w = np.empty(n)
-    info = drivers[ab.dtype](102, b"N", b"L", n, kd, ab.ctypes.data, kd + 1,
-                             w.ctypes.data, None, 1)
+    info = _numpy_band_evd()[ab.dtype](102, b"N", b"L", n, kd,
+                                       ab.ctypes.data, kd + 1, w.ctypes.data,
+                                       None, 1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"banded eigenvalue driver failed (info = {info})")
@@ -232,11 +220,13 @@ def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
 def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
     """sigma_max(T_N(a)[:, m:]) as sqrt(lambda_max(G)) from G's band.
 
-    G has bandwidth u = hi - lo, and LAPACK's banded full-spectrum driver
-    (``_band_eigvalsh``: O(K^2 u) band reduction for K = N - m, then sterf)
-    replaces the O(K^3) dense path.  A single-eigenvalue driver is avoided
-    for the reason given in ``_sigma_max_dense``.  a's coefficients are B's
-    entries, so the real cast follows the same rule.
+    B is the section of a Laurent polynomial of span u = hi - lo, so G has
+    bandwidth u, and LAPACK's banded full-spectrum driver
+    (``_band_eigvalsh``: O(K^2 u) band reduction for K = N - m, Schwarz,
+    Numer. Math. 12, 1968; LAPACK sbtrd; then sterf) replaces the O(K^3)
+    dense path.  A single-eigenvalue driver is avoided for the reason given
+    in ``_sigma_max_dense``.  a's coefficients are B's entries, so the real
+    cast follows the same rule.
     """
     c = a.coeffs
     real = _real_cast(c)
@@ -246,12 +236,6 @@ def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
         c = c.real
     lam = _band_eigvalsh(_gram_band(c, a.lo, N, m))[-1]
     return math.sqrt(max(float(lam), 0.0))
-
-
-def _require_outer_window(W: OuterPair, needed: int):
-    if len(W.w_coeffs.coeffs) < needed or len(W.winv_coeffs.coeffs) < needed:
-        raise ValueError(
-            f"outer pair window too short for this section: need length >= {needed}")
 
 
 def _block_parts(a: CoeffVector, W: OuterPair | None, N: int, m: int,
@@ -275,7 +259,10 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int, m: int,
     g = a.coeffs
     if W is not None:
         n_neg = max(0, -a.lo)
-        _require_outer_window(W, N + n_neg)
+        need = N + n_neg
+        if min(len(W.w_coeffs.coeffs), len(W.winv_coeffs.coeffs)) < need:
+            raise ValueError("outer pair window too short for this section: "
+                             f"need length >= {need}")
         g = np.convolve(W.w_coeffs.coeffs,
                         np.convolve(a.coeffs, W.winv_coeffs.coeffs))
     g = CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g)
@@ -348,11 +335,12 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     The upper end is ||A (I - P_m)|| = sigma_max(A[:, m:]), the square root
     of the top eigenvalue of the Gram matrix from a full-spectrum driver
     (the top of a Toeplitz section's singular spectrum clusters too tightly
-    for power iteration or a single-eigenvalue driver).  Without a weight
-    and with span hi - lo <= (N - m) // _BAND_RATIO the Gram matrix is
-    taken in band storage (``_sigma_max_banded``); otherwise it is formed
-    densely (``_sigma_max_dense``).  The choice rests on the block's
-    structure alone and changes sigma_max by rounding only.  The lower end
+    for power iteration or a single-eigenvalue driver).  Without a weight,
+    with span hi - lo <= (N - m) // _BAND_RATIO and where NumPy's LAPACK
+    exports the band driver (``_numpy_band_evd``), the Gram matrix is taken
+    in band storage (``_sigma_max_banded``); otherwise it is formed densely
+    (``_sigma_max_dense``).  The choice changes sigma_max by rounding only;
+    on a given build it rests on the block's structure alone.  The lower end
     is the largest ||A u_theta|| over the wave packets on columns
     m .. m+L-1, applied as the complex columns A[:, m:m+L], built apart
     from the upper end's block on both paths, times the L x thetas
@@ -365,7 +353,8 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("packet parameters must be positive")
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
-    if W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO:
+    if (W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO
+            and _numpy_band_evd() is not None):
         upper = _sigma_max_banded(a, N, m)
     else:
         upper = _sigma_max_dense(a, W, N, m)
@@ -377,11 +366,3 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     upper = max(upper, lower)
     return NormEstimate(lower, upper)
 
-
-def theoretical_bounds(p: float) -> tuple[float, float]:
-    """Coefficient bounds (1, min{2^|1-2/p|, 1/sin(pi/p)}) for the essential
-    norm relative to sup|a| on H^p."""
-    if not p > 1:
-        raise ValueError("p must exceed 1")
-    upper = min(2.0 ** abs(1.0 - 2.0 / p), 1.0 / math.sin(math.pi / p))
-    return 1.0, upper

@@ -162,32 +162,32 @@ def _reciprocal_defect(wc: np.ndarray, wic: np.ndarray) -> float:
     return float(np.max(np.abs(conv)))
 
 
-def _pair_from_log_grid(vhat_w: np.ndarray, vhat_winv: np.ndarray,
-                        size: int, win: IndexWindow) -> OuterPair:
-    """Exponentiate completed log spectra on a grid and analyze back.
+def _pair_from_log_grid(uh: np.ndarray, size: int,
+                        win: IndexWindow) -> OuterPair:
+    """Complete the log spectrum uh (k >= 0) of w to that of W by the
+    one-sided (Schwarz kernel) rule, keeping k = 0 and doubling k >= 1;
+    exponentiate it, and its negation for 1/W, on a grid and analyze back.
 
-    One analysis over [-(size // 2), win.hi] gives both the negative
-    frequencies, whose largest modulus is the defect, and ``win``, which
-    starts at 0.
+    One synthesis serves both: it is linear and rounds symmetrically in
+    sign, so the samples of the negated spectrum are the negated samples,
+    bit for bit.  One analysis over [-(size // 2), win.hi] gives both the
+    negative frequencies, whose largest modulus is the defect, and
+    ``win``, which starts at 0.
     """
+    vhat = uh.copy()
+    vhat[1:] *= 2.0
+    v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat),
+                   size).samples
     defect = 0.0
     coeffs = []
-    for vhat in (vhat_w, vhat_winv):
-        vc = CoeffVector(IndexWindow(0, len(vhat) - 1), vhat)
-        wg = GridFunction(size, np.exp(synthesize(vc, size).samples))
+    for samples in (v, -v):
+        wg = GridFunction(size, np.exp(samples))
         full = analyze(wg, IndexWindow(-(size // 2), win.hi)).coeffs
         defect = max(defect, float(np.max(np.abs(full[:size // 2]))))
         coeffs.append(CoeffVector(win, full[size // 2:]))
     wc, wic = coeffs
     residual = max(defect, _reciprocal_defect(wc.coeffs, wic.coeffs))
     return OuterPair(wc, wic, residual)
-
-
-def _completed_log_spectrum(u_coeffs: np.ndarray) -> np.ndarray:
-    """One-sided (Schwarz kernel) completion: keep k=0, double k >= 1."""
-    v = u_coeffs.copy()
-    v[1:] *= 2.0
-    return v
 
 
 def outer_pair(w: GridFunction, win: IndexWindow) -> OuterPair:
@@ -206,8 +206,7 @@ def outer_pair(w: GridFunction, win: IndexWindow) -> OuterPair:
         raise ValueError("window exceeds the Nyquist range of the weight grid")
     u = GridFunction(M, np.log(vals).astype(complex))
     uh = analyze(u, IndexWindow(0, M // 2 - 1)).coeffs
-    return _pair_from_log_grid(_completed_log_spectrum(uh),
-                               _completed_log_spectrum(-uh), M, win)
+    return _pair_from_log_grid(uh, M, win)
 
 
 def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> OuterPair:
@@ -231,8 +230,7 @@ def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> Oute
     uh_m = analyze(GridFunction(M, u_m.astype(complex)), spec).coeffs
     uh_2m = analyze(GridFunction(2 * M, u_2m.astype(complex)), spec).coeffs
     uh = 2.0 * uh_2m - uh_m
-    return _pair_from_log_grid(_completed_log_spectrum(uh),
-                               _completed_log_spectrum(-uh), 2 * M, win)
+    return _pair_from_log_grid(uh, 2 * M, win)
 
 
 def _power_log_spectrum(w: PowerWeight, K: int) -> np.ndarray:

@@ -48,11 +48,6 @@ def outer(criterion):
     return criterion(acceptance.run_outer_validation)
 
 
-@pytest.fixture(scope="module")
-def bounds(criterion):
-    return criterion(acceptance.run_theoretical_bounds)
-
-
 # 1. conjugation identity residuals
 def test_identity_residual_below_threshold(identity):
     assert identity.checks["residual_below_1e-6_at_128"].passed
@@ -130,11 +125,6 @@ def test_outer_reciprocal_residual(outer):
 
 def test_outer_runtime(outer):
     assert outer.checks["runtime_within_5s"].passed
-
-
-# 7. theoretical bound coefficients
-def test_theoretical_bound_values(bounds):
-    assert bounds.checks["bound_values_exact"].passed
 
 
 # the check record and the sweep reduction

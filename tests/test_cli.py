@@ -268,15 +268,18 @@ def test_reproduce_reports_a_failing_check(tmp_path, capsys, criterion,
     # the session's results with one check failing: reproduce prints it with
     # its value and bound and exits 1
     results = [criterion(run) for run in acceptance.CRITERIA]
-    failing = dataclasses.replace(
-        results[-1], checks={"bound_values_exact": Check(2e-15, "<=", 1e-15)})
+    outer = results[-1]
+    assert outer.name == "outer_validation"
+    failing = dataclasses.replace(outer, checks={
+        **outer.checks,
+        "reciprocal_residual_below_1e-8": Check(2e-8, "<=", 1e-8)})
     monkeypatch.setattr(acceptance, "run_all",
                         lambda: results[:-1] + [failing])
     code, out, _ = run(["reproduce", str(tmp_path)], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert "theoretical_bounds.bound_values_exact: FAIL (2e-15 <= 1e-15)" \
-        in lines
+    assert ("outer_validation.reciprocal_residual_below_1e-8: "
+            "FAIL (2e-08 <= 1e-08)") in lines
     margin = re.compile(r"\w+\.\S+: (pass|FAIL) \(\S+ (<|<=|>=) \S+\)")
     assert all(margin.fullmatch(line) for line in lines)
 
@@ -310,10 +313,8 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["essnorm", "--symbol=-1:1", "--N", "256",
                        "--m", "16", "--L", "16", "--thetas", "16"])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-numpy_lapack = estimation._numpy_band_evd() is not None
 import scipy.linalg
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "numpy_lapack": numpy_lapack,
                   "svdvals": estimation.svdvals is scipy.linalg.svdvals}))
 """
 
@@ -329,20 +330,44 @@ def _run_python(*args):
 
 
 def test_cold_start_loads_no_scipy():
-    # ap-check and verify-identity never call SciPy, and essnorm's banded
-    # sigma_max takes its driver from NumPy's LAPACK, so a fresh process that
-    # runs all three must not import it; only a NumPy whose LAPACK lacks the
-    # driver falls back to SciPy.  perfbench/tracing.py looks up
-    # estimation.svdvals by name.
+    # no subcommand calls SciPy, so a fresh process that runs all three must
+    # not import it.  perfbench/tracing.py looks up estimation.svdvals by
+    # name.
     proc = _run_python("-c", _COLD_START)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
     assert result["svdvals"]
-    if result["numpy_lapack"]:
-        assert result["loaded"] == []
-    else:
-        assert "scipy.linalg" in result["loaded"]
+    assert result["loaded"] == []
+
+
+_NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of SciPy now raises ImportError
+from toepnorm import cli, estimation
+
+if sys.argv[1] == "dense":  # as on a NumPy whose LAPACK lacks the driver
+    estimation._numpy_band_evd = lambda: None
+argvs = [["ap-check", "--weight", "0:0.3", "--grid", "64"],
+         ["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
+          "--N", "16"]]
+argvs += [["essnorm", "--symbol=-1:1,2:0.5", *weight, "--N", "256",
+           "--m", "16", "--L", "16", "--thetas", "16"]
+          for weight in ([], ["--weight", "0:0.3"])]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps(codes))
+"""
+
+
+@pytest.mark.parametrize("band", ["numpy", "dense"])
+def test_subcommands_run_without_scipy(band):
+    # SciPy is only a test dependency: with its import blocked, every
+    # subcommand runs, on NumPy's band driver and on the dense path that
+    # replaces it where NumPy's LAPACK does not export it
+    proc = _run_python("-c", _NO_SCIPY, band)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("script, args, header, rows", [

@@ -11,7 +11,7 @@ import toepnorm.estimation as est
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
                       outer_pair, outer_pair_exact, sample_power_weight,
-                      symbol_sup, theoretical_bounds)
+                      symbol_sup)
 from toepnorm.acceptance import bracket_symbols
 from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _gram_band,
                                  _sigma_max_banded, _sigma_max_dense,
@@ -92,6 +92,76 @@ def grid_pair(pw, a, N):
     # the pair of acceptance.weighted_brackets: grid 8N, window N + n + 15
     return outer_pair(sample_power_weight(pw, 8 * N),
                       IndexWindow(0, N + max(0, -a.lo) + 15))
+
+
+def test_reciprocal_weights_give_the_same_block():
+    """For m >= n the block is the section of g = W * a * V, (W, V) the grid
+    pair of w; the grid pair of 1/w is (V, W) in exact arithmetic, since
+    log(1/w) = -log w and every step of the construction is odd in the log,
+    and convolution commutes.  So B(1/w) = B(w) up to rounding, bounded to
+    first order in u = eps/2 with gamma_k = k u / (1 - k u) (Higham 2002,
+    3.1 and 24.1), from l1 norms:
+
+    * log samples s, s' of w, 1/w on M = 8N points (pow, log within 1 ulp):
+      |s_i + s'_i| <= 2u (2 + |s_i| + |s'_i|);
+    * each FFT output is a tree of log2 M butterflies and a twist, so its
+      error is at most gamma_L times the l1 norm of its inputs' weights,
+      L = 4 log2 M + 2.  Hence the doubled log spectra differ by at most
+      M (2u (2 + S) + gamma_L S) in l1, S = mean|s| + mean|s'|, and the
+      exponents' samples v, v' by E = that + gamma_L (|c|_1 + |c'|_1), c
+      and c' the completed spectra;
+    * exp(v') against exp(-v) differs by at most |V_i| (E + 8u), and the
+      analysis back adds gamma_L times the samples' means, so each
+      coefficient of the pair of 1/w is within
+      D = mean(1/w) (E + 8u) + gamma_L (mean w + mean 1/w) of (V, W);
+    * by Young's inequality the entries of g' then move by at most
+      D |a|_1 (|W|_1 + |V|_1), and each of g, g' = fl(W * (a * V)) carries
+      at most gamma_{K + r} |W|_1 |a|_1 |V|_1 (K, r the window lengths).
+
+    The bound is a worst case: at N = 256 it is 4e-11 to 4e-10, while the
+    entries differ by at most 4.4e-16, and the blocks of |t-1|^0.3 and
+    |t-1|^0.45 differ by 4.4e-5 or more.  The upper ends then agree
+    by Weyl's inequality to ||B - B'||_F and the real casts' dropped
+    imaginary parts, plus each Gram eigenvalue's rounding,
+    (gamma_N + gamma_K) ||B||_F^2 / upper.
+    """
+    N, m = 256, 64
+    M = 8 * N
+    params = BracketParams(N=N, m=m)
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    def l1(x):
+        return float(np.sum(np.abs(x)))
+
+    gL = gamma(4 * int(math.log2(M)) + 2)
+    for lam in (0.3, 0.45):
+        pws = [PowerWeight(((0.0, lam),)), PowerWeight(((0.0, -lam),))]
+        w = sample_power_weight(pws[0], M).samples.real
+        logs = [np.log(sample_power_weight(pw, M).samples.real) for pw in pws]
+        S = sum(float(np.mean(np.abs(x))) for x in logs)
+        completed = sum(l1(2 * np.fft.fft(x)[:M // 2]) / M for x in logs)
+        E = M * (2 * u * (2 + S) + gL * S) + gL * completed
+        D = (np.mean(1 / w) * (E + 8 * u)
+             + gL * (np.mean(w) + np.mean(1 / w)))
+        for _, a in bracket_symbols():
+            assert m >= max(0, -a.lo)
+            P, Q = (grid_pair(pw, a, N) for pw in pws)
+            W, V = P.w_coeffs.coeffs, P.winv_coeffs.coeffs
+            ell = l1(a.coeffs)
+            tol = (D * ell * (l1(W) + l1(V))
+                   + 2 * gamma(len(W) + len(a.coeffs)) * l1(W) * ell * l1(V))
+            B, B_ = (assemble_section(a, pair, N, m) for pair in (P, Q))
+            assert np.max(np.abs(B - B_)) <= tol
+            up, up_ = (essential_bracket(a, pair, params).upper
+                       for pair in (P, Q))
+            K = N - m
+            weyl = (np.linalg.norm(B - B_) + np.linalg.norm(B.imag)
+                    + np.linalg.norm(B_.imag))
+            gram = (gamma(N) + gamma(K)) * np.linalg.norm(B) ** 2 / up
+            assert abs(up - up_) <= weyl + 2 * gram
 
 
 def test_sigma_max_matches_svdvals():
@@ -229,24 +299,37 @@ def test_gram_band_matches_dense_gram():
      256, 16),                                     # span 7 at the cutoff
     (laurent(-1, [0.0, 0.0]), 64, 8),                         # zero band
 ])
-def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m, monkeypatch):
-    # the same sbevd/hbevd from NumPy's LAPACK and through SciPy's fallback
+def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
+    # the same sbevd/hbevd from NumPy's LAPACK and through SciPy
+    if est._numpy_band_evd() is None:
+        pytest.skip("NumPy's LAPACK does not export the band driver")
     assert a.hi - a.lo <= (N - m) // _BAND_RATIO
     c = a.coeffs.real if not np.any(a.coeffs.imag) else a.coeffs
     ab = _gram_band(c, a.lo, N, m)
     lam = _band_eigvalsh(ab)
     assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
-    upper = _sigma_max_banded(a, N, m)
-    monkeypatch.setattr(est, "_numpy_band_evd", lambda: None)
-    assert _band_eigvalsh(ab).tobytes() == lam.tobytes()
-    assert _sigma_max_banded(a, N, m) == upper
     if not np.any(c):
-        assert upper == 0.0 and not np.any(lam)
+        assert _sigma_max_banded(a, N, m) == 0.0 and not np.any(lam)
+
+
+def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
+    # a NumPy whose LAPACK lacks the band driver gets the dense upper end,
+    # bitwise, on blocks the banded path would take
+    params = BracketParams(N=256, m=16, L=16, thetas=16)
+    cases = [a for _, a in bracket_symbols()]
+    cases += [laurent(-1, [1j, 0.0, 0.0, 0.4]), laurent(-1, [0.0, 0.0])]
+    monkeypatch.setattr(est, "_numpy_band_evd", lambda: None)
+    monkeypatch.setattr(est, "_sigma_max_banded", None)  # never called
+    for a in cases:
+        assert a.hi - a.lo <= (params.N - params.m) // _BAND_RATIO
+        bracket = essential_bracket(a, None, params)
+        dense = _sigma_max_dense(a, None, params.N, params.m)
+        assert bracket.upper == max(dense, bracket.lower)
 
 
 def test_band_driver_is_numpys_lapack():
-    # NumPy's scipy-openblas wheels export the driver, so the SciPy fallback
-    # must not run silently where they are installed
+    # NumPy's scipy-openblas wheels export the driver, so the dense path
+    # must not stand in for it silently where they are installed
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"NumPy's LAPACK is {lapack.get('name')!r}")
@@ -376,24 +459,3 @@ def test_norm_estimate_validation():
     with pytest.raises(ValueError):
         NormEstimate(2.0, 1.0)
 
-
-# --------------------------------------------------------- theoretical_bounds
-
-def test_theoretical_bounds_values():
-    lo, up = theoretical_bounds(2.0)
-    assert abs(lo - 1.0) <= 1e-15 and abs(up - 1.0) <= 1e-15
-    lo4, up4 = theoretical_bounds(4.0)
-    assert abs(lo4 - 1.0) <= 1e-15 and abs(up4 - math.sqrt(2.0)) <= 1e-15
-
-
-def test_theoretical_bounds_near_one_takes_power_branch():
-    p = 1.0001
-    lo, up = theoretical_bounds(p)
-    assert up == 2.0 ** abs(1.0 - 2.0 / p)
-    assert up < 1.0 / math.sin(math.pi / p)
-    assert abs(up - 2.0) < 1e-2
-
-
-def test_theoretical_bounds_rejects_bad_p():
-    with pytest.raises(ValueError):
-        theoretical_bounds(1.0)
