@@ -294,10 +294,8 @@ def test_reproduce_into_file_path_is_io_error(tmp_path, capsys):
 # ----------------------------------------------------------------- entry point
 
 def test_console_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "toepnorm", "ap-check", "--weight", "0:0.2",
-         "--grid", "64"],
-        capture_output=True, text=True)
+    proc = _run_python("-m", "toepnorm", "ap-check", "--weight", "0:0.2",
+                       "--grid", "64")
     assert proc.returncode == 0
     assert proc.stdout.startswith("weight,in_ap")
 
