@@ -145,7 +145,9 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     T = toeplitz_matrix(a, N)
     C = conjugated_toeplitz_matrix(a, W, N)
     K0 = k0_matrix(n, h, W, N)
-    res = float(np.linalg.norm(C - T - K0) / np.linalg.norm(T))
+    C -= T
+    C -= K0
+    res = float(np.linalg.norm(C) / np.linalg.norm(T))
     nz = np.flatnonzero(np.any(K0, axis=0))
     sv = np.zeros(N)
     sv[:len(nz)] = np.linalg.svd(K0[:, nz], compute_uv=False)

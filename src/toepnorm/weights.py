@@ -119,7 +119,8 @@ def ap_characteristic(w: GridFunction, p: float, maxM: int = 512) -> float:
     subdivisions, arc endpoints are restricted to a coarser lattice so at
     most maxM**2 arcs are scanned; the averages still use every sample.
     The value is a lower bound for the true arc supremum; for weights
-    outside A_p it grows without bound under grid refinement.
+    outside A_p it grows without bound under grid refinement.  Raises
+    ``ValueError`` when p or p' is so large that a power sum overflows.
     """
     vals = _positive_real_samples(w)
     if not p > 1:
@@ -129,10 +130,16 @@ def ap_characteristic(w: GridFunction, p: float, maxM: int = 512) -> float:
     M = w.size
     q = p / (p - 1.0)
     stride = max(1, -(-M // maxM))
-    wp = vals ** p
-    wq = vals ** (-q)
-    cp = np.concatenate([[0.0], np.cumsum(np.concatenate([wp, wp]))])
-    cq = np.concatenate([[0.0], np.cumsum(np.concatenate([wq, wq]))])
+    with np.errstate(over="ignore"):
+        wp = vals ** p
+        wq = vals ** (-q)
+        cp = np.concatenate([[0.0], np.cumsum(np.concatenate([wp, wp]))])
+        cq = np.concatenate([[0.0], np.cumsum(np.concatenate([wq, wq]))])
+    if not (np.isfinite(cp[-1]) and np.isfinite(cq[-1])):
+        # an overflowed sum would turn the arc averages to NaN, and the
+        # scan would return 0 where Hoelder's inequality gives >= 1
+        raise ValueError(f"p = {p!r} takes w**p or w**(-p') outside the "
+                         "floating-point range")
     starts = np.arange(0, M, stride)
     best = 0.0
     for L in range(stride, M + 1, stride):

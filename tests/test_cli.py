@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, table formats, determinism."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toepnorm
-from toepnorm import acceptance
+from toepnorm import acceptance, cli
 from toepnorm.acceptance import Check
 from toepnorm.cli import EXIT_OK, main, write_tables
 
@@ -72,6 +73,16 @@ def test_bad_p_without_weight_is_config_error(capsys):
     code, out, err = run(["ap-check", "--p", "0.5"], capsys)
     assert code == 2
     assert out == "" and "configuration error" in err
+
+
+@pytest.mark.parametrize("p", ["1e20", "1.0000000000000002"])
+def test_overflowing_p_is_config_error(p, capsys):
+    # w**p (p = 1e20) or w**(-p') (p' = 4.5e15) overflows: the arc scan
+    # would read 0 for a characteristic that is >= 1
+    code, out, err = run(["ap-check", "--weight", "0:0.3", "--p", p,
+                          "--grid", "64"], capsys)
+    assert code == 2
+    assert out == "" and f"configuration error: p = {float(p)!r}" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -292,6 +303,54 @@ def test_reproduce_into_file_path_is_io_error(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- entry point
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+_REFAULTS = """
+import contextlib, io, resource
+from toepnorm import cli
+
+argv = ["verify-identity", "--symbol=-1:1,2:0.5", "--weight", "0:0.3",
+        "--N", "128"]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_repeated_cases_reuse_freed_section_memory():
+    # the 1-8 MB section buffers a case frees stay in the process, so a
+    # repeat of the same case faults almost no page in again (about 1,300
+    # minor faults per case when glibc trims them back to the kernel)
+    proc = _run_python("-c", _REFAULTS)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200
+
+
+def test_main_runs_where_libc_has_no_mallopt(monkeypatch, capsys):
+    argv = ["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
+            "--N", "16"]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0
+    looked_up = []
+
+    def no_libc(name, *args, **kwargs):
+        looked_up.append(name)
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    cli._keep_freed_memory.cache_clear()
+    assert run(argv, capsys) == (0, expected, "")
+    assert looked_up == [None]
+
 
 def test_console_entry_point_smoke():
     proc = _run_python("-m", "toepnorm", "ap-check", "--weight", "0:0.2",
