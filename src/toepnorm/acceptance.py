@@ -167,7 +167,7 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
     1e-6; at 2N it is strictly smaller or below the floor 1e-12; the larger
     sigma_{n+1}/sigma_1 of the two K0 (``rank_ratio``, :func:`rank_ratio`)
     is at most 1e-8.  ``k0_rank`` counts the singular values above
-    1e-8 sigma_1.
+    1e-8 sigma_1; ``decreasing`` is the verdict of the 2N clause.
 
     The floor.  C, T and K0 are products of inner dimension <= 2N + n, so
     the residual's rounding error is up to about 2 (2N + n) u ||W||_l1
@@ -188,7 +188,8 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
                   Check(res[1], "<", max(res[0], 1e-12)),
               "k0_rank_bound": Check(ratio, "<=", 1e-8)}
     cells = {"residual_N": res[0], "residual_2N": res[1],
-             "decreasing": res[1] < res[0], "rank_ratio": ratio,
+             "decreasing": checks[f"residual_decreases_at_{2 * N}"].passed,
+             "rank_ratio": ratio,
              "k0_rank": rank, "pass": all(c.passed for c in checks.values())}
     return cells, checks
 
@@ -200,9 +201,9 @@ def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
     weighted upper end's deviation |upper_w - upper_0| from the unweighted.
 
     Each weight's outer pair is the one-grid construction from 8N samples
-    on the outer window [0, N + n + 15], n = max(0, -lo): the section reads
-    coefficients below N + n only, and the grid error of an exponent lambda
-    scales like M^-(1 - |lambda|) in the grid size M = 8N.
+    on the outer window [0, N + n - 1], n = max(0, -lo), the coefficients
+    the section reads, and the grid error of an exponent lambda scales like
+    M^-(1 - |lambda|) in the grid size M = 8N.
     A weight with no points or only zero exponents is w == 1: its samples
     are exactly 1, its outer pair is exactly (1, 1) and its section a
     bitwise copy of the unweighted one, so it shares the unweighted bracket.
@@ -213,7 +214,7 @@ def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
     ests = [base if all(lam == 0.0 for _, lam in pw.points)
             else essential_bracket(
                 a, outer_pair(sample_power_weight(pw, 8 * N),
-                              IndexWindow(0, N + n_neg + 15)), params)
+                              IndexWindow(0, N + n_neg - 1)), params)
             for pw in weights]
     return base, ests, [abs(est.upper - base.upper) for est in ests]
 
@@ -221,10 +222,9 @@ def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
 def ap_characteristics(pw: PowerWeight, p: float, grids: tuple[int, ...]
                        ) -> tuple[list[float], list[float]]:
     """Arc-scan A_p characteristic of ``pw`` sampled on each grid size,
-    every scan with the arc resolution of the finest grid, and its growth
-    c_next / c - 1 from each grid to the next."""
-    chars = [ap_characteristic(sample_power_weight(pw, M), p,
-                               maxM=max(grids)) for M in grids]
+    every scan over all arcs of its grid, and its growth c_next / c - 1
+    from each grid to the next."""
+    chars = [ap_characteristic(sample_power_weight(pw, M), p) for M in grids]
     return chars, [b / a - 1.0 for a, b in zip(chars, chars[1:])]
 
 

@@ -3,7 +3,8 @@ essential-norm tables, emitted as CSV or JSON.
 
 Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (p > 1, every size positive,
-a symbol not identically zero, N and the grid a power of two >= 2 when a
+a symbol not identically zero and with its squares inside the
+floating-point range, N and the grid a power of two >= 2 when a
 weight is given, verify-identity's N above the symbol's shift order,
 essnorm's m at most N/4 and its packets inside the section) are
 made here, so a bad value is a configuration error that names its flag
@@ -19,6 +20,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 
@@ -41,6 +43,10 @@ EXIT_IO = 3
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+# the smallest subnormal double and the unit roundoff
+_ETA = math.ldexp(1.0, -1074)
+_U = math.ldexp(1.0, -53)
 
 
 def _pairs(text: str, what: str, key, value) -> list:
@@ -95,6 +101,55 @@ def _check_sizes(args, grid_flag: str, *flags: str) -> None:
                          "--weight is given")
 
 
+def _check_symbol_scale(a: CoeffVector, N: int, m: int,
+                        lower: float) -> None:
+    """Refuse a symbol whose squares leave the floating-point range of the
+    sums a subcommand forms: F = ||T_N(a)[:, m:]||_F^2 must lie in
+    [lower, Omega], Omega the largest double.
+
+    F is taken as s^2 times the count-weighted sum of |a_k / s|^2,
+    s = max |a_k|, with diagonal k holding max(0, min(N, N - k) -
+    max(m, -k)) entries of the block, so no coefficient is squared.  A
+    square below the smallest normal double is rounded to a multiple of
+    eta = 2^-1074, an absolute error of at most eta / 2 per real square.
+
+    verify-identity (m = 0, N = S for both sizes S in {N, 2N}) reads the
+    residual rho = ||D||_F / ||T_S||_F, D = C - T - K0, each norm NumPy's
+    unscaled root of a sum of squares.  Top end: F = ||T_S||_F^2 <= Omega,
+    and a row with rho <= 1 has ||D||_F^2 <= F, so no passing row
+    overflows.  Bottom end: the S^2 complex entries of D add at most S^2 eta
+    to ||D||_F^2, a relative error of at most S^2 eta / (2 rho^2 F) in rho.
+    At the clause's bound rho = 1e-6 that must not exceed the rounding the
+    residual already carries there, the floor 1e-12 of ``identity_clauses``
+    (1e-6 relative): F >= 5e17 S^2 eta.  A residual above 1e-6 then reads
+    as passing only within that floor.
+
+    essnorm reads the block B = T_N(a)[:, m:], K = N - m columns, through
+    its Gram matrix G = B^H B (dense or banded) and the packet norms ||B u||.
+    Top end: every entry and eigenvalue of G is at most tr G = F <= Omega.
+    Bottom end: an entry of G sums at most N products, each carrying at most
+    2 eta from its rounded real products, so the rounding of subnormal
+    products perturbs G by at most 2 K N eta in the 2-norm; against
+    lambda_max(G) >= tr G / K = F / K that is at most u = 2^-53 relative,
+    the accuracy of the eigenvalue itself, when F >= 2 K^2 N eta / u; a
+    packet norm's N squares err by at most N eta, less again.  A weighted
+    block is B conjugated by the outer pair, on the same scale (its
+    sigma_max tends to the same limit); the range is taken on B.
+    """
+    s = float(np.max(np.abs(a.coeffs)))
+    k = a.window.indices()
+    count = np.clip(np.minimum(N, N - k) - np.maximum(m, -k), 0, None)
+    q = float(count @ (np.abs(a.coeffs) / s) ** 2)
+    if q == 0.0:  # the block holds no coefficient, so it forms no square
+        return
+    lg = 2.0 * math.log10(s) + math.log10(q)
+    if not math.log10(lower) <= lg <= math.log10(sys.float_info.max):
+        raise ValueError(
+            f"--symbol must keep its squares in the floating-point range: "
+            f"the section's squared Frobenius norm is 10^{lg:.1f}, outside "
+            f"[{lower:.3g}, {sys.float_info.max:.3g}]")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -140,9 +195,12 @@ def cmd_ap_check(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     _check_sizes(args, "N")
-    n, h = csa_decompose(_symbol(args))
+    a = _symbol(args)
+    n, h = csa_decompose(a)
     if args.N <= n:  # the N x N section of T(e_{-n} h) would be all zero
         raise ValueError(f"--N must exceed the symbol's shift order n = {n}")
+    for size in (args.N, 2 * args.N):
+        _check_symbol_scale(a, size, 0, 5e17 * size ** 2 * _ETA)
     weights = [parse_weight(w) for w in args.weight]
     rows = [{"weight": pw.label(), "n": n,
              **acceptance.identity_clauses(n, h, pw, args.N)[0]}
@@ -163,6 +221,8 @@ def cmd_essnorm(args) -> int:
         raise ValueError(f"--m + --L must be at most {room} (N less the "
                          "symbol's highest positive frequency) for the wave "
                          "packets to fit the section")
+    K = args.N - args.m
+    _check_symbol_scale(a, args.N, args.m, 2 * K ** 2 * args.N * _ETA / _U)
     weights = [parse_weight(w) for w in args.weight]
     params = BracketParams(N=args.N, m=args.m, L=args.L, thetas=args.thetas)
     sup = symbol_sup(a)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _conjugated_columns, _section
+from .operators import _section
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
@@ -133,7 +133,7 @@ def _sigma_max_dense(a: CoeffVector, W: OuterPair | None, N: int,
     idle workers of one library competing with the other's.
     """
     K = N - m
-    g, lead = _block_parts(a, W, N, m, K)
+    g, lead = _block_parts(a, W, N, m)
     p0 = lead.shape[1]
     # columns p >= p0 of the section of g hold its values at -p .. N-1-p
     toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
@@ -238,44 +238,46 @@ def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
     return math.sqrt(max(float(lam), 0.0))
 
 
-def _block_parts(a: CoeffVector, W: OuterPair | None, N: int, m: int,
-                 cols: int) -> tuple[CoeffVector, np.ndarray]:
-    """Columns m..m+cols-1 of the N x N section of T(a), or of
-    M_W T(a) M_{1/W} when W is given, as (g, lead): the section of g,
-    _section(g, N, cols), with its first lead.shape[1] columns replaced by
-    the complex columns lead.
+def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
+                 m: int) -> tuple[CoeffVector, np.ndarray]:
+    """Columns m..N-1 of the N x N section of T(a), or of M_W T(a) M_{1/W}
+    when W is given, as (g, lead): the section of g, _section(g, N, N - m),
+    with its first lead.shape[1] columns replaced by the complex columns
+    lead.
 
     The conjugated section is Toeplitz away from its first n = max(0, -lo)
     columns: for e_j with j >= n the inner projection in
     P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
     the one convolution g = w * a * winv (g = a without a weight), and the
-    block is the section of g shifted by m.  Only leading columns below n
-    need the projected composition, taken from the product of the factor
-    sections (the discarded outer-window tail never reaches rows < N).  The
-    identity check compares the literal product against T + K0, so this
+    block is the section of g shifted by m.  For j < n it drops the
+    frequencies below 0 of (a * winv) e_j, so column j is the window
+    [0, N-1] of w * (a * winv)[n - j:].  The identity check compares the
+    literal product of the factor sections against T + K0, so this
     shortcut serves the brackets only.
     """
-    n_neg = 0
-    g = a.coeffs
+    g, lead = a.coeffs, np.empty((N, 0), dtype=complex)
     if W is not None:
         n_neg = max(0, -a.lo)
         need = N + n_neg
         if min(len(W.w_coeffs.coeffs), len(W.winv_coeffs.coeffs)) < need:
             raise ValueError("outer pair window too short for this section: "
                              f"need length >= {need}")
-        g = np.convolve(W.w_coeffs.coeffs,
-                        np.convolve(a.coeffs, W.winv_coeffs.coeffs))
+        w = W.w_coeffs.coeffs
+        inner = np.convolve(a.coeffs, W.winv_coeffs.coeffs)
+        g = np.convolve(w, inner)
+        cols = [np.convolve(w, inner[n_neg - j:])[:N]
+                for j in range(m, min(n_neg, N))]
+        if cols:
+            lead = np.stack(cols, axis=1)
     g = CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g)
-    k = min(n_neg, m + cols)
-    lead = (_conjugated_columns(a, W, N, k)[:, m:] if m < k
-            else np.empty((N, 0), dtype=complex))
     return g, lead
 
 
 def _block(g: CoeffVector, lead: np.ndarray, N: int, cols: int,
            real: bool = False) -> np.ndarray:
-    """The block of ``_block_parts``, or the real parts of its entries."""
+    """The block of ``_block_parts`` cut to cols columns, or its real part."""
     B = _section(g, N, cols, real)
+    lead = lead[:, :cols]
     B[:, :lead.shape[1]] = lead.real if real else lead
     return B
 
@@ -286,7 +288,7 @@ def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
     T(a), or of M_W T(a) M_{1/W} when W is given: the block A[:, m:] that
     the bracket reads, or its first cols columns (see ``_block_parts``)."""
     cols = N - m if cols is None else cols
-    return _block(*_block_parts(a, W, N, m, cols), N, cols)
+    return _block(*_block_parts(a, W, N, m), N, cols)
 
 
 def _wave_packets(L: int, thetas: int) -> np.ndarray:

@@ -79,30 +79,21 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
 
 
-def _conjugated_columns(a: CoeffVector, W: OuterPair, N: int,
-                        cols: int) -> np.ndarray:
-    """Columns 0..cols-1 of the N x N section of M_W T(a) M_{1/W}.
-
-    The product L_W T_a L_{1/W} of sections of the three factors: L_W is
-    N x N, T_a is N x (N+n) with n = max(0, -lo), and L_{1/W} is
-    (N+n) x cols.  Rows < N of the composition reach coefficients of W and
-    1/W below N+n only; shorter outer windows count as zero-padded.
-    """
-    n = max(0, -a.lo)
-    inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, cols)
-    return _section(W.w_coeffs, N, N) @ inner
-
-
 def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     """Section of the conjugated operator M_W T(a) M_{1/W}.
 
     Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j))), built as
-    the product of the sections of M_W, T(a) and M_{1/W}; the only
-    truncation is the finite window of the supplied outer pair.
+    the product L_W T_a L_{1/W} of sections of the three factors: L_W is
+    N x N, T_a is N x (N+n) with n = max(0, -lo), and L_{1/W} is
+    (N+n) x N.  Rows < N of the composition reach coefficients of W and 1/W
+    below N+n only; shorter outer windows count as zero-padded, and that
+    finite window is the only truncation.
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
-    return _conjugated_columns(a, W, N, N)
+    n = max(0, -a.lo)
+    inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, N)
+    return _section(W.w_coeffs, N, N) @ inner
 
 
 def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
@@ -117,6 +108,6 @@ def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
     return n, CoeffVector(win, shifted.on_window(win))
 
 
-def symbol_sup(a: CoeffVector, size: int = 1 << 16) -> float:
-    """Dense-grid supremum of |a| (default 2^16 sample points)."""
-    return float(np.max(np.abs(synthesize(a, size).samples)))
+def symbol_sup(a: CoeffVector) -> float:
+    """Dense-grid supremum of |a| over 2^16 sample points."""
+    return float(np.max(np.abs(synthesize(a, 1 << 16).samples)))

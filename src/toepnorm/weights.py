@@ -108,28 +108,23 @@ def _positive_real_samples(w: GridFunction) -> np.ndarray:
     return vals.real
 
 
-def ap_characteristic(w: GridFunction, p: float, maxM: int = 512) -> float:
-    """Arc-supremum A_p product scanned over grid-aligned arcs.
+def ap_characteristic(w: GridFunction, p: float) -> float:
+    """Arc-supremum A_p product scanned over every grid-aligned arc.
 
     Returns the maximum over contiguous sample runs (wrap-around included) of
 
         (avg of w^p)^(1/p) * (avg of w^(-p'))^(1/p'),
 
-    with midpoint-rule averages.  When the grid is finer than ``maxM``
-    subdivisions, arc endpoints are restricted to a coarser lattice so at
-    most maxM**2 arcs are scanned; the averages still use every sample.
-    The value is a lower bound for the true arc supremum; for weights
-    outside A_p it grows without bound under grid refinement.  Raises
-    ``ValueError`` when p or p' is so large that a power sum overflows.
+    with midpoint-rule averages.  The value is a lower bound for the true
+    arc supremum; for weights outside A_p it grows without bound under grid
+    refinement.  Raises ``ValueError`` when p or p' is so large that a power
+    sum overflows.
     """
     vals = _positive_real_samples(w)
     if not p > 1:
         raise ValueError("p must exceed 1")
-    if maxM < 2:
-        raise ValueError("maxM must be at least 2")
     M = w.size
     q = p / (p - 1.0)
-    stride = max(1, -(-M // maxM))
     with np.errstate(over="ignore"):
         wp = vals ** p
         wq = vals ** (-q)
@@ -140,9 +135,9 @@ def ap_characteristic(w: GridFunction, p: float, maxM: int = 512) -> float:
         # scan would return 0 where Hoelder's inequality gives >= 1
         raise ValueError(f"p = {p!r} takes w**p or w**(-p') outside the "
                          "floating-point range")
-    starts = np.arange(0, M, stride)
+    starts = np.arange(M)
     best = 0.0
-    for L in range(stride, M + 1, stride):
+    for L in range(1, M + 1):
         avg_p = (cp[starts + L] - cp[starts]) / L
         avg_q = (cq[starts + L] - cq[starts]) / L
         val = np.max(avg_p ** (1.0 / p) * avg_q ** (1.0 / q))

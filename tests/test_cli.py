@@ -110,6 +110,53 @@ def test_zero_symbol_is_config_error(args, capsys):
     assert out == "" and "configuration error" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["essnorm", "--symbol=-1:1e-320", "--N", "256", "--m", "16", "--L", "16",
+     "--thetas", "16"],
+    ["essnorm", "--symbol=-1:1e-200", "--N", "256", "--m", "16", "--L", "16",
+     "--thetas", "16"],
+    ["essnorm", "--symbol=-1:1e155", "--weight", "0:0.3", "--N", "1024"],
+    ["verify-identity", "--symbol=-1:1e-160", "--weight", "0:0.3", "--N",
+     "16"],
+    ["verify-identity", "--symbol=-1:1e153", "--weight", "0:0.3", "--N",
+     "128"],
+    ["verify-identity", "--symbol=-1:1e160", "--weight", "0:0.3", "--N",
+     "128"],
+])
+def test_symbol_whose_squares_leave_the_float_range_is_config_error(
+        args, capsys):
+    # these read a ZeroDivisionError, zeros, NaN or a failed band driver
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("configuration error: --symbol")
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("args, rtol", [
+    (["verify-identity", "--weight", "0:0.3", "--N", "16"], 1e-9),
+    (["verify-identity", "--weight", "0:0.3", "--N", "128"], 1e-9),
+    (["essnorm", "--N", "256", "--m", "16", "--L", "16", "--thetas", "16"],
+     1e-13),
+    (["essnorm", "--weight", "0:0.3", "--N", "1024"], 1e-13),
+])
+def test_symbol_scale_inside_the_range_scales_the_table(scale, args, rtol,
+                                                         capsys):
+    # residuals are scale-free, brackets scale with the symbol
+    rows = {}
+    for s in (1.0, scale):
+        code, out, _ = run([args[0], f"--symbol=-1:{s!r}", *args[1:]],
+                           capsys)
+        assert code == 0
+        rows[s] = [line.split(",") for line in out.strip().splitlines()[1:]]
+    cols = (2, 3) if args[0] == "verify-identity" else (1, 2, 3)
+    unit = 1.0 if args[0] == "verify-identity" else scale
+    for ref, got in zip(rows[1.0], rows[scale]):
+        for c in cols:
+            if ref[c]:
+                assert float(got[c]) == pytest.approx(unit * float(ref[c]),
+                                                      rel=rtol)
+
+
 @pytest.mark.parametrize("args, code", [
     (["essnorm", "--symbol=-1:1", "--weight", "0:0.3", "--N", "1000"], 2),
     (["verify-identity", "--symbol=-1:1", "--weight", "0:0.3", "--N", "100"],
@@ -169,6 +216,8 @@ def test_verify_identity_constant_weight(capsys):
     assert code == 0
     fields = out.strip().splitlines()[1].split(",")
     assert float(fields[2]) <= 1e-12
+    # both residuals sit at the rounding floor, where the trend clause holds
+    assert fields[4] == "true"
     assert fields[5] == "0"
 
 

@@ -10,8 +10,8 @@ from scipy.linalg import eigvals_banded, svdvals
 import toepnorm.estimation as est
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
-                      outer_pair, outer_pair_exact, sample_power_weight,
-                      symbol_sup)
+                      operators, outer_pair, outer_pair_exact,
+                      sample_power_weight, symbol_sup)
 from toepnorm.acceptance import bracket_symbols
 from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _gram_band,
                                  _sigma_max_banded, _sigma_max_dense,
@@ -220,6 +220,25 @@ def test_dense_upper_matches_whole_block_cast_bitwise():
     assert real == [True] * 6 + [False] + [True] * 2 + [False] * 2 + [True]
     assert all(np.any(assemble_section(a, W, N, m).imag)
                for (a, W, N, m), r in zip(cases, real) if r)
+
+
+def test_bracket_builds_no_section_wider_than_its_block(monkeypatch):
+    # for m < n = 3 the leading columns come from convolutions of the
+    # coefficient windows, not from the literal product, whose factor
+    # sections are N x (N + 3) and N x N
+    N, m = 256, 1
+    section, built = operators._section, []
+
+    def spy(c, rows, cols, real=False):
+        built.append(rows * cols)
+        return section(c, rows, cols, real)
+
+    monkeypatch.setattr(operators, "_section", spy)
+    monkeypatch.setattr(est, "_section", spy)
+    a = laurent(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
+    W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
+    essential_bracket(a, W, BracketParams(N=N, m=m, L=32, thetas=16))
+    assert built and max(built) <= N * (N - m)
 
 
 def test_real_cast_covers_the_leading_columns():

@@ -72,8 +72,7 @@ def test_ap_characteristic_growth_signal():
     chars = {}
     for lam in (0.45, 0.55):
         chars[lam] = [ap_characteristic(sample_power_weight(single(lam), M),
-                                        2.0, maxM=1024)
-                      for M in (256, 512, 1024)]
+                                        2.0) for M in (256, 512, 1024)]
     g45 = [chars[0.45][i + 1] / chars[0.45][i] - 1 for i in range(2)]
     g55 = [chars[0.55][i + 1] / chars[0.55][i] - 1 for i in range(2)]
     assert all(g < 0.25 for g in g45)
@@ -85,14 +84,6 @@ def test_ap_characteristic_rejects_nonpositive():
     w = GridFunction(8, np.array([1, 1, 1, 0, 1, 1, 1, 1], dtype=complex))
     with pytest.raises(ValueError):
         ap_characteristic(w, 2.0)
-
-
-def test_ap_characteristic_endpoint_cap():
-    vals = np.exp(np.sin(np.linspace(0, 2 * np.pi, 256, endpoint=False)))
-    w = GridFunction(256, vals.astype(complex))
-    full = ap_characteristic(w, 2.0, maxM=256)
-    capped = ap_characteristic(w, 2.0, maxM=64)
-    assert 1.0 <= capped <= full + 1e-12
 
 
 # ---------------------------------------------------------------- outer_pair
