@@ -8,8 +8,9 @@ Frobenius-relative residual of
 
 over a sequence of section sizes, together with the rank ratio
 sigma_{n+1}/sigma_1 of the K0 section.  The residual is pure
-outer-construction error and should decay with the section size (the outer
-grid scales with N).
+outer-construction error.  It falls with the section size only because the
+divisor ||T||_F grows like sqrt(N): the outer grid and window scale with N,
+so the absolute error ||C - T - K0||_2 stays flat.
 """
 
 import argparse

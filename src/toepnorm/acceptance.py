@@ -28,9 +28,8 @@ from .operators import (conjugated_toeplitz_matrix, k0_matrix, symbol_sup,
                         toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow
 from .weights import (PowerWeight, _reciprocal_defect, ap_characteristic,
-                      evaluate_outer, khvedelidze_ap_check, outer_pair,
-                      outer_pair_exact, outer_pair_refined,
-                      sample_power_weight)
+                      khvedelidze_ap_check, outer_pair, outer_pair_exact,
+                      outer_pair_refined, sample_power_weight)
 
 _SEED = 20240901
 
@@ -107,7 +106,7 @@ def bracket_symbols() -> list[tuple[str, CoeffVector]]:
 
 
 def independence_weights() -> list[PowerWeight]:
-    return [PowerWeight(((0.0, -0.3),)), PowerWeight(((0.0, 0.0),)),
+    return [PowerWeight(((0.0, 0.45),)), PowerWeight(((0.0, 0.0),)),
             PowerWeight(((0.0, 0.3),)),
             PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
 
@@ -295,9 +294,10 @@ def run_weight_independence():
     with the unweighted one to within 2% of sup|a|, and the worst deviation
     must shrink when N doubles to 2048.  Outer pairs come from the one-grid
     construction at M = 8N, whose error for an exponent lambda scales like
-    M^-(1 - |lambda|): a factor 2^-0.7 = 0.616 per doubling at |lambda| =
-    0.3, against a measured max_dev_2048 / max_dev_1024 of 0.616, 0.613
-    and 0.654 for the three symbols.
+    M^-(1 - |lambda|).  The largest deviation comes from lambda = 0.45, a
+    predicted factor 2^-0.55 = 0.683 per doubling, against a measured
+    max_dev_2048 / max_dev_1024 of 0.683, 0.683 and 0.685 for the three
+    symbols.
     """
     rows, members = [], {"deviation_within_2pct": [],
                          "deviation_shrinks_at_2048": []}
@@ -373,17 +373,12 @@ def run_outer_validation():
     target = np.r_[1.0, -1.0, np.zeros(510)]
     coeffs = Check(float(np.max(np.abs(pair.w_coeffs.coeffs - target))),
                    "<=", 1e-6)
-    evals = {f"evaluate_outer_z={z}":
-             Check(abs(evaluate_outer(pw, z) - (1.0 - z)), "<=", 1e-6)
-             for z in (0.0, 0.5, 0.3j)}
     recip = Check(_reciprocal_defect(pair.w_coeffs.coeffs,
                                      pair.winv_coeffs.coeffs), "<=", 1e-8)
-    table = {"w_coeffs_vs_1_minus_z": coeffs, **evals,
-             "reciprocal_residual": recip}
+    table = {"w_coeffs_vs_1_minus_z": coeffs, "reciprocal_residual": recip}
     rows = [{"quantity": q, "value": c.value, "threshold": c.bound,
              "pass": c.passed} for q, c in table.items()]
     return rows, {"coefficients_match": [coeffs],
-                  "pointwise_evaluation_matches": list(evals.values()),
                   "reciprocal_residual_below_1e-8": [recip]}
 
 

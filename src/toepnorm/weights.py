@@ -25,9 +25,6 @@ Three constructions are provided, trading generality for accuracy:
                             log W(z) = -sum_j lambda_j sum_k (e^{-i k a_j}/k) z^k
                             exponentiated by the Cauchy-product recurrence.
                             Exact to rounding.
-
-``evaluate_outer`` evaluates the outer function of a power weight inside
-the disk from the same closed form, W(z) = prod_j (1 - e^{-i a_j} z)^{lambda_j}.
 """
 
 from __future__ import annotations
@@ -66,10 +63,13 @@ class PowerWeight:
 class OuterPair:
     """Boundary coefficients of the outer function W and of 1/W.
 
-    ``residual`` reports the observed construction defect: the largest
+    ``residual`` is the construction's own defect: the largest
     negative-frequency coefficient left over before truncation together with
     the reciprocal defect max |(W * 1/W)(k) - delta_0(k)| on the common
-    window.
+    window.  It is not an error bound: for the grid constructions on power
+    weights it sits 1.5-4x below the largest coefficient error against
+    ``outer_pair_exact``, which floors its own residual at 4K*eps for a
+    window of K coefficients.
     """
 
     w_coeffs: CoeffVector
@@ -164,11 +164,19 @@ def _reciprocal_defect(wc: np.ndarray, wic: np.ndarray) -> float:
     return float(np.max(np.abs(conv)))
 
 
+def _log_spectrum(w: GridFunction, M: int) -> np.ndarray:
+    """Coefficients 0..M/2-1 of log w from its grid samples."""
+    u = GridFunction(w.size, np.log(_positive_real_samples(w)).astype(complex))
+    return analyze(u, IndexWindow(0, M // 2 - 1)).coeffs
+
+
 def _pair_from_log_grid(uh: np.ndarray, size: int,
                         win: IndexWindow) -> OuterPair:
     """Complete the log spectrum uh (k >= 0) of w to that of W by the
     one-sided (Schwarz kernel) rule, keeping k = 0 and doubling k >= 1;
-    exponentiate it, and its negation for 1/W, on a grid and analyze back.
+    exponentiate it, and its negation for 1/W, on a grid and analyze back
+    into ``win``, which must start at 0 and end within uh's window, below
+    the Nyquist frequency of the grid uh came from.
 
     One synthesis serves both: it is linear and rounds symmetrically in
     sign, so the samples of the negated spectrum are the negated samples,
@@ -176,6 +184,10 @@ def _pair_from_log_grid(uh: np.ndarray, size: int,
     negative frequencies, whose largest modulus is the defect, and
     ``win``, which starts at 0.
     """
+    if win.lo != 0:
+        raise ValueError("outer coefficient window must start at 0")
+    if win.hi > len(uh) - 1:
+        raise ValueError("window exceeds the Nyquist range of the weight grid")
     vhat = uh.copy()
     vhat[1:] *= 2.0
     v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat),
@@ -200,15 +212,7 @@ def outer_pair(w: GridFunction, win: IndexWindow) -> OuterPair:
     into the requested window (which must start at 0 and stay below the
     Nyquist frequency).
     """
-    vals = _positive_real_samples(w)
-    if win.lo != 0:
-        raise ValueError("outer coefficient window must start at 0")
-    M = w.size
-    if win.hi > M // 2 - 1:
-        raise ValueError("window exceeds the Nyquist range of the weight grid")
-    u = GridFunction(M, np.log(vals).astype(complex))
-    uh = analyze(u, IndexWindow(0, M // 2 - 1)).coeffs
-    return _pair_from_log_grid(uh, M, win)
+    return _pair_from_log_grid(_log_spectrum(w, w.size), w.size, win)
 
 
 def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> OuterPair:
@@ -219,19 +223,11 @@ def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> Oute
     Extrapolating 2*u_hat(2M) - u_hat(M) removes the leading alias; the
     exponentiation then runs on the finer grid.
     """
-    if win.lo != 0:
-        raise ValueError("outer coefficient window must start at 0")
     M = grid_size
     if M < 4 or M & (M - 1):
         raise ValueError("grid size must be a power of two >= 4")
-    if win.hi > M // 2 - 1:
-        raise ValueError("window exceeds the Nyquist range of the weight grid")
-    spec = IndexWindow(0, M // 2 - 1)
-    u_m = np.log(_positive_real_samples(sample_power_weight(w, M)))
-    u_2m = np.log(_positive_real_samples(sample_power_weight(w, 2 * M)))
-    uh_m = analyze(GridFunction(M, u_m.astype(complex)), spec).coeffs
-    uh_2m = analyze(GridFunction(2 * M, u_2m.astype(complex)), spec).coeffs
-    uh = 2.0 * uh_2m - uh_m
+    uh = (2.0 * _log_spectrum(sample_power_weight(w, 2 * M), M)
+          - _log_spectrum(sample_power_weight(w, M), M))
     return _pair_from_log_grid(uh, 2 * M, win)
 
 
@@ -259,15 +255,3 @@ def outer_pair_exact(w: PowerWeight, win: IndexWindow) -> OuterPair:
     wic = _exp_series(-v)
     residual = max(_reciprocal_defect(wc, wic), 4.0 * K * np.finfo(float).eps)
     return OuterPair(CoeffVector(win, wc), CoeffVector(win, wic), residual)
-
-
-def evaluate_outer(w: PowerWeight, z: complex) -> complex:
-    """Evaluate the outer function of a power weight at a point of the open
-    disk by its closed form W(z) = prod_j (1 - e^{-i a_j} z)^{lambda_j}."""
-    z = complex(z)
-    if abs(z) > 0.99:
-        raise ValueError("evaluation point must satisfy |z| <= 0.99")
-    acc = 0.0 + 0.0j
-    for a, lam in w.points:
-        acc += lam * np.log(1.0 - np.exp(-1j * a) * z)
-    return complex(np.exp(acc))

@@ -115,10 +115,6 @@ def test_outer_coefficients_match(outer):
     assert outer.checks["coefficients_match"].passed
 
 
-def test_outer_pointwise_evaluation(outer):
-    assert outer.checks["pointwise_evaluation_matches"].passed
-
-
 def test_outer_reciprocal_residual(outer):
     assert outer.checks["reciprocal_residual_below_1e-8"].passed
 

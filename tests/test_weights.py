@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from toepnorm import (CoeffVector, GridFunction, IndexWindow, analyze,
-                      ap_characteristic, evaluate_outer, khvedelidze_ap_check,
-                      outer_pair, outer_pair_exact, outer_pair_refined,
+                      ap_characteristic, khvedelidze_ap_check, outer_pair,
+                      outer_pair_exact, outer_pair_refined,
                       sample_power_weight, synthesize)
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import PowerWeight, _reciprocal_defect
@@ -213,27 +213,25 @@ def test_outer_pair_rejects_bad_input():
     neg = GridFunction(16, -np.ones(16, dtype=complex))
     with pytest.raises(ValueError):
         outer_pair(neg, IndexWindow(0, 3))
+    for grid, win in ((16, IndexWindow(1, 4)), (16, IndexWindow(0, 8)),
+                      (6, IndexWindow(0, 2))):
+        with pytest.raises(ValueError):
+            outer_pair_refined(single(0.3), grid, win)
 
 
-# ------------------------------------------------------------ evaluate_outer
+# ---------------------------------------------------------- Schwarz integral
 
-def test_evaluate_outer_trivial_weight():
+def test_schwarz_outer_trivial_weight():
     w = GridFunction(64, np.ones(64, dtype=complex))
     assert abs(schwarz_outer(w, 0.3 + 0.1j) - 1.0) < 1e-13
 
 
-def test_evaluate_outer_constant_e():
+def test_schwarz_outer_constant_e():
     w = GridFunction(64, math.e * np.ones(64, dtype=complex))
     assert abs(schwarz_outer(w, 0.0) - math.e) < 1e-13
 
 
-def test_evaluate_outer_power_weight_closed_form():
-    assert abs(evaluate_outer(single(1.0), 0.5) - 0.5) < 1e-12
-    assert abs(evaluate_outer(single(1.0), 0.0) - 1.0) < 1e-15
-    assert abs(evaluate_outer(single(1.0), 0.3j) - (1 - 0.3j)) < 1e-12
-
-
-def test_evaluate_outer_grid_agrees_with_series_for_smooth_weight():
+def test_outer_pair_agrees_with_schwarz_integral_for_smooth_weight():
     M = 512
     th = 2 * np.pi * (np.arange(M) + 0.5) / M
     vals = 2.0 + np.cos(th)
@@ -244,14 +242,9 @@ def test_evaluate_outer_grid_agrees_with_series_for_smooth_weight():
         assert abs(schwarz_outer(w, z) - series) < 1e-6
 
 
-def test_evaluate_outer_rejects_near_boundary():
-    with pytest.raises(ValueError):
-        evaluate_outer(single(0.3), 0.999)
-
-
 # ------------------------------------------------------------------- misc
 
-def test_power_weight_validation_and_json():
+def test_power_weight_rejects_repeated_angles():
     with pytest.raises(ValueError):
         PowerWeight(((0.0, 1.0), (0.0, 2.0)))
 
