@@ -19,10 +19,11 @@ routine here:
   so sigma_max keeps relative error O(eps); squaring hurts only the small
   singular values (Golub & Van Loan, Matrix Computations, 8.6; Demmel,
   Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from a
-  full-spectrum driver, since the top of the spectrum clusters.  G is
-  formed densely (``_sigma_max_dense``), or, for an unweighted block of
-  narrow span, in band storage (``_sigma_max_banded``); B is real when its
-  entries are, to the relative level ``_REAL_CAST_RTOL``.
+  full-spectrum driver, since the top of the spectrum clusters.  One
+  routine, ``_sigma_max``, takes them: G is held in band storage when the
+  block's coefficient window spans at most (N - m) // 32 (every narrow
+  unweighted block and no weighted one), and formed densely otherwise; B
+  is real when its entries are, to the relative level ``_REAL_CAST_RTOL``.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -55,8 +56,8 @@ from .weights import OuterPair
 # coefficient windows that the block repeats, before the block is built.
 _REAL_CAST_RTOL = 1e-12
 
-# An unweighted block whose symbol span hi - lo is at most (N - m) // this
-# ratio takes sigma_max from the banded Gram matrix.  Measured crossover
+# A block whose coefficient window spans at most (N - m) // this ratio
+# takes sigma_max from the banded Gram matrix.  Measured crossover
 # (2 vCPUs, OpenBLAS, two threads, medians of 5): at N - m = 960 the banded
 # path takes 61 ms at span 32 against 81 ms dense and loses by span 64
 # (102 against 78 ms); at N - m = 1984 it takes 406 ms at span 64 against
@@ -112,56 +113,20 @@ def _real_cast(*windows: np.ndarray) -> bool | None:
                for w in windows)
 
 
-def _sigma_max_dense(a: CoeffVector, W: OuterPair | None, N: int,
-                     m: int) -> float:
-    """sigma_max of the block B = A[:, m:] as sqrt(lambda_max(B^H B)).
-
-    The real cast is decided once, on the coefficient windows B repeats
-    (``_block_parts``: the values of g that its Toeplitz columns hold, and
-    its leading conjugated columns), so no matrix is scanned for it; B is
-    then built real or complex from the start, and a real B forms G as
-    B.T @ B (syrk), with no conjugated copy.  The eigenvalues come from the
-    full-spectrum driver (syevd/heevd: tridiagonalisation, then the
-    root-free QR of sterf).  The single-eigenvalue drivers (evr, evx) and
-    bisection for the top eigenvalue alone (stebz, RANGE = 'I': INFO = 2)
-    break down when the top of the spectrum clusters, as it does for a
-    unimodular symbol, where G is close to I; after tridiagonalisation the
-    whole spectrum costs only O(n^2) more.  Product and eigenvalues both run in
-    NumPy's BLAS, which builds the sections and serves the banded path too;
-    a second BLAS in the process (SciPy's, tried for this step) made it
-    about twice as slow at N = 1024 (two BLAS threads, 2-vCPU box), the
-    idle workers of one library competing with the other's.
-    """
-    K = N - m
-    g, lead = _block_parts(a, W, N, m)
-    p0 = lead.shape[1]
-    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
-    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
-        else lead[:0]
-    real = _real_cast(toeplitz, lead)
-    if real is None:
-        return 0.0
-    B = _block(g, lead, N, K, real)
-    G = B.T @ B if real else B.conj().T @ B
-    del B  # eigvalsh works on a copy of G; B need not outlive the product
-    lam = np.linalg.eigvalsh(G)[-1]
-    return math.sqrt(max(float(lam), 0.0))
-
-
-def _gram_band(c: np.ndarray, lo: int, N: int, m: int) -> np.ndarray:
+def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
     """Lower band storage ab[d, p] = G[p + d, p] of G = B^H B for the
-    unweighted block B = T_N(a)[:, m:], where c holds a's coefficients on
-    its window [lo, lo + u].
+    N x K block B whose column p holds g_s in row p + s, where c holds g's
+    coefficients on its window [lo, lo + u] (the block of ``_block_parts``
+    without leading columns).
 
-    Column p of B (section column j = m + p) holds a_t in row j + t, so
-    G[p + d, p] = sum of a_t conj(a_{t-d}) over t in [lo + d, lo + u] with
-    the shared row j + t inside the section: the top cut (rows >= 0) trims
-    the first columns when m < -lo, the row cut (rows < N) the last hi.
-    Entries past the end of diagonal d (p >= N - m - d) are never read.
+    G[p + d, p] = sum of g_s conj(g_{s-d}) over s in [lo + d, lo + u] with
+    the shared row p + s inside the block: the top cut (rows >= 0) trims
+    the first columns when lo < 0, the row cut (rows < N) the last ones.
+    Entries past the end of diagonal d (p >= K - d) are never read.
     """
     u = len(c) - 1
-    j = np.arange(m, N)[:, None]
-    ab = np.empty((u + 1, N - m), dtype=c.dtype)
+    j = np.arange(K)[:, None]
+    ab = np.empty((u + 1, K), dtype=c.dtype)
     for d in range(u + 1):
         rows = j + np.arange(lo + d, lo + u + 1)
         inside = (rows >= 0) & (rows < N)
@@ -201,7 +166,7 @@ def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
     with jobz = 'N': band-to-tridiagonal reduction, then sterf.
 
     The driver is NumPy's LAPACK (``_numpy_band_evd``), which must export
-    it; ``essential_bracket`` takes the dense path where it does not.
+    it; ``_sigma_max`` takes the dense path where it does not.
     """
     # a column-major (kd + 1) x n copy (layout 102, LAPACK_COL_MAJOR): the
     # driver overwrites its band
@@ -215,27 +180,6 @@ def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"banded eigenvalue driver failed (info = {info})")
     return w
-
-
-def _sigma_max_banded(a: CoeffVector, N: int, m: int) -> float:
-    """sigma_max(T_N(a)[:, m:]) as sqrt(lambda_max(G)) from G's band.
-
-    B is the section of a Laurent polynomial of span u = hi - lo, so G has
-    bandwidth u, and LAPACK's banded full-spectrum driver
-    (``_band_eigvalsh``: O(K^2 u) band reduction for K = N - m, Schwarz,
-    Numer. Math. 12, 1968; LAPACK sbtrd; then sterf) replaces the O(K^3)
-    dense path.  A single-eigenvalue driver is avoided for the reason given
-    in ``_sigma_max_dense``.  a's coefficients are B's entries, so the real
-    cast follows the same rule.
-    """
-    c = a.coeffs
-    real = _real_cast(c)
-    if real is None:
-        return 0.0
-    if real:
-        c = c.real
-    lam = _band_eigvalsh(_gram_band(c, a.lo, N, m))[-1]
-    return math.sqrt(max(float(lam), 0.0))
 
 
 def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
@@ -282,13 +226,50 @@ def _block(g: CoeffVector, lead: np.ndarray, N: int, cols: int,
     return B
 
 
-def assemble_section(a: CoeffVector, W: OuterPair | None, N: int,
-                     m: int, cols: int | None = None) -> np.ndarray:
-    """Columns m..m+cols-1 (by default m..N-1) of the dense N x N section of
-    T(a), or of M_W T(a) M_{1/W} when W is given: the block A[:, m:] that
-    the bracket reads, or its first cols columns (see ``_block_parts``)."""
-    cols = N - m if cols is None else cols
-    return _block(*_block_parts(a, W, N, m), N, cols)
+def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
+    """sigma_max of the N x K block of ``_block_parts`` as sqrt(lambda_max(G)),
+    G = B^H B.
+
+    The real cast is decided once, on the coefficient windows B repeats (the
+    values of g that its Toeplitz columns hold, and its leading columns), so
+    no matrix is scanned for it.  The eigenvalues come from a full-spectrum
+    driver: the single-eigenvalue drivers (evr, evx) and bisection for the
+    top eigenvalue alone (stebz, RANGE = 'I': INFO = 2) break down when the
+    top of the spectrum clusters, as it does for a unimodular symbol, where
+    G is close to I; after tridiagonalisation the whole spectrum costs only
+    O(K^2) more.
+
+    When g spans u = hi - lo <= K // _BAND_RATIO, G has bandwidth u and is
+    taken in band storage (``_gram_band``), and LAPACK's banded driver
+    (``_band_eigvalsh``: O(K^2 u) band reduction, Schwarz, Numer. Math. 12,
+    1968; LAPACK sbtrd; then sterf) replaces the O(K^3) dense path, where
+    NumPy's LAPACK exports it.  Every such block is unweighted: a weighted
+    g = w * a * winv spans at least 2(N + n) - 2, since ``_block_parts``
+    refuses shorter pair windows, so no block in band storage has leading
+    columns.  Otherwise B is built real or complex from the start, a real B
+    forms G as B.T @ B (syrk) with no conjugated copy, and G goes to
+    syevd/heevd.  Product and eigenvalues both run in NumPy's BLAS, which
+    builds the sections too; a second BLAS in the process (SciPy's, tried
+    for this step) made it about twice as slow at N = 1024 (two BLAS
+    threads, 2-vCPU box), the idle workers of one library competing with
+    the other's.
+    """
+    p0 = lead.shape[1]
+    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
+    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
+        else lead[:0]
+    real = _real_cast(toeplitz, lead)
+    if real is None:
+        return 0.0
+    if g.hi - g.lo <= K // _BAND_RATIO and _numpy_band_evd() is not None:
+        c = g.coeffs.real if real else g.coeffs
+        lam = _band_eigvalsh(_gram_band(c, g.lo, N, K))[-1]
+    else:
+        B = _block(g, lead, N, K, real)
+        G = B.T @ B if real else B.conj().T @ B
+        del B  # eigvalsh works on a copy of G; B need not outlive the product
+        lam = np.linalg.eigvalsh(G)[-1]
+    return math.sqrt(max(float(lam), 0.0))
 
 
 def _wave_packets(L: int, thetas: int) -> np.ndarray:
@@ -337,16 +318,16 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     The upper end is ||A (I - P_m)|| = sigma_max(A[:, m:]), the square root
     of the top eigenvalue of the Gram matrix from a full-spectrum driver
     (the top of a Toeplitz section's singular spectrum clusters too tightly
-    for power iteration or a single-eigenvalue driver).  Without a weight,
-    with span hi - lo <= (N - m) // _BAND_RATIO and where NumPy's LAPACK
-    exports the band driver (``_numpy_band_evd``), the Gram matrix is taken
-    in band storage (``_sigma_max_banded``); otherwise it is formed densely
-    (``_sigma_max_dense``).  The choice changes sigma_max by rounding only;
-    on a given build it rests on the block's structure alone.  The lower end
-    is the largest ||A u_theta|| over the wave packets on columns
-    m .. m+L-1, applied as the complex columns A[:, m:m+L], built apart
-    from the upper end's block on both paths, times the L x thetas
-    modulation block.
+    for power iteration or a single-eigenvalue driver), from one
+    ``_sigma_max``: band storage when the block's window spans at most
+    (N - m) // _BAND_RATIO and NumPy's LAPACK exports the band driver
+    (``_numpy_band_evd``), which holds for every narrow unweighted block
+    and no weighted one; dense storage otherwise.  The choice changes
+    sigma_max by rounding only; on a given build it rests on the block's
+    structure alone.  The lower end is the largest ||A u_theta|| over the
+    wave packets on columns m .. m+L-1, applied as the complex columns
+    A[:, m:m+L], times the L x thetas modulation block.  Both ends read the
+    block parts of one ``_block_parts`` call.
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -355,12 +336,9 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("packet parameters must be positive")
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
-    if (W is None and a.hi - a.lo <= (N - m) // _BAND_RATIO
-            and _numpy_band_evd() is not None):
-        upper = _sigma_max_banded(a, N, m)
-    else:
-        upper = _sigma_max_dense(a, W, N, m)
-    B = assemble_section(a, W, N, m, L)
+    g, lead = _block_parts(a, W, N, m)
+    upper = _sigma_max(g, lead, N, N - m)
+    B = _block(g, lead, N, L)
     lower = float(np.max(np.linalg.norm(B @ _wave_packets(L, thetas),
                                         axis=0)))
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram

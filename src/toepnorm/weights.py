@@ -86,10 +86,18 @@ class OuterPair:
 
 
 def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:
-    """Evaluate the weight on the offset grid; |t - e^{ia}| = 2|sin((theta-a)/2)|."""
+    """Evaluate the weight on the offset grid; |t - e^{ia}| = 2|sin((theta-a)/2)|.
+
+    A point with a nonzero exponent whose angle is a grid sample is refused:
+    the weight is 0 or infinite there.  sin((theta - a)/2) vanishes only at
+    theta == a, since |theta - a| < 2pi, so the test is exact."""
     th = grid_thetas(size)
     vals = np.ones(size)
     for a, lam in w.points:
+        if lam != 0 and np.any(th == a):
+            raise ValueError(f"weight point at angle {a!r} with exponent "
+                             f"{lam!r} lies on a sample of the {size}-point "
+                             "grid")
         vals = vals * np.abs(2.0 * np.sin((th - a) / 2.0)) ** lam
     return GridFunction(size, vals.astype(complex))
 

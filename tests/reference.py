@@ -7,7 +7,8 @@ direct convolutions, T(e_{-n} h) by its shifted-analytic formula, and the
 column-wise conjugated and K0 sections assembled from them.  The Schwarz
 integral gives an outer function from grid samples independently of the
 cepstral constructions.  The dense sigma_max formula is kept in the form
-that reads the whole assembled block.
+that reads the whole assembled block, which ``block`` builds from the
+library's own parts.
 """
 
 import math
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from toepnorm import CoeffVector, GridFunction, IndexWindow
+from toepnorm.estimation import _block, _block_parts
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
 
@@ -96,6 +98,15 @@ def k0_reference(n, h, W, N):
         term2 = apply_special_toeplitz(n, unit(0), multiply(W.w_coeffs, t2))
         out[:, j] = term1.on_window(win) - term2.on_window(win)
     return out
+
+
+def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
+          ) -> np.ndarray:
+    """The library's block A[:, m:] that a bracket reads, or its first cols
+    columns, built from the parts of one ``_block_parts`` call: the
+    assembled matrix that the references here are compared with."""
+    cols = N - m if cols is None else cols
+    return _block(*_block_parts(a, W, N, m), N, cols)
 
 
 def sigma_max_of_block(B: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """The public API: every exported name serves the library itself."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,4 +23,23 @@ def test_every_export_has_a_library_caller():
         if not any(word.search(text) for p, text in sources.items()
                    if p not in (pkg / "__init__.py", home)):
             uncalled.append(name)
+    assert uncalled == []
+
+
+def test_every_public_function_has_a_caller():
+    # A public module-level function must be named in the package or a
+    # study script somewhere besides its own def; a helper that nothing
+    # calls is deleted, and one that only tests use goes to
+    # tests/reference.py.
+    pkg = ROOT / "src" / "toepnorm"
+    texts = [p.read_text() for p in
+             sorted(pkg.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))]
+    uncalled = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                word = re.compile(rf"\b{re.escape(node.name)}\b")
+                if sum(len(word.findall(text)) for text in texts) < 2:
+                    uncalled.append(f"{path.name}:{node.name}")
     assert uncalled == []

@@ -3,11 +3,13 @@
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -176,6 +178,41 @@ def test_weighted_N_must_be_a_power_of_two(args, code, capsys):
     else:
         header = {"essnorm": "weight,lower,upper", "ap-check": "weight,in_ap"}
         assert out.startswith(header[args[0]]) and err == ""
+
+
+# the first sample pi/M of a weight grid that each subcommand samples: 8N
+# for essnorm's pair, 16N (the doubled grid) for verify-identity's refined
+# pair, --grid for ap-check
+ON_GRID = {"essnorm": (math.pi / 2048, ["--symbol=-1:1", "--N", "256",
+                                        "--m", "16", "--L", "16",
+                                        "--thetas", "16"], 2048),
+           "verify-identity": (math.pi / 1024, ["--symbol=-1:1", "--N", "64"],
+                               1024),
+           "ap-check": (math.pi / 256, ["--grid", "256"], 256)}
+
+
+@pytest.mark.parametrize("lam", ["0.3", "-0.3"])
+@pytest.mark.parametrize("command", sorted(ON_GRID))
+def test_weight_point_on_a_grid_sample_is_config_error(command, lam, capsys):
+    # the weight is 0 or infinite at a sample: refused before any power of
+    # zero is taken, so no floating-point warning precedes the message
+    angle, args, M = ON_GRID[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([command, "--weight", f"{angle!r}:{lam}", *args],
+                             capsys)
+    assert code == 2 and out == "" and caught == []
+    assert err == (f"configuration error: weight point at angle {angle!r} "
+                   f"with exponent {float(lam)!r} lies on a sample of the "
+                   f"{M}-point grid\n")
+
+
+@pytest.mark.parametrize("command", sorted(ON_GRID))
+def test_weight_point_with_exponent_zero_on_a_grid_sample_runs(command,
+                                                               capsys):
+    angle, args, _ = ON_GRID[command]
+    code, out, err = run([command, "--weight", f"{angle!r}:0", *args], capsys)
+    assert code == 0 and out and err == ""
 
 
 # ------------------------------------------------------------ verify-identity

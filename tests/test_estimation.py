@@ -13,12 +13,11 @@ from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       operators, outer_pair, outer_pair_exact,
                       sample_power_weight, symbol_sup)
 from toepnorm.acceptance import bracket_symbols
-from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _gram_band,
-                                 _sigma_max_banded, _sigma_max_dense,
-                                 assemble_section)
+from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _block_parts,
+                                 _gram_band, _sigma_max)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import sigma_max_of_block
+from reference import block, sigma_max_of_block
 
 
 def laurent(lo, coeffs):
@@ -32,6 +31,18 @@ def naive_pair(pw, N):
 
 SYM_FLAT = laurent(-1, [1.0])
 SYM_CURVED = laurent(-1, [1.0, 0.0, 0.0, 0.5])
+
+
+def sigma_max(a, W, N, m):
+    return _sigma_max(*_block_parts(a, W, N, m), N, N - m)
+
+
+def dense_sigma_max(monkeypatch, a, W, N, m):
+    # _sigma_max in dense storage, as where NumPy's LAPACK lacks the band
+    # driver, whatever the block's span
+    with monkeypatch.context() as patch:
+        patch.setattr(est, "_numpy_band_evd", lambda: None)
+        return sigma_max(a, W, N, m)
 
 
 # ------------------------------------- upper end: column-zeroed section norm
@@ -153,7 +164,7 @@ def test_reciprocal_weights_give_the_same_block():
             ell = l1(a.coeffs)
             tol = (D * ell * (l1(W) + l1(V))
                    + 2 * gamma(len(W) + len(a.coeffs)) * l1(W) * ell * l1(V))
-            B, B_ = (assemble_section(a, pair, N, m) for pair in (P, Q))
+            B, B_ = (block(a, pair, N, m) for pair in (P, Q))
             assert np.max(np.abs(B - B_)) <= tol
             up, up_ = (essential_bracket(a, pair, params).upper
                        for pair in (P, Q))
@@ -164,12 +175,13 @@ def test_reciprocal_weights_give_the_same_block():
             assert abs(up - up_) <= weyl + 2 * gram
 
 
-def test_sigma_max_matches_svdvals():
-    # the Gram eigenvalue against a full SVD of the same nonzero block
+def test_sigma_max_matches_svdvals(monkeypatch):
+    # the Gram eigenvalue against a full SVD of the same nonzero block, in
+    # the storage the block takes (band for every unweighted case here) and
+    # in dense storage
     pw = PowerWeight(((0.0, 0.3),))
     sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
-    assert np.max(np.abs(assemble_section(sym_complex, None, 64, 16).imag)) \
-        > 0.5
+    assert np.max(np.abs(block(sym_complex, None, 64, 16).imag)) > 0.5
     cases = []
     for _, a in bracket_symbols():
         cases += [(a, None, 1024, 64), (a, grid_pair(pw, a, 1024), 1024, 64)]
@@ -182,13 +194,13 @@ def test_sigma_max_matches_svdvals():
         (laurent(0, [1.0]), None, 128, 8),  # unimodular: G = I
     ]
     for a, W, N, m in cases:
-        ref = svdvals(assemble_section(a, W, N, m))[0]
-        assert abs(_sigma_max_dense(a, W, N, m) - ref) <= 1e-14 * ref
-        if W is None:
-            assert abs(_sigma_max_banded(a, N, m) - ref) <= 1e-14 * ref
+        ref = svdvals(block(a, W, N, m))[0]
+        assert abs(dense_sigma_max(monkeypatch, a, W, N, m) - ref) \
+            <= 1e-14 * ref
+        assert abs(sigma_max(a, W, N, m) - ref) <= 1e-14 * ref
     zero = laurent(-1, [0.0, 0.0])
-    assert _sigma_max_dense(zero, None, 64, 8) == 0.0
-    assert _sigma_max_banded(zero, 64, 8) == 0.0
+    assert dense_sigma_max(monkeypatch, zero, None, 64, 8) == 0.0
+    assert sigma_max(zero, None, 64, 8) == 0.0
 
 
 def test_dense_upper_matches_whole_block_cast_bitwise():
@@ -209,16 +221,16 @@ def test_dense_upper_matches_whole_block_cast_bitwise():
     cases.append((deep, grid_pair(weights[0], deep, 32), 32, 4))
     real = []
     for a, W, N, m in cases:
-        B = assemble_section(a, W, N, m)
+        B = block(a, W, N, m)
         real.append(np.max(np.abs(B.imag)) <= 1e-12 * np.max(np.abs(B)))
         ref = sigma_max_of_block(B)
-        assert _sigma_max_dense(a, W, N, m) == ref
+        assert sigma_max(a, W, N, m) == ref
         if N == 1024:
             est_ = essential_bracket(a, W, BracketParams(N=N, m=m))
             assert est_.upper == max(ref, est_.lower)
     # every real case carries the rounding-level imaginary part of g
     assert real == [True] * 6 + [False] + [True] * 2 + [False] * 2 + [True]
-    assert all(np.any(assemble_section(a, W, N, m).imag)
+    assert all(np.any(block(a, W, N, m).imag)
                for (a, W, N, m), r in zip(cases, real) if r)
 
 
@@ -241,6 +253,28 @@ def test_bracket_builds_no_section_wider_than_its_block(monkeypatch):
     assert built and max(built) <= N * (N - m)
 
 
+def test_bracket_builds_its_block_once(monkeypatch):
+    # both ends read the parts of one _block_parts call, with and without a
+    # weight, past (m >= n) and inside (m < n = 3) the leading columns
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return block_parts(*args)
+
+    block_parts = est._block_parts
+    monkeypatch.setattr(est, "_block_parts", spy)
+    N = 256
+    a = laurent(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
+    W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
+    for pair in (None, W):
+        for m in (1, 16):
+            del calls[:]
+            essential_bracket(a, pair, BracketParams(N=N, m=m, L=16,
+                                                     thetas=16))
+            assert len(calls) == 1
+
+
 def test_real_cast_covers_the_leading_columns():
     # W = 1 + i eps z and a = e_{-2}: g = W a W^{-1} is exactly e_{-2}, so
     # its window is real, while the leading column j = 1 < n = 2 is
@@ -254,10 +288,10 @@ def test_real_cast_covers_the_leading_columns():
     W = OuterPair(CoeffVector(IndexWindow(0, N + 15), w),
                   CoeffVector(IndexWindow(0, N + 15), winv), 0.0)
     a = laurent(-2, [1.0])
-    B = assemble_section(a, W, N, m)
+    B = block(a, W, N, m)
     assert abs(B[0, 0] + 1j * eps) <= 1e-22
     assert not np.any(B[:, 1:].imag)
-    up = _sigma_max_dense(a, W, N, m)
+    up = sigma_max(a, W, N, m)
     assert up == sigma_max_of_block(B)
     assert abs(up - math.sqrt(1.0 + eps ** 2)) <= 1e-15 and up > 1.0
 
@@ -301,9 +335,10 @@ def test_gram_band_matches_dense_gram():
             (random_laurent(rng, -3, 7, complex_coeffs), 256, 16),
         ]
     for a, N, m in cases:
-        B = assemble_section(a, None, N, m)
+        B = block(a, None, N, m)
         G = B.conj().T @ B
-        ab = _gram_band(a.coeffs, a.lo, N, m)
+        g, _ = _block_parts(a, None, N, m)
+        ab = _gram_band(g.coeffs, g.lo, N, N - m)
         K, scale = N - m, np.max(np.abs(G))
         for d in range(a.hi - a.lo + 1):
             dev = np.max(np.abs(ab[d, :K - d] - np.diagonal(G, -d)))
@@ -324,25 +359,26 @@ def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
         pytest.skip("NumPy's LAPACK does not export the band driver")
     assert a.hi - a.lo <= (N - m) // _BAND_RATIO
     c = a.coeffs.real if not np.any(a.coeffs.imag) else a.coeffs
-    ab = _gram_band(c, a.lo, N, m)
+    ab = _gram_band(c, a.lo + m, N, N - m)
     lam = _band_eigvalsh(ab)
     assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
     if not np.any(c):
-        assert _sigma_max_banded(a, N, m) == 0.0 and not np.any(lam)
+        assert sigma_max(a, None, N, m) == 0.0 and not np.any(lam)
 
 
 def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
     # a NumPy whose LAPACK lacks the band driver gets the dense upper end,
-    # bitwise, on blocks the banded path would take
+    # bitwise, on blocks that band storage would take
     params = BracketParams(N=256, m=16, L=16, thetas=16)
     cases = [a for _, a in bracket_symbols()]
     cases += [laurent(-1, [1j, 0.0, 0.0, 0.4]), laurent(-1, [0.0, 0.0])]
     monkeypatch.setattr(est, "_numpy_band_evd", lambda: None)
-    monkeypatch.setattr(est, "_sigma_max_banded", None)  # never called
+    for name in ("_gram_band", "_band_eigvalsh"):
+        monkeypatch.setattr(est, name, None)  # never called
     for a in cases:
         assert a.hi - a.lo <= (params.N - params.m) // _BAND_RATIO
         bracket = essential_bracket(a, None, params)
-        dense = _sigma_max_dense(a, None, params.N, params.m)
+        dense = sigma_max_of_block(block(a, None, params.N, params.m))
         assert bracket.upper == max(dense, bracket.lower)
 
 
@@ -365,35 +401,35 @@ def test_band_driver_failure_raises_linalg_error():
 
 
 def test_bracket_both_sides_of_band_cutoff(monkeypatch):
+    # the storage that ran, recorded at its eigenvalue driver
     taken = []
 
-    def recorded(name):
-        f = getattr(est, name)
-
+    def recorded(storage, f):
         def call(*args):
-            taken.append(name)
+            taken.append(storage)
             return f(*args)
         return call
 
-    for name in ("_sigma_max_banded", "_sigma_max_dense"):
-        monkeypatch.setattr(est, name, recorded(name))
+    monkeypatch.setattr(est, "_band_eigvalsh",
+                        recorded("band", est._band_eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        recorded("dense", np.linalg.eigvalsh))
     params = BracketParams(N=256, m=16, L=16, thetas=16)
     cutoff = (params.N - params.m) // _BAND_RATIO
     rng = np.random.default_rng(3)
-    for span, path in ((cutoff, "_sigma_max_banded"),
-                       (cutoff + 1, "_sigma_max_dense")):
+    for span, path in ((cutoff, "band"), (cutoff + 1, "dense")):
         a = random_laurent(rng, -3, span, True)
-        ref = svdvals(assemble_section(a, None, params.N, params.m))[0]
+        ref = svdvals(block(a, None, params.N, params.m))[0]
         del taken[:]
         assert abs(essential_bracket(a, None, params).upper - ref) \
             <= 1e-14 * ref
         assert taken == [path]
 
 
-def test_banded_upper_matches_dense_path():
+def test_banded_upper_matches_dense_path(monkeypatch):
     params = BracketParams()
     for _, a in bracket_symbols():
-        dense = _sigma_max_dense(a, None, params.N, params.m)
+        dense = dense_sigma_max(monkeypatch, a, None, params.N, params.m)
         up = essential_bracket(a, None, params).upper
         assert abs(up - dense) <= 4e-15 * dense
 

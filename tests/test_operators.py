@@ -10,11 +10,10 @@ from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       toeplitz_matrix)
 from toepnorm import acceptance
 from toepnorm.acceptance import identity_residual, rank_ratio
-from toepnorm.estimation import assemble_section
 from toepnorm.operators import _section
 from toepnorm.weights import PowerWeight
 
-from reference import (apply_special_toeplitz, conjugated_reference,
+from reference import (apply_special_toeplitz, block, conjugated_reference,
                        k0_reference, multiply, riesz_project, unit)
 
 
@@ -78,7 +77,7 @@ def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
     expected = toeplitz(col, row)
     assert S.dtype == expected.dtype and S.shape == (rows, cols)
     assert S.tobytes() == expected.tobytes()
-    # assemble_section writes its leading columns into the result in place
+    # estimation._block writes its leading columns into the result in place
     assert S.flags.c_contiguous and S.flags.writeable
 
 
@@ -254,10 +253,10 @@ def test_sections_match_column_reference(N):
             # n = -lo: cutoffs inside, at and past the non-Toeplitz columns
             for m in (1, n, n + 1):
                 if m < N:
-                    assert np.max(np.abs(assemble_section(a, W, N, m)
-                                         - C[:, m:])) <= tol
+                    assert np.max(np.abs(block(a, W, N, m) - C[:, m:])) \
+                        <= tol
                     # one column only, cut inside the non-Toeplitz ones
-                    assert np.max(np.abs(assemble_section(a, W, N, m, 1)
+                    assert np.max(np.abs(block(a, W, N, m, 1)
                                          - C[:, m:m + 1])) <= tol
             K0 = k0_matrix(n, h, W, N)
             assert K0.shape == (N, N)
