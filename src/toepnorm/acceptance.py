@@ -27,9 +27,9 @@ from .estimation import (BracketParams, NormEstimate,
 from .operators import (conjugated_toeplitz_matrix, k0_matrix, symbol_sup,
                         toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow
-from .weights import (PowerWeight, _reciprocal_defect, ap_characteristic,
-                      khvedelidze_ap_check, outer_pair, outer_pair_exact,
-                      outer_pair_refined, sample_power_weight)
+from .weights import (PowerWeight, ap_characteristic, khvedelidze_ap_check,
+                      outer_pair, outer_pair_exact, outer_pair_refined,
+                      sample_power_weight)
 
 _SEED = 20240901
 
@@ -363,6 +363,15 @@ def run_ap_classification():
                          "predicted_growth": predicted,
                          "signal_agrees": all(c.passed for c in checks)})
     return rows, members
+
+
+def _reciprocal_defect(wc: np.ndarray, wic: np.ndarray) -> float:
+    """max_k |(W * 1/W)(k) - delta_0(k)| over the two windows' common
+    leading coefficients."""
+    K = min(len(wc), len(wic))
+    conv = np.convolve(wc[:K], wic[:K])[:K]
+    conv[0] -= 1.0
+    return float(np.max(np.abs(conv)))
 
 
 @_criterion(gate=5.0)

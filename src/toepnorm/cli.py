@@ -5,10 +5,10 @@ Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (p > 1, every size positive,
 a symbol not identically zero and with its squares inside the
 floating-point range, N and the grid a power of two >= 2 when a
-weight is given, verify-identity's N above the symbol's shift order,
-essnorm's m at most N/4 and its packets inside the section) are
-made here, so a bad value is a configuration error that names its flag
-even where no library call would see it.
+weight is given, verify-identity's N above the symbol's shift order
+and at least one weight, essnorm's m at most N/4 and its packets inside
+the section) are made here, so a bad value is a configuration error that
+names its flag even where no library call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -199,6 +199,8 @@ def cmd_verify_identity(args) -> int:
     n, h = csa_decompose(a)
     if args.N <= n:  # the N x N section of T(e_{-n} h) would be all zero
         raise ValueError(f"--N must exceed the symbol's shift order n = {n}")
+    if not args.weight:  # an empty table would read as a pass
+        raise ValueError("verify-identity requires a --weight")
     for size in (args.N, 2 * args.N):
         _check_symbol_scale(a, size, 0, 5e17 * size ** 2 * _ETA)
     weights = [parse_weight(w) for w in args.weight]

@@ -67,12 +67,6 @@ class CoeffVector:
     def hi(self) -> int:
         return self.window.hi
 
-    def coeff(self, n: int) -> complex:
-        """Coefficient at frequency n (zero outside the window)."""
-        if self.lo <= n <= self.hi:
-            return complex(self.coeffs[n - self.lo])
-        return 0.0 + 0.0j
-
     def on_window(self, window: IndexWindow) -> np.ndarray:
         """Coefficients restricted/padded to another window."""
         out = np.zeros(len(window), dtype=complex)

@@ -61,20 +61,11 @@ class PowerWeight:
 
 @dataclass(eq=False)
 class OuterPair:
-    """Boundary coefficients of the outer function W and of 1/W.
-
-    ``residual`` is the construction's own defect: the largest
-    negative-frequency coefficient left over before truncation together with
-    the reciprocal defect max |(W * 1/W)(k) - delta_0(k)| on the common
-    window.  It is not an error bound: for the grid constructions on power
-    weights it sits 1.5-4x below the largest coefficient error against
-    ``outer_pair_exact``, which floors its own residual at 4K*eps for a
-    window of K coefficients.
-    """
+    """Boundary coefficients of the outer function W and of 1/W, each on a
+    window starting at frequency 0; the leading one of W is real positive."""
 
     w_coeffs: CoeffVector
     winv_coeffs: CoeffVector
-    residual: float
 
     def __post_init__(self):
         for c in (self.w_coeffs, self.winv_coeffs):
@@ -90,7 +81,8 @@ def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:
 
     A point with a nonzero exponent whose angle is a grid sample is refused:
     the weight is 0 or infinite there.  sin((theta - a)/2) vanishes only at
-    theta == a, since |theta - a| < 2pi, so the test is exact."""
+    theta == a, since |theta - a| < 2pi, so the test is exact.  A weight
+    whose product takes some sample to 0, inf or 0 * inf is refused too."""
     th = grid_thetas(size)
     vals = np.ones(size)
     for a, lam in w.points:
@@ -98,7 +90,11 @@ def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:
             raise ValueError(f"weight point at angle {a!r} with exponent "
                              f"{lam!r} lies on a sample of the {size}-point "
                              "grid")
-        vals = vals * np.abs(2.0 * np.sin((th - a) / 2.0)) ** lam
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vals = vals * np.abs(2.0 * np.sin((th - a) / 2.0)) ** lam
+    if not np.all((0 < vals) & (vals < np.inf)):
+        raise ValueError(f"weight {w.label()} leaves the floating-point "
+                         f"range on the {size}-point grid")
     return GridFunction(size, vals.astype(complex))
 
 
@@ -165,13 +161,6 @@ def _exp_series(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reciprocal_defect(wc: np.ndarray, wic: np.ndarray) -> float:
-    K = min(len(wc), len(wic))
-    conv = np.convolve(wc[:K], wic[:K])[:K]
-    conv[0] -= 1.0
-    return float(np.max(np.abs(conv)))
-
-
 def _log_spectrum(w: GridFunction, M: int) -> np.ndarray:
     """Coefficients 0..M/2-1 of log w from its grid samples."""
     u = GridFunction(w.size, np.log(_positive_real_samples(w)).astype(complex))
@@ -188,9 +177,7 @@ def _pair_from_log_grid(uh: np.ndarray, size: int,
 
     One synthesis serves both: it is linear and rounds symmetrically in
     sign, so the samples of the negated spectrum are the negated samples,
-    bit for bit.  One analysis over [-(size // 2), win.hi] gives both the
-    negative frequencies, whose largest modulus is the defect, and
-    ``win``, which starts at 0.
+    bit for bit.
     """
     if win.lo != 0:
         raise ValueError("outer coefficient window must start at 0")
@@ -200,16 +187,8 @@ def _pair_from_log_grid(uh: np.ndarray, size: int,
     vhat[1:] *= 2.0
     v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat),
                    size).samples
-    defect = 0.0
-    coeffs = []
-    for samples in (v, -v):
-        wg = GridFunction(size, np.exp(samples))
-        full = analyze(wg, IndexWindow(-(size // 2), win.hi)).coeffs
-        defect = max(defect, float(np.max(np.abs(full[:size // 2]))))
-        coeffs.append(CoeffVector(win, full[size // 2:]))
-    wc, wic = coeffs
-    residual = max(defect, _reciprocal_defect(wc.coeffs, wic.coeffs))
-    return OuterPair(wc, wic, residual)
+    return OuterPair(*(analyze(GridFunction(size, np.exp(samples)), win)
+                       for samples in (v, -v)))
 
 
 def outer_pair(w: GridFunction, win: IndexWindow) -> OuterPair:
@@ -257,9 +236,6 @@ def outer_pair_exact(w: PowerWeight, win: IndexWindow) -> OuterPair:
     """
     if win.lo != 0:
         raise ValueError("outer coefficient window must start at 0")
-    K = win.hi + 1
-    v = _power_log_spectrum(w, K)
-    wc = _exp_series(v)
-    wic = _exp_series(-v)
-    residual = max(_reciprocal_defect(wc, wic), 4.0 * K * np.finfo(float).eps)
-    return OuterPair(CoeffVector(win, wc), CoeffVector(win, wic), residual)
+    v = _power_log_spectrum(w, win.hi + 1)
+    return OuterPair(CoeffVector(win, _exp_series(v)),
+                     CoeffVector(win, _exp_series(-v)))

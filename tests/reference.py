@@ -21,6 +21,13 @@ from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
 
 
+def coeff(c: CoeffVector, k: int) -> complex:
+    """Coefficient of c at frequency k (zero outside its window)."""
+    if c.lo <= k <= c.hi:
+        return complex(c.coeffs[k - c.lo])
+    return 0.0 + 0.0j
+
+
 def unit(n: int) -> CoeffVector:
     """The monomial z**n as a CoeffVector."""
     return CoeffVector(IndexWindow(n, n), np.array([1.0 + 0.0j]))
@@ -69,7 +76,7 @@ def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVecto
     if hf.hi < n:
         return CoeffVector(IndexWindow(0, 0), np.zeros(1, dtype=complex))
     win = IndexWindow(0, hf.hi - n)
-    out = np.array([hf.coeff(k + n) for k in range(len(win))])
+    out = np.array([coeff(hf, k + n) for k in range(len(win))])
     return CoeffVector(win, out)
 
 

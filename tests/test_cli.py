@@ -215,6 +215,26 @@ def test_weight_point_with_exponent_zero_on_a_grid_sample_runs(command,
     assert code == 0 and out and err == ""
 
 
+@pytest.mark.parametrize("args, label, M", [
+    (["ap-check", "--weight", "0:2000", "--grid", "16"], "|t-e^(i0)|^2000",
+     16),
+    (["essnorm", "--symbol=-1:1", "--weight", "0:-200", "--N", "64", "--m",
+      "4", "--L", "8", "--thetas", "8"], "|t-e^(i0)|^-200", 512),
+    (["verify-identity", "--symbol=-1:1", "--weight", "0:2000", "--N", "16"],
+     "|t-e^(i0)|^2000", 256),
+])
+def test_weight_leaving_the_float_range_is_config_error(args, label, M,
+                                                        capsys):
+    # the first grid each subcommand samples: --grid, 8N, and 16N for the
+    # refined pair's doubled grid; refused with no overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(args, capsys)
+    assert code == 2 and out == "" and caught == []
+    assert err == (f"configuration error: weight {label} leaves the "
+                   f"floating-point range on the {M}-point grid\n")
+
+
 # ------------------------------------------------------------ verify-identity
 
 @pytest.mark.parametrize("args", [
@@ -227,6 +247,14 @@ def test_verify_identity_N_must_exceed_the_shift_order(args, capsys):
     code, out, err = run(["verify-identity", *args], capsys)
     assert code == 2
     assert out == "" and "configuration error: --N must" in err
+
+
+def test_verify_identity_without_a_weight_is_config_error(capsys):
+    # no row would be checked, and an empty table reads as a pass
+    code, out, err = run(["verify-identity", "--symbol=-1:1", "--N", "16"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "configuration error: verify-identity requires a --weight\n"
 
 
 def test_verify_identity_passes_for_a2_weight(capsys):

@@ -286,7 +286,7 @@ def test_real_cast_covers_the_leading_columns():
     # successive products, so that w * winv cancels exactly past k = 0
     winv = np.cumprod(np.r_[1.0, np.full(N + 15, -1j * eps)])
     W = OuterPair(CoeffVector(IndexWindow(0, N + 15), w),
-                  CoeffVector(IndexWindow(0, N + 15), winv), 0.0)
+                  CoeffVector(IndexWindow(0, N + 15), winv))
     a = laurent(-2, [1.0])
     B = block(a, W, N, m)
     assert abs(B[0, 0] + 1j * eps) <= 1e-22

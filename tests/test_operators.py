@@ -14,7 +14,7 @@ from toepnorm.operators import _section
 from toepnorm.weights import PowerWeight
 
 from reference import (apply_special_toeplitz, block, conjugated_reference,
-                       k0_reference, multiply, riesz_project, unit)
+                       coeff, k0_reference, multiply, riesz_project, unit)
 
 
 def cv(lo, coeffs):
@@ -87,12 +87,12 @@ def test_apply_special_simple_cases():
     zero = apply_special_toeplitz(1, unit(0), unit(0))
     assert np.all(zero.coeffs == 0)
     down = apply_special_toeplitz(1, unit(0), unit(1))
-    assert down.coeff(0) == 1 and down.hi == 0
+    assert coeff(down, 0) == 1 and down.hi == 0
 
 
 def test_apply_special_worked_example():
     out = apply_special_toeplitz(2, cv(0, [1.0, 1.0]), cv(0, [1.0, 1.0]))
-    assert out.coeff(0) == 1 and np.all(out.coeffs[1:] == 0)
+    assert coeff(out, 0) == 1 and np.all(out.coeffs[1:] == 0)
 
 
 def test_apply_special_matches_projection_oracle():
@@ -104,7 +104,7 @@ def test_apply_special_matches_projection_oracle():
         full = cv(-n, h.coeffs.copy())
         oracle = riesz_project(multiply(full, f))
         for k in range(0, max(fast.hi, oracle.hi) + 1):
-            assert fast.coeff(k) == oracle.coeff(k)
+            assert coeff(fast, k) == coeff(oracle, k)
 
 
 def test_apply_special_rejects_nonanalytic():
@@ -270,8 +270,7 @@ def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
         for W in reference_pairs(N):
             short = OuterPair(
                 CoeffVector(IndexWindow(0, K - 1), W.w_coeffs.coeffs[:K]),
-                CoeffVector(IndexWindow(0, K - 1), W.winv_coeffs.coeffs[:K]),
-                W.residual)
+                CoeffVector(IndexWindow(0, K - 1), W.winv_coeffs.coeffs[:K]))
             assert np.array_equal(conjugated_toeplitz_matrix(a, short, N),
                                   conjugated_toeplitz_matrix(a, W, N))
 
@@ -290,12 +289,12 @@ def test_section_norm_bounded_by_symbol_sup():
 def test_csa_decompose_examples():
     n, h = csa_decompose(cv(-2, [1.0, 0.0, 0.0, 3.0]))
     assert n == 2
-    assert h.coeff(0) == 1 and h.coeff(3) == 3
+    assert coeff(h, 0) == 1 and coeff(h, 3) == 3
 
     analytic = cv(1, [2.0, 0.0, 1.0])
     n2, h2 = csa_decompose(analytic)
     assert n2 == 1
-    assert h2.coeff(2) == 2 and h2.coeff(4) == 1
+    assert coeff(h2, 2) == 2 and coeff(h2, 4) == 1
 
 
 def test_csa_decompose_roundtrip_bitwise():
@@ -304,4 +303,4 @@ def test_csa_decompose_roundtrip_bitwise():
     n, h = csa_decompose(a)
     rebuilt = cv(-n, h.coeffs)
     for k in range(min(rebuilt.lo, a.lo), max(rebuilt.hi, a.hi) + 1):
-        assert rebuilt.coeff(k) == a.coeff(k)
+        assert coeff(rebuilt, k) == coeff(a, k)

@@ -9,10 +9,12 @@ from toepnorm import (CoeffVector, GridFunction, IndexWindow, analyze,
                       ap_characteristic, khvedelidze_ap_check, outer_pair,
                       outer_pair_exact, outer_pair_refined,
                       sample_power_weight, synthesize)
+from toepnorm import weights
+from toepnorm.acceptance import _reciprocal_defect
 from toepnorm.spectral import grid_thetas
-from toepnorm.weights import PowerWeight, _reciprocal_defect
+from toepnorm.weights import PowerWeight
 
-from reference import multiply, schwarz_outer
+from reference import coeff, multiply, schwarz_outer
 
 
 def single(lam, angle=0.0):
@@ -91,10 +93,11 @@ def test_ap_characteristic_rejects_nonpositive():
 def test_outer_pair_constant_weight():
     w = GridFunction(64, 4.0 * np.ones(64, dtype=complex))
     pair = outer_pair(w, IndexWindow(0, 15))
-    assert abs(pair.w_coeffs.coeff(0) - 4.0) < 1e-13
-    assert abs(pair.winv_coeffs.coeff(0) - 0.25) < 1e-13
+    assert abs(coeff(pair.w_coeffs, 0) - 4.0) < 1e-13
+    assert abs(coeff(pair.winv_coeffs, 0) - 0.25) < 1e-13
     assert np.max(np.abs(pair.w_coeffs.coeffs[1:])) < 1e-13
-    assert pair.residual <= 1e-14
+    assert _reciprocal_defect(pair.w_coeffs.coeffs,
+                              pair.winv_coeffs.coeffs) <= 1e-14
 
 
 def test_outer_pair_refined_absolute_value_weight():
@@ -117,7 +120,7 @@ def test_outer_pair_grid_bias_on_cusped_weight_is_order_one_over_m():
     # weights; it must stay at that scale, no worse.
     w = sample_power_weight(single(1.0), 1024)
     pair = outer_pair(w, IndexWindow(0, 15))
-    assert abs(pair.w_coeffs.coeff(0) - 1.0) < 2e-3
+    assert abs(coeff(pair.w_coeffs, 0) - 1.0) < 2e-3
 
 
 def test_outer_reciprocal_consistency():
@@ -133,7 +136,6 @@ def test_outer_reciprocal_consistency():
     defect = prod.coeffs[:256].copy()
     defect[0] -= 1
     assert np.max(np.abs(defect)) <= 1e-6
-    assert np.max(np.abs(defect)) <= refined.residual * (1 + 1e-9) + 1e-15
 
 
 def test_outer_pair_modulus_matches_weight_on_grid():
@@ -158,24 +160,22 @@ def test_outer_pair_leading_coefficient_normalization():
                             IndexWindow(0, 63)),
                  outer_pair_refined(single(-0.3), 512, IndexWindow(0, 63)),
                  outer_pair_exact(single(0.25), IndexWindow(0, 63))):
-        c0 = pair.w_coeffs.coeff(0)
+        c0 = coeff(pair.w_coeffs, 0)
         assert c0.real > 0
         assert abs(c0.imag) < 1e-12
 
 
 def two_analyze_pair(uh, size, win):
-    """The outer pair from the log spectrum ``uh`` with the negative
-    frequencies and ``win`` analyzed in two separate FFTs."""
-    coeffs, defect = [], 0.0
+    """The outer pair from the log spectrum ``uh`` with W and 1/W each
+    synthesized from its own signed spectrum."""
+    coeffs = []
     for sign in (1.0, -1.0):
         v = sign * uh
         v[1:] *= 2.0
         wg = GridFunction(size, np.exp(synthesize(
             CoeffVector(IndexWindow(0, len(v) - 1), v), size).samples))
-        neg = analyze(wg, IndexWindow(-(size // 2), -1)).coeffs
-        defect = max(defect, float(np.max(np.abs(neg))))
         coeffs.append(analyze(wg, win).coeffs)
-    return (*coeffs, max(defect, _reciprocal_defect(*coeffs)))
+    return coeffs
 
 
 def log_spectrum(pw, M):
@@ -187,7 +187,7 @@ def log_spectrum(pw, M):
 @pytest.mark.parametrize("pw", [single(0.3), single(-0.3),
                                 PowerWeight(((0.0, 0.25), (math.pi, -0.25)))])
 def test_outer_pairs_match_the_two_fft_form_bitwise(pw):
-    # one analysis over both windows changes no bit of either pair
+    # one synthesis serving W and 1/W changes no bit of either window
     for N, n in ((128, 1), (256, 3), (1024, 3)):
         win = IndexWindow(0, N + n + 15)
         pairs = [(outer_pair(sample_power_weight(pw, 8 * N), win),
@@ -198,10 +198,38 @@ def test_outer_pairs_match_the_two_fft_form_bitwise(pw):
                   - log_spectrum(pw, 8 * N))
             pairs.append((outer_pair_refined(pw, 8 * N, win),
                           two_analyze_pair(uh, 16 * N, win)))
-        for pair, (wc, wic, residual) in pairs:
+        for pair, (wc, wic) in pairs:
             assert np.array_equal(pair.w_coeffs.coeffs, wc)
             assert np.array_equal(pair.winv_coeffs.coeffs, wic)
-            assert pair.residual == residual
+
+
+def test_outer_pairs_analyze_no_negative_frequency(monkeypatch):
+    # a pair is its two windows from frequency 0 up; nothing below 0 is read
+    windows = []
+
+    def spy(f, win):
+        windows.append(win)
+        return analyze(f, win)
+
+    monkeypatch.setattr(weights, "analyze", spy)
+    pw = single(0.3)
+    weights.outer_pair(sample_power_weight(pw, 256), IndexWindow(0, 40))
+    weights.outer_pair_refined(pw, 256, IndexWindow(0, 40))
+    weights.outer_pair_exact(pw, IndexWindow(0, 40))
+    assert windows and all(win.lo == 0 for win in windows)
+
+
+@pytest.mark.parametrize("points", [((0.0, 2000.0),), ((0.0, -300.0),),
+                                    ((0.0, -2000.0), (0.5, 2000.0))])
+def test_weight_leaving_the_float_range_is_refused(points):
+    # overflow to inf, underflow to 0, or their product nan: each refused
+    # by name, with no floating-point warning
+    pw = PowerWeight(points)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError) as info:
+            sample_power_weight(pw, 64)
+    assert str(info.value) == (f"weight {pw.label()} leaves the "
+                               "floating-point range on the 64-point grid")
 
 
 def test_outer_pair_rejects_bad_input():
