@@ -193,13 +193,12 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
     return cells, checks
 
 
-def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
-                      params: BracketParams
-                      ) -> tuple[NormEstimate, list[NormEstimate], list[float]]:
-    """The unweighted bracket of ``a``, one bracket per weight, and each
-    weighted upper end's deviation |upper_w - upper_0| from the unweighted.
+def weighted_bracket(a: CoeffVector, pw: PowerWeight, params: BracketParams,
+                     base: NormEstimate) -> NormEstimate:
+    """The bracket of ``a`` on the section weighted by ``pw``, given the
+    unweighted bracket ``base``.
 
-    Each weight's outer pair is the one-grid construction from 8N samples
+    The weight's outer pair is the one-grid construction from 8N samples
     on the outer window [0, N + n - 1], n = max(0, -lo), the coefficients
     the section reads, and the grid error of an exponent lambda scales like
     M^-(1 - |lambda|) in the grid size M = 8N.
@@ -207,14 +206,22 @@ def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
     are exactly 1, its outer pair is exactly (1, 1) and its section a
     bitwise copy of the unweighted one, so it shares the unweighted bracket.
     """
+    if all(lam == 0.0 for _, lam in pw.points):
+        return base
     N = params.N
-    n_neg = max(0, -a.lo)
+    W = outer_pair(sample_power_weight(pw, 8 * N),
+                   IndexWindow(0, N + max(0, -a.lo) - 1))
+    return essential_bracket(a, W, params)
+
+
+def weighted_brackets(a: CoeffVector, weights: list[PowerWeight],
+                      params: BracketParams
+                      ) -> tuple[NormEstimate, list[NormEstimate], list[float]]:
+    """The unweighted bracket of ``a``, one bracket per weight
+    (:func:`weighted_bracket`), and each weighted upper end's deviation
+    |upper_w - upper_0| from the unweighted."""
     base = essential_bracket(a, None, params)
-    ests = [base if all(lam == 0.0 for _, lam in pw.points)
-            else essential_bracket(
-                a, outer_pair(sample_power_weight(pw, 8 * N),
-                              IndexWindow(0, N + n_neg - 1)), params)
-            for pw in weights]
+    ests = [weighted_bracket(a, pw, params, base) for pw in weights]
     return base, ests, [abs(est.upper - base.upper) for est in ests]
 
 

@@ -18,12 +18,15 @@ routine here:
   SVD: that eigenvalue has absolute error O(eps ||G||) = O(eps sigma_max^2),
   so sigma_max keeps relative error O(eps); squaring hurts only the small
   singular values (Golub & Van Loan, Matrix Computations, 8.6; Demmel,
-  Applied Numerical Linear Algebra, 5.4).  The eigenvalues come from a
-  full-spectrum driver, since the top of the spectrum clusters.  One
-  routine, ``_sigma_max``, takes them: G is held in band storage when the
-  block's coefficient window spans at most (N - m) // 32 (every narrow
-  unweighted block and no weighted one), and formed densely otherwise; B
-  is real when its entries are, to the relative level ``_REAL_CAST_RTOL``.
+  Applied Numerical Linear Algebra, 5.4).  One routine, ``_sigma_max``,
+  takes it: LAPACK reduces G to a real symmetric tridiagonal T, and
+  lambda_max(T) alone is found by bisection on the sign of the LDL^T pivots
+  of sI - T, a test that is monotone in s under IEEE rounding, so it stays
+  exact where the top of the spectrum clusters (``_tridiagonal_top``).  G
+  is held in band storage when the block's coefficient window spans at
+  most (N - m) // 32 (every narrow unweighted block and no weighted one),
+  and formed densely otherwise; B is real when its entries are, to the
+  relative level ``_REAL_CAST_RTOL``.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
   m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
@@ -41,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +61,15 @@ from .weights import OuterPair
 _REAL_CAST_RTOL = 1e-12
 
 # A block whose coefficient window spans at most (N - m) // this ratio
-# takes sigma_max from the banded Gram matrix.  Measured crossover
-# (2 vCPUs, OpenBLAS, two threads, medians of 5): at N - m = 960 the banded
-# path takes 61 ms at span 32 against 81 ms dense and loses by span 64
-# (102 against 78 ms); at N - m = 1984 it takes 406 ms at span 64 against
-# 621 ms and breaks even near span 96.
+# takes sigma_max from the banded Gram matrix.  Measured crossover of
+# ``_sigma_max`` (2 vCPUs, OpenBLAS, two threads, medians of 5, two runs;
+# both storages end in the same bisection): at N - m = 960 the banded path
+# takes 37-39 ms at span 32 against 51-56 ms dense, still wins at span 48
+# (49-62 against 58-70 ms) and loses by span 64 (72 against 52 ms); at
+# N - m = 1984 it takes 342-351 ms at span 64 against 446-457 ms and
+# breaks even near span 96 (465-539 against 460-520 ms).  The crossover
+# sits where it did with sterf ending both paths, so the ratio keeps its
+# margin.
 _BAND_RATIO = 32
 
 
@@ -135,9 +143,13 @@ def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
 
 
 @functools.cache
-def _numpy_band_evd():
-    """NumPy's own LAPACKE band eigenvalue drivers, keyed by band dtype, or
-    None when NumPy's LAPACK does not export them.
+def _numpy_lapack():
+    """NumPy's own LAPACKE routines for the top Gram eigenvalue, or None when
+    NumPy's LAPACK does not export them: the Householder reductions of a
+    Hermitian matrix to a real symmetric tridiagonal from band storage
+    (sbtrd/hbtrd) and from dense storage (sytrd/hetrd), each keyed by dtype,
+    and the LDL^T factorisation of a symmetric positive definite tridiagonal
+    (pttrf).
 
     NumPy's wheels link a scipy-openblas LAPACK with 64-bit integers whose
     symbols carry a ``64_`` suffix; loading the extension module that
@@ -147,39 +159,152 @@ def _numpy_band_evd():
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        drivers = {np.dtype(np.float64): lib.scipy_LAPACKE_dsbevd64_,
-                   np.dtype(np.complex128): lib.scipy_LAPACKE_zhbevd64_}
+        band = {np.dtype(np.float64): lib.scipy_LAPACKE_dsbtrd64_,
+                np.dtype(np.complex128): lib.scipy_LAPACKE_zhbtrd64_}
+        dense = {np.dtype(np.float64): lib.scipy_LAPACKE_dsytrd64_,
+                 np.dtype(np.complex128): lib.scipy_LAPACKE_zhetrd64_}
+        pttrf = lib.scipy_LAPACKE_dpttrf64_
     except (OSError, AttributeError):
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for f in drivers.values():
-        # (layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz) -> info
-        f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64,
-                      ptr, i64, ptr, ptr, i64]
+    i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    for f in band.values():
+        # (layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq) -> info
+        f.argtypes = [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr, ptr,
+                      ptr, i64]
+    for f in dense.values():
+        # (layout, uplo, n, a, lda, d, e, tau) -> info
+        f.argtypes = [ctypes.c_int, char, i64, ptr, i64, ptr, ptr, ptr]
+    pttrf.argtypes = [i64, ptr, ptr]  # (n, d, e) -> info
+    for f in (*band.values(), *dense.values(), pttrf):
         f.restype = i64
-    return drivers
+    return band, dense, pttrf
 
 
-def _band_eigvalsh(ab: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix G whose lower band
-    storage is ab[d, p] = G[p + d, p] (real or complex), from sbevd/hbevd
-    with jobz = 'N': band-to-tridiagonal reduction, then sterf.
-
-    The driver is NumPy's LAPACK (``_numpy_band_evd``), which must export
-    it; ``_sigma_max`` takes the dense path where it does not.
-    """
-    # a column-major (kd + 1) x n copy (layout 102, LAPACK_COL_MAJOR): the
-    # driver overwrites its band
-    ab = np.array(ab, order="F")
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    w = np.empty(n)
-    info = _numpy_band_evd()[ab.dtype](102, b"N", b"L", n, kd,
-                                       ab.ctypes.data, kd + 1, w.ctypes.data,
-                                       None, 1)
+def _lapack_info(info: int, what: str) -> None:
     if info != 0:
-        raise np.linalg.LinAlgError(
-            f"banded eigenvalue driver failed (info = {info})")
-    return w
+        raise np.linalg.LinAlgError(f"{what} failed (info = {info})")
+
+
+def _tridiagonal(G: np.ndarray, band: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal e of the real symmetric tridiagonal
+    T = Q^H G Q to which LAPACK's Householder reduction takes the Hermitian
+    K x K matrix G (Q is not formed), from NumPy's LAPACK
+    (``_numpy_lapack``), which must export it.
+
+    With ``band``, G is given by its lower band storage G[d, p] of
+    ``_gram_band`` and reduced by sbtrd/hbtrd in O(K^2 u) (Schwarz, Numer.
+    Math. 12, 1968), on a column-major copy.  Otherwise G is the C-ordered
+    K x K matrix itself, reduced in place (it is overwritten) by sytrd/hetrd
+    with uplo = 'L' on the column-major view of its buffer, which is G^T:
+    for G exactly Hermitian that is conj(G), whose reduction gives the same
+    d and e bit for bit, and these are the ones on which NumPy's eigvalsh
+    (syevd/heevd, uplo 'L') runs sterf.  Both reductions are the first step
+    of LAPACK's full-spectrum drivers (sbevd/hbevd, syevd/heevd).
+    """
+    band_trd, dense_trd, _ = _numpy_lapack()
+    K = G.shape[1]
+    d, e = np.empty(K), np.empty(max(K - 1, 0))
+    if band:
+        ab = np.array(G, order="F")
+        kd = ab.shape[0] - 1
+        _lapack_info(band_trd[ab.dtype](102, b"N", b"L", K, kd,
+                                        ab.ctypes.data, kd + 1, d.ctypes.data,
+                                        e.ctypes.data, None, 1),
+                     "band tridiagonal reduction")
+    else:
+        if G.shape != (K, K) or not G.flags.c_contiguous:
+            raise ValueError("dense reduction needs a square C-ordered "
+                             "matrix")
+        tau = np.empty(max(K - 1, 1), dtype=G.dtype)
+        _lapack_info(dense_trd[G.dtype](102, b"L", K, G.ctypes.data, K,
+                                        d.ctypes.data, e.ctypes.data,
+                                        tau.ctypes.data),
+                     "dense tridiagonal reduction")
+    return d, e
+
+
+def _order_key(x: float) -> int:
+    # consecutive integers for adjacent doubles, in the doubles' order
+    # (-0.0 and 0.0 share 0): the IEEE bit pattern, sign-magnitude
+    k = struct.unpack("<q", struct.pack("<d", x))[0]
+    return k if k >= 0 else -(k & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_order_key(k: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return x if k >= 0 else -x
+
+
+def _tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
+    """lambda_max of the real symmetric tridiagonal T with diagonal d and
+    off-diagonal e, by bisection on a positive-definiteness test (Kahan,
+    Accurate eigenvalues of a symmetric tri-diagonal matrix, Stanford CS41,
+    1966; Demmel, Dhillon & Ren, ETNA 3, 1995).
+
+    The test.  sI - T is positive definite iff s > lambda_max, iff every
+    pivot p_1 = s - d_1, p_i = (s - d_i) - e_(i-1)^2 / p_(i-1) of its LDL^T
+    factorisation is positive; pttrf computes them, in that order, as
+    p_i = fl(fl(s - d_i) - fl(e_(i-1) fl(e_(i-1) / p_(i-1)))) and stops at
+    the first that is not positive.  IEEE rounding is monotone, so each
+    computed pivot is nondecreasing in s while the earlier ones are
+    positive: the computed test is monotone in s too.  Bisection therefore
+    finds, between two adjacent doubles lo < hi, the threshold where it
+    turns; it runs on the doubles' order keys (``_order_key``), so it ends
+    after at most 64 steps, each one O(K) pttrf.  It starts from
+    [max d, the Gershgorin bound max(d_i + |e_(i-1)| + |e_i|)]: s = max d
+    fails the test exactly (its pivot fl(s - d_i) - (>= 0) is <= 0), and
+    where the rounded Gershgorin bound passes it too the search continues
+    up to +inf, where every pivot is +inf.  The value returned is lo, the
+    greatest double that fails, so a diagonal T gives max d exactly.
+
+    Its error.  Dividing the computed p_i by its two roundings
+    (1 + alpha_i)(1 + delta_i) of fl(s - d_i) and of the subtraction gives
+    the exact pivots, with the same signs, of sI - T~ for T~ with diagonal d
+    and off-diagonal e~_i = e_i (1 + eps_i), |eps_i| <= 2.5 u + O(u^2)
+    (five roundings under the square root; u = 2^-53, no underflow).  By
+    Weyl, |lambda_max(T~) - lambda_max(T)| <= ||T~ - T||_2 <= 5 u max|e|,
+    so, with the last ulp of the bracket,
+
+        |returned - lambda_max(T)| <= 2 u |lambda_max| + 5 u max|e|.
+
+    sterf, which the full-spectrum drivers end with, is backward stable on
+    the same T: its eigenvalues are those of T + dT, ||dT||_2 <= p(K) u
+    ||T||_2, p a modestly growing function (LAPACK Users' Guide, 4.7), which
+    for rounding errors of random sign is sqrt(K) (Higham & Mary, SIAM J.
+    Sci. Comput. 41, 2019).  The two tops agree to the sum of the bounds;
+    for the positive semidefinite T of a Gram matrix (max|e| <= lambda_max
+    = ||T||_2) that is (7 + sqrt(K)) u relative, 4.2e-15 at K = 960.  T must
+    be finite with a finite Gershgorin bound; a NaN in d, or in e through
+    that bound, makes LAPACKE refuse the factorisation (info = -2), which
+    raises.
+    """
+    pttrf = _numpy_lapack()[2]
+    # pttrf reads doubles through the pointers
+    d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    K = len(d)
+
+    def definite(s: float) -> bool:
+        # sI - T has off-diagonal -e; pttrf reads it only through e^2 / p,
+        # whose sign it does not change, and overwrites both arrays
+        p, q = s - d, e.copy()
+        info = pttrf(K, p.ctypes.data, q.ctypes.data)
+        if info < 0:
+            _lapack_info(info, "tridiagonal LDL^T factorisation")
+        return info == 0
+
+    r = np.abs(e)
+    lo = float(np.max(d))
+    hi = float(np.max(d + np.r_[r, 0.0] + np.r_[0.0, r]))
+    if not definite(hi):
+        lo, hi = hi, math.inf
+    klo, khi = _order_key(lo), _order_key(hi)
+    while khi - klo > 1:
+        mid = (klo + khi) // 2
+        if definite(_from_order_key(mid)):
+            khi = mid
+        else:
+            klo = mid
+    return _from_order_key(klo)
 
 
 def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
@@ -232,27 +357,29 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
 
     The real cast is decided once, on the coefficient windows B repeats (the
     values of g that its Toeplitz columns hold, and its leading columns), so
-    no matrix is scanned for it.  The eigenvalues come from a full-spectrum
-    driver: the single-eigenvalue drivers (evr, evx) and bisection for the
-    top eigenvalue alone (stebz, RANGE = 'I': INFO = 2) break down when the
+    no matrix is scanned for it.  G is reduced to a real symmetric
+    tridiagonal T by LAPACK (``_tridiagonal``), and lambda_max(T) is taken
+    alone, by bisection (``_tridiagonal_top``): O(K) per step, against the
+    O(K^2) of sterf's whole spectrum.  The bisection stays exact where the
     top of the spectrum clusters, as it does for a unimodular symbol, where
-    G is close to I; after tridiagonalisation the whole spectrum costs only
-    O(K^2) more.
+    G is close to I; LAPACK's single-eigenvalue drivers do not: there stebz
+    with RANGE = 'I' returns INFO = 2 and no eigenvalue, and stemr returns
+    a value under the top with no error.
 
     When g spans u = hi - lo <= K // _BAND_RATIO, G has bandwidth u and is
-    taken in band storage (``_gram_band``), and LAPACK's banded driver
-    (``_band_eigvalsh``: O(K^2 u) band reduction, Schwarz, Numer. Math. 12,
-    1968; LAPACK sbtrd; then sterf) replaces the O(K^3) dense path, where
-    NumPy's LAPACK exports it.  Every such block is unweighted: a weighted
-    g = w * a * winv spans at least 2(N + n) - 2, since ``_block_parts``
-    refuses shorter pair windows, so no block in band storage has leading
-    columns.  Otherwise B is built real or complex from the start, a real B
-    forms G as B.T @ B (syrk) with no conjugated copy, and G goes to
-    syevd/heevd.  Product and eigenvalues both run in NumPy's BLAS, which
-    builds the sections too; a second BLAS in the process (SciPy's, tried
-    for this step) made it about twice as slow at N = 1024 (two BLAS
-    threads, 2-vCPU box), the idle workers of one library competing with
-    the other's.
+    held in band storage (``_gram_band``), whose reduction (sbtrd/hbtrd,
+    O(K^2 u)) replaces the O(K^3) dense one.  Every such block is
+    unweighted: a weighted g = w * a * winv spans at least 2(N + n) - 2,
+    since ``_block_parts`` refuses shorter pair windows, so no block in band
+    storage has leading columns.  Otherwise B is built real or complex from
+    the start, a real B forms G as B.T @ B (syrk) with no conjugated copy,
+    and G is reduced in place by sytrd/hetrd.  Product and reductions both
+    run in NumPy's BLAS and LAPACK, which build the sections too; a second
+    BLAS in the process (SciPy's, tried for this step) made it about twice
+    as slow at N = 1024 (two BLAS threads, 2-vCPU box), the idle workers of
+    one library competing with the other's.  Where NumPy's LAPACK does not
+    export the routines (``_numpy_lapack`` is None), every block takes the
+    dense G to NumPy's eigvalsh, whose top eigenvalue is sterf's.
     """
     p0 = lead.shape[1]
     # columns p >= p0 of the section of g hold its values at -p .. N-1-p
@@ -261,14 +388,17 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
     real = _real_cast(toeplitz, lead)
     if real is None:
         return 0.0
-    if g.hi - g.lo <= K // _BAND_RATIO and _numpy_band_evd() is not None:
+    lapack = _numpy_lapack() is not None
+    if g.hi - g.lo <= K // _BAND_RATIO and lapack:
         c = g.coeffs.real if real else g.coeffs
-        lam = _band_eigvalsh(_gram_band(c, g.lo, N, K))[-1]
+        lam = _tridiagonal_top(*_tridiagonal(_gram_band(c, g.lo, N, K),
+                                             band=True))
     else:
         B = _block(g, lead, N, K, real)
         G = B.T @ B if real else B.conj().T @ B
-        del B  # eigvalsh works on a copy of G; B need not outlive the product
-        lam = np.linalg.eigvalsh(G)[-1]
+        del B  # B need not outlive the product
+        lam = (_tridiagonal_top(*_tridiagonal(G, band=False)) if lapack
+               else np.linalg.eigvalsh(G)[-1])
     return math.sqrt(max(float(lam), 0.0))
 
 
@@ -316,13 +446,15 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     """Bracket the essential norm on one shared section A.
 
     The upper end is ||A (I - P_m)|| = sigma_max(A[:, m:]), the square root
-    of the top eigenvalue of the Gram matrix from a full-spectrum driver
-    (the top of a Toeplitz section's singular spectrum clusters too tightly
-    for power iteration or a single-eigenvalue driver), from one
-    ``_sigma_max``: band storage when the block's window spans at most
-    (N - m) // _BAND_RATIO and NumPy's LAPACK exports the band driver
-    (``_numpy_band_evd``), which holds for every narrow unweighted block
-    and no weighted one; dense storage otherwise.  The choice changes
+    of the top eigenvalue of the Gram matrix, from one ``_sigma_max``: the
+    Gram matrix is reduced to a tridiagonal T, whose top eigenvalue alone is
+    found by bisection on a positive-definiteness test (the top of a
+    Toeplitz section's singular spectrum clusters too tightly for power
+    iteration or LAPACK's single-eigenvalue drivers, but the test stays
+    monotone there).  Band storage when the block's window spans at most
+    (N - m) // _BAND_RATIO and NumPy's LAPACK exports the reductions
+    (``_numpy_lapack``), which holds for every narrow unweighted block and
+    no weighted one; dense storage otherwise.  The choice changes
     sigma_max by rounding only; on a given build it rests on the block's
     structure alone.  The lower end is the largest ||A u_theta|| over the
     wave packets on columns m .. m+L-1, applied as the complex columns

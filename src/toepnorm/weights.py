@@ -59,6 +59,11 @@ class PowerWeight:
         return "*".join(f"|t-e^(i{a:.6g})|^{lam:.6g}" for a, lam in self.points)
 
 
+class OuterPairError(ValueError):
+    """An outer pair refused because its leading coefficient is not real
+    positive: the construction failed for this weight."""
+
+
 @dataclass(eq=False)
 class OuterPair:
     """Boundary coefficients of the outer function W and of 1/W, each on a
@@ -73,7 +78,8 @@ class OuterPair:
                 raise ValueError("outer coefficient windows must start at 0")
         c0 = self.w_coeffs.coeffs[0]
         if not (c0.real > 0 and abs(c0.imag) <= 1e-12 * max(1.0, c0.real)):
-            raise ValueError("leading outer coefficient must be real positive")
+            raise OuterPairError("leading outer coefficient must be real "
+                                 "positive")
 
 
 def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:

@@ -116,20 +116,56 @@ def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
     return _block(*_block_parts(a, W, N, m), N, cols)
 
 
-def sigma_max_of_block(B: np.ndarray) -> float:
-    """sqrt(lambda_max(B^H B)) of an assembled complex block, with the real
-    cast decided on the whole matrix: real when max |Im B| is at most 1e-12
-    max |B|, then G = B.T @ B of a contiguous copy of B.real, else
-    G = B^H B; the top eigenvalue from eigvalsh."""
+def gram_of_block(B: np.ndarray) -> np.ndarray | None:
+    """B^H B of an assembled complex block, with the real cast decided on
+    the whole matrix: real when max |Im B| is at most 1e-12 max |B|, then
+    G = B.T @ B of a contiguous copy of B.real, else G = B^H B; None for a
+    zero block."""
     scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale == 0.0:
-        return 0.0
+        return None
     if np.max(np.abs(B.imag)) <= 1e-12 * scale:
         B = np.ascontiguousarray(B.real)
-        G = B.T @ B
-    else:
-        G = B.conj().T @ B
+        return B.T @ B
+    return B.conj().T @ B
+
+
+def sigma_max_of_block(B: np.ndarray) -> float:
+    """sqrt(lambda_max(B^H B)) of an assembled complex block, the Gram
+    matrix of ``gram_of_block``; the top eigenvalue from eigvalsh."""
+    G = gram_of_block(B)
+    if G is None:
+        return 0.0
     return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
+
+
+def tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
+    """lambda_max of the symmetric tridiagonal with diagonal d and
+    off-diagonal e, by plain bisection on the Sturm sequence in long double
+    (Wilkinson, The Algebraic Eigenvalue Problem, 5.37) to 2^-60 relative:
+    the largest s found at which some pivot of the LDL^T of sI - T is not
+    positive.  Where long double carries 64 bits of mantissa
+    (``np.finfo(np.longdouble).nmant`` is 63) that is 2^-7 of a double's
+    unit roundoff, and its own rounding perturbs T by 2^-11 of a double
+    computation's."""
+    ld = np.longdouble
+    d, e2 = d.astype(ld), e.astype(ld) ** 2
+    r = np.abs(e).astype(ld)
+    lo = np.max(d)
+    hi = np.max(d + np.r_[r, ld(0)] + np.r_[ld(0), r]) + 1
+    # until 2^-60 relative, or an absolute 1e-320 under any float64 normal
+    while hi - lo > max(ld(2.0) ** -60 * max(abs(lo), abs(hi)), ld(1e-320)):
+        s = (lo + hi) / 2
+        p = s - d[0]
+        for i in range(1, len(d)):
+            if p <= 0:
+                break
+            p = (s - d[i]) - e2[i - 1] / p
+        if p > 0:
+            hi = s
+        else:
+            lo = s
+    return lo
 
 
 def schwarz_outer(w: GridFunction, z: complex) -> complex:

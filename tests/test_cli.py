@@ -235,6 +235,23 @@ def test_weight_leaving_the_float_range_is_config_error(args, label, M,
                    f"floating-point range on the {M}-point grid\n")
 
 
+@pytest.mark.parametrize("args, label", [
+    (["verify-identity", "--symbol=-1:1", "--weight", "0:150", "--N", "16"],
+     "|t-e^(i0)|^150"),
+    (["essnorm", "--symbol=-1:1", "--weight", "0:0.3", "--weight", "1.0:0.3",
+      "--N", "256", "--m", "16", "--L", "16", "--thetas", "16"],
+     "|t-e^(i1)|^0.3"),
+])
+def test_refused_outer_pair_names_its_weight(args, label, capsys):
+    # the refined pair of |t-1|^150 and the grid pair of an off-axis weight
+    # get a leading coefficient with a phase; the message says which
+    # --weight, after the library's own text
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err == (f"configuration error: --weight {label}: leading outer "
+                   "coefficient must be real positive\n")
+
+
 # ------------------------------------------------------------ verify-identity
 
 @pytest.mark.parametrize("args", [
@@ -515,10 +532,14 @@ def test_cold_start_loads_no_scipy():
 _NO_SCIPY = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # any import of SciPy now raises ImportError
+import numpy as np
 from toepnorm import cli, estimation
 
-if sys.argv[1] == "dense":  # as on a NumPy whose LAPACK lacks the driver
-    estimation._numpy_band_evd = lambda: None
+eigvalsh, dense = np.linalg.eigvalsh, []
+np.linalg.eigvalsh = lambda G: dense.append(len(G)) or eigvalsh(G)
+if sys.argv[1] == "dense":  # as on a NumPy whose LAPACK lacks the routines
+    estimation._numpy_lapack = lambda: None
+    estimation._tridiagonal = None  # never called
 argvs = [["ap-check", "--weight", "0:0.3", "--grid", "64"],
          ["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
           "--N", "16"]]
@@ -527,18 +548,20 @@ argvs += [["essnorm", "--symbol=-1:1,2:0.5", *weight, "--N", "256",
           for weight in ([], ["--weight", "0:0.3"])]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
-print(json.dumps(codes))
+print(json.dumps([codes, len(dense)]))
 """
 
 
 @pytest.mark.parametrize("band", ["numpy", "dense"])
 def test_subcommands_run_without_scipy(band):
     # SciPy is only a test dependency: with its import blocked, every
-    # subcommand runs, on NumPy's band driver and on the dense path that
-    # replaces it where NumPy's LAPACK does not export it
+    # subcommand runs, on NumPy's LAPACK reductions and on the dense path
+    # that replaces them where NumPy's LAPACK does not export them, where
+    # each of the three brackets' blocks goes to eigvalsh
     proc = _run_python("-c", _NO_SCIPY, band)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 0, 0, 0]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0],
+                                       3 if band == "dense" else 0]
 
 
 @pytest.mark.parametrize("script, args, header, rows", [

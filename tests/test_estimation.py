@@ -5,19 +5,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigvals_banded, svdvals
+from scipy.linalg.lapack import dsterf
 
 import toepnorm.estimation as est
 from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
                       operators, outer_pair, outer_pair_exact,
                       sample_power_weight, symbol_sup)
-from toepnorm.acceptance import bracket_symbols
-from toepnorm.estimation import (_BAND_RATIO, _band_eigvalsh, _block_parts,
-                                 _gram_band, _sigma_max)
+from toepnorm.acceptance import (bracket_symbols, run_unweighted_bracket,
+                                 run_weight_independence)
+from toepnorm.estimation import (_BAND_RATIO, _block_parts, _gram_band,
+                                 _sigma_max, _tridiagonal, _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import block, sigma_max_of_block
+from reference import (block, gram_of_block, sigma_max_of_block,
+                       tridiagonal_top)
 
 
 def laurent(lo, coeffs):
@@ -38,10 +43,10 @@ def sigma_max(a, W, N, m):
 
 
 def dense_sigma_max(monkeypatch, a, W, N, m):
-    # _sigma_max in dense storage, as where NumPy's LAPACK lacks the band
-    # driver, whatever the block's span
+    # _sigma_max in dense storage with eigvalsh, as where NumPy's LAPACK
+    # lacks the tridiagonal routines, whatever the block's span
     with monkeypatch.context() as patch:
-        patch.setattr(est, "_numpy_band_evd", lambda: None)
+        patch.setattr(est, "_numpy_lapack", lambda: None)
         return sigma_max(a, W, N, m)
 
 
@@ -203,10 +208,28 @@ def test_sigma_max_matches_svdvals(monkeypatch):
     assert sigma_max(zero, None, 64, 8) == 0.0
 
 
-def test_dense_upper_matches_whole_block_cast_bitwise():
-    # the cast decided on the coefficient window gives the bytes of the cast
-    # decided on the whole assembled block, on both branches and with
-    # leading conjugated columns (m < n = 3 for e_{-3} h)
+@pytest.fixture
+def grams(monkeypatch):
+    # the dense Gram matrices that _sigma_max forms, recorded where they are
+    # reduced (or, where NumPy's LAPACK lacks the routines, handed to
+    # eigvalsh)
+    kept = []
+
+    def recorded(f):
+        def call(G, *args, **kwargs):
+            kept.append(G.copy())
+            return f(G, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(est, "_tridiagonal", recorded(est._tridiagonal))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded(np.linalg.eigvalsh))
+    return kept
+
+
+def test_dense_upper_matches_whole_block_cast_bitwise(grams):
+    # the cast decided on the coefficient window gives the Gram matrix, to
+    # the byte, of the cast decided on the whole assembled block, on both
+    # branches and with leading conjugated columns (m < n = 3 for e_{-3} h)
     weights = [PowerWeight(((0.0, 0.3),)),
                PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
     cases = [(a, grid_pair(pw, a, 1024), 1024, 64)
@@ -223,11 +246,14 @@ def test_dense_upper_matches_whole_block_cast_bitwise():
     for a, W, N, m in cases:
         B = block(a, W, N, m)
         real.append(np.max(np.abs(B.imag)) <= 1e-12 * np.max(np.abs(B)))
-        ref = sigma_max_of_block(B)
-        assert sigma_max(a, W, N, m) == ref
+        ref = gram_of_block(B)
+        del grams[:]
+        up = sigma_max(a, W, N, m)
+        assert len(grams) == 1 and grams[0].dtype == ref.dtype
+        assert grams[0].tobytes() == ref.tobytes()
         if N == 1024:
             est_ = essential_bracket(a, W, BracketParams(N=N, m=m))
-            assert est_.upper == max(ref, est_.lower)
+            assert est_.upper == max(up, est_.lower)
     # every real case carries the rounding-level imaginary part of g
     assert real == [True] * 6 + [False] + [True] * 2 + [False] * 2 + [True]
     assert all(np.any(block(a, W, N, m).imag)
@@ -275,7 +301,7 @@ def test_bracket_builds_its_block_once(monkeypatch):
             assert len(calls) == 1
 
 
-def test_real_cast_covers_the_leading_columns():
+def test_real_cast_covers_the_leading_columns(grams):
     # W = 1 + i eps z and a = e_{-2}: g = W a W^{-1} is exactly e_{-2}, so
     # its window is real, while the leading column j = 1 < n = 2 is
     # P((1 - W) / z) = -i eps e_0.  Casting on g alone would drop it and
@@ -292,7 +318,7 @@ def test_real_cast_covers_the_leading_columns():
     assert abs(B[0, 0] + 1j * eps) <= 1e-22
     assert not np.any(B[:, 1:].imag)
     up = sigma_max(a, W, N, m)
-    assert up == sigma_max_of_block(B)
+    assert [G.tobytes() for G in grams] == [gram_of_block(B).tobytes()]
     assert abs(up - math.sqrt(1.0 + eps ** 2)) <= 1e-15 and up > 1.0
 
 
@@ -345,6 +371,14 @@ def test_gram_band_matches_dense_gram():
             assert dev <= 1e-15 * scale
 
 
+def sterf(d, e):
+    # every eigenvalue of the tridiagonal (d, e), ascending, from SciPy's
+    # sterf, whose wrapper wants e of length 1 for a 1 x 1 matrix
+    lam, info = dsterf(d, e if len(d) > 1 else np.zeros(1))
+    assert info == 0
+    return lam
+
+
 @pytest.mark.parametrize("a, N, m", [
     (laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64),   # real band
     (laurent(-1, [1j, 0.0, 0.0, 0.4]), 512, 32),              # complex band
@@ -354,26 +388,46 @@ def test_gram_band_matches_dense_gram():
     (laurent(-1, [0.0, 0.0]), 64, 8),                         # zero band
 ])
 def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
-    # the same sbevd/hbevd from NumPy's LAPACK and through SciPy
-    if est._numpy_band_evd() is None:
-        pytest.skip("NumPy's LAPACK does not export the band driver")
+    # sterf of the band reduction through NumPy's LAPACK is sbevd/hbevd
+    # through SciPy, to the bit
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the reductions")
     assert a.hi - a.lo <= (N - m) // _BAND_RATIO
     c = a.coeffs.real if not np.any(a.coeffs.imag) else a.coeffs
     ab = _gram_band(c, a.lo + m, N, N - m)
-    lam = _band_eigvalsh(ab)
+    lam = sterf(*_tridiagonal(ab, band=True))
     assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
     if not np.any(c):
         assert sigma_max(a, None, N, m) == 0.0 and not np.any(lam)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_reduction_matches_eigvalsh_bitwise(dtype):
+    # sterf of the in-place dense reduction is NumPy's eigvalsh (syevd or
+    # heevd, uplo 'L'), to the bit, for real symmetric and Hermitian G
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the reductions")
+    rng = np.random.default_rng(11)
+    for K in (1, 2, 5, 64, 300):
+        B = rng.standard_normal((K + 7, K))
+        if dtype is complex:
+            B = B + 1j * rng.standard_normal((K + 7, K))
+        G = B.conj().T @ B
+        G = (G + G.conj().T) / 2  # exactly Hermitian
+        ref = np.linalg.eigvalsh(G)
+        lam = sterf(*_tridiagonal(G.copy(), band=False))
+        assert lam.tobytes() == ref.tobytes()
+
+
 def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
-    # a NumPy whose LAPACK lacks the band driver gets the dense upper end,
-    # bitwise, on blocks that band storage would take
+    # a NumPy whose LAPACK lacks the tridiagonal routines gets the dense
+    # upper end from eigvalsh, bitwise, on blocks that band storage would
+    # take
     params = BracketParams(N=256, m=16, L=16, thetas=16)
     cases = [a for _, a in bracket_symbols()]
     cases += [laurent(-1, [1j, 0.0, 0.0, 0.4]), laurent(-1, [0.0, 0.0])]
-    monkeypatch.setattr(est, "_numpy_band_evd", lambda: None)
-    for name in ("_gram_band", "_band_eigvalsh"):
+    monkeypatch.setattr(est, "_numpy_lapack", lambda: None)
+    for name in ("_gram_band", "_tridiagonal", "_tridiagonal_top"):
         monkeypatch.setattr(est, name, None)  # never called
     for a in cases:
         assert a.hi - a.lo <= (params.N - params.m) // _BAND_RATIO
@@ -383,37 +437,37 @@ def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
 
 
 def test_band_driver_is_numpys_lapack():
-    # NumPy's scipy-openblas wheels export the driver, so the dense path
-    # must not stand in for it silently where they are installed
+    # NumPy's scipy-openblas wheels export the routines, so the dense path
+    # must not stand in for them silently where they are installed
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"NumPy's LAPACK is {lapack.get('name')!r}")
-    assert est._numpy_band_evd() is not None
+    assert est._numpy_lapack() is not None
 
 
 def test_band_driver_failure_raises_linalg_error():
-    # LAPACKE refuses a band holding a NaN with info = -6
-    if est._numpy_band_evd() is None:
-        pytest.skip("NumPy's LAPACK does not export the band driver")
+    # LAPACKE refuses a matrix holding a NaN: the band (argument 6 of
+    # sbtrd/hbtrd) and the dense one (argument 4 of sytrd/hetrd)
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the reductions")
     for dtype in (float, complex):
         with pytest.raises(np.linalg.LinAlgError, match="info = -6"):
-            _band_eigvalsh(np.full((2, 8), np.nan, dtype=dtype))
+            _tridiagonal(np.full((2, 8), np.nan, dtype=dtype), band=True)
+        with pytest.raises(np.linalg.LinAlgError, match="info = -4"):
+            _tridiagonal(np.full((8, 8), np.nan, dtype=dtype), band=False)
 
 
 def test_bracket_both_sides_of_band_cutoff(monkeypatch):
-    # the storage that ran, recorded at its eigenvalue driver
-    taken = []
+    # the storage that ran, recorded at its tridiagonal reduction
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the reductions")
+    taken, reduce = [], est._tridiagonal
 
-    def recorded(storage, f):
-        def call(*args):
-            taken.append(storage)
-            return f(*args)
-        return call
+    def recorded(G, band):
+        taken.append("band" if band else "dense")
+        return reduce(G, band)
 
-    monkeypatch.setattr(est, "_band_eigvalsh",
-                        recorded("band", est._band_eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        recorded("dense", np.linalg.eigvalsh))
+    monkeypatch.setattr(est, "_tridiagonal", recorded)
     params = BracketParams(N=256, m=16, L=16, thetas=16)
     cutoff = (params.N - params.m) // _BAND_RATIO
     rng = np.random.default_rng(3)
@@ -424,6 +478,129 @@ def test_bracket_both_sides_of_band_cutoff(monkeypatch):
         assert abs(essential_bracket(a, None, params).upper - ref) \
             <= 1e-14 * ref
         assert taken == [path]
+
+
+# --------------------------------- the top eigenvalue of the tridiagonal T
+
+U = 2.0 ** -53
+EXACT_REFERENCE = np.finfo(np.longdouble).nmant >= 63
+
+
+def gershgorin(d, e):
+    # max(|d_i| + |e_(i-1)| + |e_i|), a bound on ||T||_2
+    r = np.abs(e)
+    return float(np.max(np.abs(d) + np.r_[r, 0.0] + np.r_[0.0, r]))
+
+
+def top_bound(lam, e):
+    """2 u |lambda| + 5 u max|e|, the bound on |_tridiagonal_top -
+    lambda_max(T)| that ``_tridiagonal_top`` derives, with 1e-9 relative for
+    its O(u^2) terms and u * tiny absolute for underflow."""
+    return (U * (2.0 * abs(lam) + 5.0 * float(np.max(np.abs(e), initial=0.0)))
+            * (1 + 1e-9) + U * np.finfo(float).tiny)
+
+
+def sterf_bound(lam, d, e):
+    """The bisection's bound plus sterf's backward error, p(K) u ||T||_2,
+    with p(K) = sqrt(K) (the probabilistic growth of Higham & Mary, SIAM J.
+    Sci. Comput. 41, 2019)."""
+    return top_bound(lam, e) + math.sqrt(len(d)) * U * gershgorin(d, e)
+
+
+def check_top(d, e):
+    top = _tridiagonal_top(d, e)
+    ref = sterf(d, e)[-1]
+    assert abs(top - ref) <= sterf_bound(ref, d, e)
+    if EXACT_REFERENCE:  # with the reference's 2^-60 relative and rounding
+        ref = tridiagonal_top(d, e)
+        slack = 2.0 ** -59 * (abs(ref) + np.max(np.abs(e), initial=0.0))
+        assert abs(top - ref) <= top_bound(ref, e) + slack
+    return top
+
+
+@pytest.fixture
+def pttrf_calls(monkeypatch):
+    # counts the LDL^T factorisations that the bisection makes
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the factorisation")
+    band, dense, pttrf = est._numpy_lapack()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return pttrf(*args)
+
+    monkeypatch.setattr(est, "_numpy_lapack", lambda: (band, dense, counted))
+    return calls
+
+
+def test_tridiagonal_top_matches_sterf_on_the_suite_blocks(criterion):
+    # every Gram reduction of the brackets that the verification suite runs
+    reductions = [de for runner in (run_unweighted_bracket,
+                                    run_weight_independence)
+                  if criterion(runner)
+                  for de in criterion.tridiagonals[runner]]
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the reductions")
+    assert len(reductions) == 3 + 2 * (3 + 3 * 3)
+    for d, e in reductions:
+        ref = sterf(d, e)[-1]
+        assert abs(_tridiagonal_top(d, e) - ref) <= sterf_bound(ref, d, e)
+
+
+@given(st.integers(1, 40).flatmap(lambda K: st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=K, max_size=K),
+    st.lists(st.floats(-1e3, 1e3), min_size=K - 1, max_size=K - 1))))
+def test_tridiagonal_top_matches_sterf_on_drawn_tridiagonals(de):
+    if est._numpy_lapack() is None:
+        pytest.skip("NumPy's LAPACK does not export the factorisation")
+    check_top(np.array(de[0]), np.array(de[1], dtype=float))
+
+
+def test_tridiagonal_top_on_clusters(pttrf_calls):
+    # tight clusters at the top, where stebz fails (INFO = 2) and stemr
+    # returns a value under the top with no error
+    rng = np.random.default_rng(5)
+    K = 960
+    unit = (1.0 + 1e-16 * rng.standard_normal(K),
+            1e-17 * rng.standard_normal(K - 1))
+    e = 1e-15 * rng.standard_normal(K - 1)
+    e[::2] = 0.0
+    four = (4.0 + 1e-13 * rng.standard_normal(K), e)
+    for d, e in (unit, four):
+        del pttrf_calls[:]
+        check_top(d, e)
+        assert 0 < len(pttrf_calls) <= 65
+    identity = _tridiagonal_top(np.ones(K), np.zeros(K - 1))
+    assert identity == 1.0 and math.sqrt(identity) == 1.0
+    assert sigma_max(laurent(0, [1.0]), None, 128, 8) == 1.0
+
+
+def test_tridiagonal_top_of_order_one_and_two(pttrf_calls):
+    empty = np.zeros(0)
+    for x in (3.0, -2.5, 0.0, 1e-300):
+        assert _tridiagonal_top(np.array([x]), empty) == x
+    # the Gershgorin bound 2 is the top itself, so it fails the test and
+    # the search goes on above it, and still ends within 65 factorisations
+    del pttrf_calls[:]
+    assert _tridiagonal_top(np.array([1.0, 1.0]), np.array([1.0])) == 2.0
+    assert 0 < len(pttrf_calls) <= 65
+    for d, e in (([-1e300, 1e300], [1e300]), ([0.0, 0.0], [1e-300])):
+        del pttrf_calls[:]
+        check_top(np.array(d), np.array(e))
+        assert len(pttrf_calls) <= 65
+
+
+def test_tridiagonal_top_refuses_nan(pttrf_calls):
+    # a NaN in d, or in e through the Gershgorin bound, makes the first
+    # shifted diagonal s - d hold a NaN, which LAPACKE refuses with
+    # info = -2; that raises rather than steering the bisection
+    for d, e in ((np.r_[1.0, np.nan, 1.0, 1.0], np.full(3, 0.5)),
+                 (np.ones(4), np.r_[0.5, np.nan, 0.5])):
+        del pttrf_calls[:]
+        with pytest.raises(np.linalg.LinAlgError, match="info = -2"):
+            _tridiagonal_top(d, e)
+        assert len(pttrf_calls) == 1
 
 
 def test_banded_upper_matches_dense_path(monkeypatch):
