@@ -2,13 +2,14 @@
 essential-norm tables, emitted as CSV or JSON.
 
 Each subcommand reads its settings from its own flags, which carry the
-defaults.  The range checks on those flags (p > 1, every size positive,
-a symbol not identically zero and with its squares inside the
-floating-point range, N and the grid a power of two >= 2 when a
-weight is given, verify-identity's N above the symbol's shift order
-and at least one weight, essnorm's m at most N/4 and its packets inside
-the section) are made here, so a bad value is a configuration error that
-names its flag even where no library call would see it.
+defaults.  The range checks on those flags (every coefficient, angle and
+exponent finite, p > 1, every size positive, a symbol not identically
+zero and with its squares inside the floating-point range, N and the
+grid a power of two >= 2 when a weight is given, verify-identity's N
+above the symbol's shift order and at least one weight, essnorm's m at
+most N/4 and its packets inside the section) are made here, so a bad
+value is a configuration error that names its flag even where no library
+call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -17,8 +18,10 @@ Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -51,12 +54,16 @@ _U = math.ldexp(1.0, -53)
 
 
 def _pairs(text: str, what: str, key, value) -> list:
-    """Parse 'k:v[,k:v...]' into (key(k), value(v)) pairs."""
+    """Parse 'k:v[,k:v...]' into (key(k), value(v)) pairs, each finite."""
     pairs = []
     for part in filter(None, (part.strip() for part in text.split(","))):
         k, _, v = part.partition(":")
         try:
-            pairs.append((key(k), value(v)))
+            pair = key(k), value(v)
+            for raw, x in zip((k, v), pair):
+                if not cmath.isfinite(x):
+                    raise ValueError(f"{raw.strip()!r} is not finite")
+            pairs.append(pair)
         except ValueError as exc:
             raise ValueError(f"bad {what} {part!r}: {exc}") from exc
     return pairs
@@ -65,7 +72,7 @@ def _pairs(text: str, what: str, key, value) -> list:
 def parse_symbol(text: str) -> CoeffVector:
     """Parse 'idx:coeff[,idx:coeff...]', e.g. '-1:1,2:0.5' or '0:1+2j'."""
     terms = {}
-    for idx, val in _pairs(text, "symbol term", int, complex):
+    for idx, val in _pairs(text, "--symbol term", int, complex):
         terms[idx] = terms.get(idx, 0.0) + val
     if not terms:
         raise ValueError("symbol has no terms")
@@ -78,7 +85,7 @@ def parse_symbol(text: str) -> CoeffVector:
 
 def parse_weight(text: str) -> PowerWeight:
     """Parse 'angle:exp[,angle:exp...]' with angles in radians."""
-    return PowerWeight(tuple(_pairs(text, "weight point", float, float)))
+    return PowerWeight(tuple(_pairs(text, "--weight point", float, float)))
 
 
 def _symbol(args) -> CoeffVector:
@@ -262,29 +269,18 @@ def cmd_essnorm(args) -> int:
 
 def write_tables(results: dict, out_dir: str) -> None:
     """Write the four CSV tables of ``reproduce`` into ``out_dir`` from the
-    verification suite's results, keyed by criterion name."""
-    _write_table(results["ap_classification"].rows,
-                 ["p", "lambda", "admissible", "char_256", "char_512",
-                  "char_1024", "growth_1", "growth_2", "s",
-                  "predicted_growth", "signal_agrees"],
-                 "csv", os.path.join(out_dir, "ap_check.csv"))
-    _write_table(results["conjugation_identity"].rows,
-                 ["lambda", "n", "residual_128", "residual_256",
-                  "decreasing", "rank_ratio", "pass"],
-                 "csv", os.path.join(out_dir, "identity.csv"))
-    ess_rows = [{"check": "bracket", **r}
-                for r in results["unweighted_bracket"].rows]
-    ess_rows += [{"check": "independence", **r}
-                 for r in results["weight_independence"].rows]
-    _write_table(ess_rows,
-                 ["check", "symbol", "lower", "upper",
-                  "deficiency_bound", "certified_upper", "grid_sup",
-                  "width_frac", "contains_sup", "max_dev_1024",
-                  "max_dev_2048", "within_2pct", "shrinks"],
-                 "csv", os.path.join(out_dir, "essnorm.csv"))
-    _write_table(results["outer_validation"].rows,
-                 ["quantity", "value", "threshold", "pass"],
-                 "csv", os.path.join(out_dir, "outer_validation.csv"))
+    verification suite's results, keyed by criterion name; each table's
+    columns are its rows' keys, in first-seen order."""
+    essnorm = [{"check": "bracket", **r}
+               for r in results["unweighted_bracket"].rows]
+    essnorm += [{"check": "independence", **r}
+                for r in results["weight_independence"].rows]
+    for name, rows in (("ap_check", results["ap_classification"].rows),
+                       ("identity", results["conjugation_identity"].rows),
+                       ("essnorm", essnorm),
+                       ("outer_validation", results["outer_validation"].rows)):
+        _write_table(rows, list(dict.fromkeys(k for r in rows for k in r)),
+                     "csv", os.path.join(out_dir, f"{name}.csv"))
 
 
 def cmd_reproduce(out_dir: str) -> int:
@@ -342,10 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("essnorm", help="essential-norm bracket table")
     common(sp, symbol=True)
-    sp.add_argument("--N", type=int, default=1024)
-    sp.add_argument("--m", type=int, default=64)
-    sp.add_argument("--L", type=int, default=64)
-    sp.add_argument("--thetas", type=int, default=256)
+    for field in dataclasses.fields(BracketParams):
+        sp.add_argument(f"--{field.name}", type=int, default=field.default)
 
     sp = sub.add_parser("reproduce",
                         help="run the full verification suite, write tables")

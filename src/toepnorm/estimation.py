@@ -67,9 +67,7 @@ _REAL_CAST_RTOL = 1e-12
 # takes 37-39 ms at span 32 against 51-56 ms dense, still wins at span 48
 # (49-62 against 58-70 ms) and loses by span 64 (72 against 52 ms); at
 # N - m = 1984 it takes 342-351 ms at span 64 against 446-457 ms and
-# breaks even near span 96 (465-539 against 460-520 ms).  The crossover
-# sits where it did with sterf ending both paths, so the ratio keeps its
-# margin.
+# breaks even near span 96 (465-539 against 460-520 ms).
 _BAND_RATIO = 32
 
 

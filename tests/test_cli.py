@@ -112,6 +112,37 @@ def test_zero_symbol_is_config_error(args, capsys):
     assert out == "" and "configuration error" in err
 
 
+SMALL = ["--N", "64", "--m", "4", "--L", "8", "--thetas", "8"]
+
+
+@pytest.mark.parametrize("args, flag, term, raw", [
+    (["essnorm", "--symbol=-1:nan", *SMALL], "--symbol term", "-1:nan",
+     "nan"),
+    (["essnorm", "--symbol=-1:inf", *SMALL], "--symbol term", "-1:inf",
+     "inf"),
+    (["verify-identity", "--symbol=0:1,-1:1+infj", "--weight", "0:0.3",
+      "--N", "16"], "--symbol term", "-1:1+infj", "1+infj"),
+    (["essnorm", "--symbol=-1:1e400", *SMALL], "--symbol term", "-1:1e400",
+     "1e400"),
+    (["ap-check", "--weight", "inf:0.3"], "--weight point", "inf:0.3",
+     "inf"),
+    (["ap-check", "--weight", "nan:0.3"], "--weight point", "nan:0.3",
+     "nan"),
+    (["essnorm", "--symbol=-1:1", "--weight", "0:0.3,-inf:0.2", *SMALL],
+     "--weight point", "-inf:0.2", "-inf"),
+    (["verify-identity", "--symbol=-1:1", "--weight", "0:nan", "--N", "16"],
+     "--weight point", "0:nan", "nan"),
+])
+def test_non_finite_input_names_its_flag_and_term(args, flag, term, raw,
+                                                  capsys):
+    # refused in the parse, before a weight label or a scale check reads
+    # the value
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err == (f"configuration error: bad {flag} {term!r}: {raw!r} is "
+                   "not finite\n")
+
+
 @pytest.mark.parametrize("args", [
     ["essnorm", "--symbol=-1:1e-320", "--N", "256", "--m", "16", "--L", "16",
      "--thetas", "16"],
@@ -392,7 +423,7 @@ def test_reproduce_writes_tables_and_is_deterministic(tmp_path, capsys,
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     code = main(["reproduce", str(out1)])
-    capsys.readouterr()
+    printed = capsys.readouterr().out.splitlines()
     out2.mkdir()
     shared = [criterion(run) for run in acceptance.CRITERIA]
     write_tables({r.name: r for r in shared}, str(out2))
@@ -401,8 +432,40 @@ def test_reproduce_writes_tables_and_is_deterministic(tmp_path, capsys,
     for name in names:
         assert (out1 / name).is_file()
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the check lines too, but for the measured runtimes' values
+    expected = [f"{r.name}.{name}: {check}" for r in shared
+                for name, check in r.checks.items()]
+
+    def timeless(line):
+        return re.sub(r"(\.runtime_within_\S+: \w+) \(.*\)$", r"\1", line)
+    assert len(printed) == len(expected)
+    assert [timeless(x) for x in printed] == [timeless(x) for x in expected]
     # every check of the suite passes, so the run reports success
     assert code == EXIT_OK
+
+
+# each reproduce table and the criteria whose rows it holds
+TABLES = {"ap_check.csv": ["ap_classification"],
+          "identity.csv": ["conjugation_identity"],
+          "essnorm.csv": ["unweighted_bracket", "weight_independence"],
+          "outer_validation.csv": ["outer_validation"]}
+
+
+def test_reproduce_tables_print_every_row_key_in_order(tmp_path, criterion):
+    # a table's header holds each of its rows' keys, in the row's order,
+    # and no column that no row fills; essnorm.csv adds the check column
+    # that names each row's criterion
+    results = {r.name: r for r in (criterion(run)
+                                   for run in acceptance.CRITERIA)}
+    write_tables(results, str(tmp_path))
+    for name, criteria in TABLES.items():
+        header = (tmp_path / name).read_text().splitlines()[0].split(",")
+        keys = {"check"} if len(criteria) > 1 else set()
+        for c in criteria:
+            for row in results[c].rows:
+                assert [k for k in header if k in row] == list(row), (name, c)
+                keys |= set(row)
+        assert set(header) == keys and len(header) == len(keys), name
 
 
 def test_reproduce_reports_a_failing_check(tmp_path, capsys, criterion,

@@ -16,7 +16,7 @@ from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       operators, outer_pair, outer_pair_exact,
                       sample_power_weight, symbol_sup)
 from toepnorm.acceptance import (bracket_symbols, run_unweighted_bracket,
-                                 run_weight_independence)
+                                 run_weight_independence, weighted_bracket)
 from toepnorm.estimation import (_BAND_RATIO, _block_parts, _gram_band,
                                  _sigma_max, _tridiagonal, _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
@@ -105,9 +105,9 @@ def test_essential_upper_parameter_validation():
 
 
 def grid_pair(pw, a, N):
-    # the pair of acceptance.weighted_brackets: grid 8N, window N + n + 15
+    # the pair of acceptance.weighted_bracket: grid 8N, window [0, N + n - 1]
     return outer_pair(sample_power_weight(pw, 8 * N),
-                      IndexWindow(0, N + max(0, -a.lo) + 15))
+                      IndexWindow(0, N + max(0, -a.lo) - 1))
 
 
 def test_reciprocal_weights_give_the_same_block():
@@ -677,14 +677,15 @@ def test_bracket_scale_equivariance():
 
 
 def test_bracket_trivial_weight_is_bitwise_unweighted():
-    # acceptance.weighted_brackets gives w == 1 the unweighted bracket; its
-    # grid pair (grid 8N, window N + n + 15) yields the same numbers bitwise
+    # acceptance.weighted_bracket gives w == 1 the unweighted bracket itself;
+    # its grid pair yields the same numbers bitwise
     params = BracketParams(N=256)
-    flat = sample_power_weight(PowerWeight(((0.0, 0.0),)), 8 * params.N)
+    trivial = PowerWeight(((0.0, 0.0),))
     for _, a in bracket_symbols():
-        W = outer_pair(flat, IndexWindow(0, params.N + max(0, -a.lo) + 15))
-        assert essential_bracket(a, W, params) == \
-            essential_bracket(a, None, params)
+        base = essential_bracket(a, None, params)
+        assert weighted_bracket(a, trivial, params, base) is base
+        assert essential_bracket(a, grid_pair(trivial, a, params.N),
+                                 params) == base
 
 
 def test_norm_estimate_validation():
