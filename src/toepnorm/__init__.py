@@ -1,8 +1,7 @@
 """Toeplitz finite sections, Muckenhoupt weights and essential-norm
 brackets on the unit circle."""
 
-from .spectral import (CoeffVector, GridFunction, IndexWindow, analyze,
-                       synthesize)
+from .spectral import CoeffVector, IndexWindow, analyze, synthesize
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
                       khvedelidze_ap_check, outer_pair, outer_pair_exact,
                       outer_pair_refined, sample_power_weight)
@@ -14,7 +13,7 @@ from .estimation import (BracketParams, NormEstimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffVector", "GridFunction", "IndexWindow", "analyze", "synthesize",
+    "CoeffVector", "IndexWindow", "analyze", "synthesize",
     "OuterPair", "PowerWeight", "ap_characteristic", "khvedelidze_ap_check",
     "outer_pair", "outer_pair_exact", "outer_pair_refined",
     "sample_power_weight",

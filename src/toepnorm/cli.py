@@ -99,7 +99,8 @@ def _symbol(args) -> CoeffVector:
 
 def _check_sizes(args, grid_flag: str, *flags: str) -> None:
     # every size is positive; a weight's grids (--grid and 2 --grid points,
-    # or 8N and 16N for outer pairs) need a power of two for their FFTs
+    # or 8N and 16N for outer pairs) follow the library's grid convention,
+    # a power of two >= 2 (spectral._grid_size), checked here to name the flag
     for flag in (grid_flag, *flags):
         if getattr(args, flag) <= 0:
             raise ValueError(f"--{flag} must be positive")
@@ -178,8 +179,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(rows: list, columns: list, fmt: str,
-                 output: str | None) -> None:
+def _write_table(rows: list, fmt: str, output: str | None,
+                 columns: tuple = ()) -> None:
+    """Write rows as a CSV or JSON table whose columns are ``columns``
+    followed by the rows' other keys, in first-seen order; a row leaves
+    the cells of the keys it lacks empty (null in JSON)."""
+    columns = list(dict.fromkeys([*columns, *(k for r in rows for k in r)]))
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
@@ -206,8 +211,9 @@ def cmd_ap_check(args) -> int:
         rows.append({"weight": pw.label(),
                      "in_ap": khvedelidze_ap_check(pw, args.p),
                      "char_M": c1, "char_2M": c2, "growth_ratio": growth})
-    _write_table(rows, ["weight", "in_ap", "char_M", "char_2M", "growth_ratio"],
-                 args.format, args.out)
+    # named for the header that an empty weight list still prints
+    _write_table(rows, args.format, args.out,
+                 ("weight", "in_ap", "char_M", "char_2M", "growth_ratio"))
     return EXIT_OK
 
 
@@ -225,10 +231,9 @@ def cmd_verify_identity(args) -> int:
     for pw in [parse_weight(w) for w in args.weight]:
         with _naming(pw):
             cells = acceptance.identity_clauses(n, h, pw, args.N)[0]
+        del cells["rank_ratio"]  # the table reports k0_rank alone
         rows.append({"weight": pw.label(), "n": n, **cells})
-    _write_table(rows, ["weight", "n", "residual_N", "residual_2N",
-                        "decreasing", "k0_rank", "pass"],
-                 args.format, args.out)
+    _write_table(rows, args.format, args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VERIFICATION
 
 
@@ -261,16 +266,13 @@ def cmd_essnorm(args) -> int:
     rows.append({"weight": "max_cross_weight_deviation",
                  "rel_dev_from_unweighted":
                      max(row["rel_dev_from_unweighted"] for row in rows)})
-    _write_table(rows, ["weight", "lower", "upper", "grid_sup",
-                        "rel_dev_from_gridsup", "rel_dev_from_unweighted"],
-                 args.format, args.out)
+    _write_table(rows, args.format, args.out)
     return EXIT_OK
 
 
 def write_tables(results: dict, out_dir: str) -> None:
     """Write the four CSV tables of ``reproduce`` into ``out_dir`` from the
-    verification suite's results, keyed by criterion name; each table's
-    columns are its rows' keys, in first-seen order."""
+    verification suite's results, keyed by criterion name."""
     essnorm = [{"check": "bracket", **r}
                for r in results["unweighted_bracket"].rows]
     essnorm += [{"check": "independence", **r}
@@ -279,27 +281,19 @@ def write_tables(results: dict, out_dir: str) -> None:
                        ("identity", results["conjugation_identity"].rows),
                        ("essnorm", essnorm),
                        ("outer_validation", results["outer_validation"].rows)):
-        _write_table(rows, list(dict.fromkeys(k for r in rows for k in r)),
-                     "csv", os.path.join(out_dir, f"{name}.csv"))
+        _write_table(rows, "csv", os.path.join(out_dir, f"{name}.csv"))
 
 
-def cmd_reproduce(out_dir: str) -> int:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        print(f"cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_reproduce(args) -> int:
+    # an unwritable directory fails before the suite runs, not after it
+    os.makedirs(args.out_dir, exist_ok=True)
+    probe = os.path.join(args.out_dir, ".write_probe")
+    with open(probe, "w") as fh:
+        fh.write("")
+    os.remove(probe)
 
     results = {r.name: r for r in acceptance.run_all()}
-    try:
-        write_tables(results, out_dir)
-    except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_tables(results, args.out_dir)
 
     all_pass = True
     for r in results.values():
@@ -372,11 +366,10 @@ def _keep_freed_memory() -> None:
 def main(argv=None) -> int:
     _keep_freed_memory()
     args = _build_parser().parse_args(argv)
-    if args.command == "reproduce":
-        return cmd_reproduce(args.out_dir)
     handler = {"ap-check": cmd_ap_check,
                "verify-identity": cmd_verify_identity,
-               "essnorm": cmd_essnorm}[args.command]
+               "essnorm": cmd_essnorm,
+               "reproduce": cmd_reproduce}[args.command]
     try:
         return handler(args)
     except ValueError as exc:

@@ -110,4 +110,4 @@ def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
 
 def symbol_sup(a: CoeffVector) -> float:
     """Dense-grid supremum of |a| over 2^16 sample points."""
-    return float(np.max(np.abs(synthesize(a, 1 << 16).samples)))
+    return float(np.max(np.abs(synthesize(a, 1 << 16))))

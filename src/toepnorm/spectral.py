@@ -6,10 +6,10 @@ Functions on the circle are represented in two ways:
   holding the coefficient of z**(lo+k).  Windows with lo >= 0 represent
   analytic (Hardy-space) elements; a Toeplitz symbol, a finite Laurent
   polynomial, is passed as its CoeffVector.
-* ``GridFunction``: samples on the uniform *offset* grid
-  theta_k = 2*pi*(k + 1/2) / M (``grid_thetas``).  The half-sample offset
-  keeps sampled power weights away from their singular points when those
-  sit on the unoffset lattice.
+* a grid function: the NumPy array of its M = len(samples) samples on the
+  uniform *offset* grid theta_k = 2*pi*(k + 1/2) / M (``grid_thetas``), M a
+  power of two >= 2.  The half-sample offset keeps sampled power weights
+  away from their singular points when those sit on the unoffset lattice.
 
 ``analyze`` and ``synthesize`` move between the two.  The Riesz
 projection P and its truncation P_n are not applied to single windows:
@@ -78,52 +78,44 @@ class CoeffVector:
         return out
 
 
-@dataclass(eq=False)
-class GridFunction:
-    """Samples on the offset grid theta_k = 2*pi*(k + 1/2)/size."""
-
-    size: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.size < 2 or self.size & (self.size - 1):
-            raise ValueError("grid size must be a power of two >= 2")
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != (self.size,):
-            raise ValueError("sample array does not match the grid size")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
+def _grid_size(size: int) -> int:
+    """``size``, refused unless a power of two >= 2: the library's grids."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"grid size {size} is not a power of two >= 2")
+    return size
 
 
 def grid_thetas(size: int) -> np.ndarray:
-    return 2.0 * np.pi * (np.arange(size) + 0.5) / size
+    return 2.0 * np.pi * (np.arange(_grid_size(size)) + 0.5) / size
 
 
-def analyze(f: GridFunction, win: IndexWindow) -> CoeffVector:
-    """Fourier coefficients of f on the requested window.
+def analyze(f: np.ndarray, win: IndexWindow) -> CoeffVector:
+    """Fourier coefficients on the requested window of the grid function
+    whose samples, real or complex, are f, on the grid of size M = len(f).
 
     Midpoint (trapezoid on a periodic function) quadrature of the defining
     integral, which on the offset grid is a scaled DFT with a half-sample
-    phase twist.  Exact for trigonometric polynomials of degree < size/2
-    whose spectrum lies inside the window.
+    phase twist.  Exact for trigonometric polynomials of degree < M/2
+    whose spectrum lies inside the window.  Non-finite samples give
+    non-finite coefficients, which ``CoeffVector`` refuses.
     """
-    if len(win) > f.size:
-        raise ValueError(
-            f"window length {len(win)} exceeds grid size {f.size}")
-    M = f.size
-    F = np.fft.fft(f.samples) / M
+    M = _grid_size(len(f))
+    if len(win) > M:
+        raise ValueError(f"window length {len(win)} exceeds grid size {M}")
+    F = np.fft.fft(f) / M
     ks = win.indices()
     coeffs = np.exp(-1j * np.pi * ks / M) * F[ks % M]
     return CoeffVector(win, coeffs)
 
 
-def synthesize(c: CoeffVector, size: int) -> GridFunction:
-    """Evaluate the Laurent polynomial with coefficients c on the offset grid."""
-    if c.lo < -(size // 2) or c.hi > size // 2 - 1:
+def synthesize(c: CoeffVector, size: int) -> np.ndarray:
+    """Complex samples of the Laurent polynomial with coefficients c on the
+    offset grid of the given size."""
+    if c.lo < -(_grid_size(size) // 2) or c.hi > size // 2 - 1:
         raise ValueError(
             f"window [{c.lo}, {c.hi}] exceeds the Nyquist range of grid size {size}")
     ks = c.window.indices()
     spec = np.zeros(size, dtype=complex)
     spec[ks % size] = c.coeffs * np.exp(1j * np.pi * ks / size)
-    return GridFunction(size, np.fft.ifft(spec) * size)
+    return np.fft.ifft(spec) * size
 

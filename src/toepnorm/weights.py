@@ -12,7 +12,8 @@ an isometry between the weighted and unweighted Hardy spaces, which is what
 the finite-section machinery in :mod:`toepnorm.operators` conjugates with.
 Three constructions are provided, trading generality for accuracy:
 
-* ``outer_pair``          - any positive grid function; one-grid cepstral
+* ``outer_pair``          - any weight sampled on a grid (a real array of
+                            finite positive samples); one-grid cepstral
                             completion (log, one-sided doubling, exp).  For
                             weights with cusps the result carries an O(1/M)
                             aliasing bias; for smooth log w it is spectrally
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (CoeffVector, GridFunction, IndexWindow, analyze,
+from .spectral import (CoeffVector, IndexWindow, _grid_size, analyze,
                        grid_thetas, synthesize)
 
 _TWO_PI = 2.0 * math.pi
@@ -47,7 +48,12 @@ class PowerWeight:
     points: tuple = ()
 
     def __post_init__(self):
-        pts = tuple((float(a) % _TWO_PI, float(lam)) for a, lam in self.points)
+        pts = tuple((float(a), float(lam)) for a, lam in self.points)
+        for a, lam in pts:
+            if not (math.isfinite(a) and math.isfinite(lam)):
+                raise ValueError(f"weight point at angle {a!r} with exponent "
+                                 f"{lam!r} is not finite")
+        pts = tuple((a % _TWO_PI, lam) for a, lam in pts)
         angles = [a for a, _ in pts]
         if len(set(angles)) != len(angles):
             raise ValueError("weight points must have pairwise distinct angles")
@@ -82,8 +88,9 @@ class OuterPair:
                                  "positive")
 
 
-def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:
-    """Evaluate the weight on the offset grid; |t - e^{ia}| = 2|sin((theta-a)/2)|.
+def sample_power_weight(w: PowerWeight, size: int) -> np.ndarray:
+    """The weight's real samples on the offset grid of the given size;
+    |t - e^{ia}| = 2|sin((theta-a)/2)|.
 
     A point with a nonzero exponent whose angle is a grid sample is refused:
     the weight is 0 or infinite there.  sin((theta - a)/2) vanishes only at
@@ -101,7 +108,7 @@ def sample_power_weight(w: PowerWeight, size: int) -> GridFunction:
     if not np.all((0 < vals) & (vals < np.inf)):
         raise ValueError(f"weight {w.label()} leaves the floating-point "
                          f"range on the {size}-point grid")
-    return GridFunction(size, vals.astype(complex))
+    return vals
 
 
 def khvedelidze_ap_check(w: PowerWeight, p: float) -> bool:
@@ -111,14 +118,18 @@ def khvedelidze_ap_check(w: PowerWeight, p: float) -> bool:
     return all(-1.0 / p < lam < 1.0 - 1.0 / p for _, lam in w.points)
 
 
-def _positive_real_samples(w: GridFunction) -> np.ndarray:
-    vals = w.samples
-    if np.any(vals.imag != 0) or np.any(vals.real <= 0):
-        raise ValueError("weight samples must be strictly positive reals")
-    return vals.real
+def _positive_real_samples(w: np.ndarray) -> np.ndarray:
+    """w, refused unless the samples of a weight on a library grid: a real
+    1-D array of finite values > 0 whose length is a grid size."""
+    if not (np.isrealobj(w) and np.ndim(w) == 1
+            and np.all((0 < w) & (w < np.inf))):
+        raise ValueError("weight samples must be a 1-D array of finite "
+                         "positive reals")
+    _grid_size(len(w))
+    return w
 
 
-def ap_characteristic(w: GridFunction, p: float) -> float:
+def ap_characteristic(w: np.ndarray, p: float) -> float:
     """Arc-supremum A_p product scanned over every grid-aligned arc.
 
     Returns the maximum over contiguous sample runs (wrap-around included) of
@@ -133,7 +144,7 @@ def ap_characteristic(w: GridFunction, p: float) -> float:
     vals = _positive_real_samples(w)
     if not p > 1:
         raise ValueError("p must exceed 1")
-    M = w.size
+    M = len(vals)
     q = p / (p - 1.0)
     with np.errstate(over="ignore"):
         wp = vals ** p
@@ -167,10 +178,10 @@ def _exp_series(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_spectrum(w: GridFunction, M: int) -> np.ndarray:
+def _log_spectrum(w: np.ndarray, M: int) -> np.ndarray:
     """Coefficients 0..M/2-1 of log w from its grid samples."""
-    u = GridFunction(w.size, np.log(_positive_real_samples(w)).astype(complex))
-    return analyze(u, IndexWindow(0, M // 2 - 1)).coeffs
+    return analyze(np.log(_positive_real_samples(w)),
+                   IndexWindow(0, M // 2 - 1)).coeffs
 
 
 def _pair_from_log_grid(uh: np.ndarray, size: int,
@@ -191,21 +202,20 @@ def _pair_from_log_grid(uh: np.ndarray, size: int,
         raise ValueError("window exceeds the Nyquist range of the weight grid")
     vhat = uh.copy()
     vhat[1:] *= 2.0
-    v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat),
-                   size).samples
-    return OuterPair(*(analyze(GridFunction(size, np.exp(samples)), win)
-                       for samples in (v, -v)))
+    v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat), size)
+    return OuterPair(*(analyze(np.exp(samples), win) for samples in (v, -v)))
 
 
-def outer_pair(w: GridFunction, win: IndexWindow) -> OuterPair:
-    """Outer pair from grid samples by the cepstral completion.
+def outer_pair(w: np.ndarray, win: IndexWindow) -> OuterPair:
+    """Outer pair from a weight's real samples w on the offset grid of size
+    M = len(w) by the cepstral completion.
 
     Takes u = log w on the grid, keeps u-hat(0), doubles u-hat(1..M/2-1),
     zeroes negative frequencies, exponentiates pointwise and analyzes back
     into the requested window (which must start at 0 and stay below the
     Nyquist frequency).
     """
-    return _pair_from_log_grid(_log_spectrum(w, w.size), w.size, win)
+    return _pair_from_log_grid(_log_spectrum(w, len(w)), len(w), win)
 
 
 def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> OuterPair:

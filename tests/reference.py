@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from toepnorm import CoeffVector, GridFunction, IndexWindow
+from toepnorm import CoeffVector, IndexWindow
 from toepnorm.estimation import _block, _block_parts
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
@@ -168,15 +168,15 @@ def tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
     return lo
 
 
-def schwarz_outer(w: GridFunction, z: complex) -> complex:
-    """Outer function of grid samples w at a point of the open disk: the
-    midpoint-rule Schwarz integral
+def schwarz_outer(w: np.ndarray, z: complex) -> complex:
+    """Outer function of a weight's grid samples w at a point of the open
+    disk: the midpoint-rule Schwarz integral
     exp((1/2pi) int (e^{it}+z)/(e^{it}-z) log w dt).  For cusped weights
     its accuracy is limited by the same O(1/M) alias as ``outer_pair``."""
     z = complex(z)
     if abs(z) > 0.99:
         raise ValueError("evaluation point must satisfy |z| <= 0.99")
     vals = _positive_real_samples(w)
-    t = np.exp(1j * grid_thetas(w.size))
+    t = np.exp(1j * grid_thetas(len(vals)))
     kernel = (t + z) / (t - z)
     return complex(np.exp(np.mean(kernel * np.log(vals))))

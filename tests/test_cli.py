@@ -52,6 +52,31 @@ def test_ap_check_json_format(capsys):
     assert rows[0]["in_ap"] is True
 
 
+# each subcommand's CSV header, which is also every JSON row's keys in order
+TABLE_COLUMNS = {
+    "ap-check": (["ap-check", "--weight", "0:0.3", "--grid", "16"],
+                 "weight,in_ap,char_M,char_2M,growth_ratio"),
+    "verify-identity": (["verify-identity", "--symbol=-1:1", "--weight",
+                         "0:0.3", "--N", "16"],
+                        "weight,n,residual_N,residual_2N,decreasing,k0_rank,"
+                        "pass"),
+    "essnorm": (["essnorm", "--symbol=-1:1,1:0.5", "--weight", "0:0.3",
+                 "--N", "64", "--m", "8", "--L", "8", "--thetas", "8"],
+                "weight,lower,upper,grid_sup,rel_dev_from_gridsup,"
+                "rel_dev_from_unweighted"),
+}
+
+
+@pytest.mark.parametrize("args, header", TABLE_COLUMNS.values(),
+                         ids=TABLE_COLUMNS)
+def test_subcommand_tables_pin_their_columns(args, header, capsys):
+    code, out, _ = run(args, capsys)
+    assert code in (0, 1) and out.splitlines()[0] == header
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    rows = json.loads(out)
+    assert rows and all(list(row) == header.split(",") for row in rows)
+
+
 # ------------------------------------------------------------------- errors
 
 def test_bad_symbol_is_config_error(capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toepnorm import (CoeffVector, GridFunction, IndexWindow, analyze,
-                      synthesize)
+from toepnorm import CoeffVector, IndexWindow, analyze, synthesize
 from toepnorm.spectral import grid_thetas
 
 from reference import (add, coeff, multiply, riesz_project, truncate_pn,
@@ -39,8 +38,7 @@ def test_analyze_monomial():
 
 
 def test_analyze_constant():
-    g = GridFunction(8, 3.0 * np.ones(8, dtype=complex))
-    c = analyze(g, IndexWindow(-1, 1))
+    c = analyze(3.0 * np.ones(8), IndexWindow(-1, 1))
     assert np.allclose(c.coeffs, [0, 3, 0], atol=1e-14)
 
 
@@ -48,8 +46,7 @@ def test_analyze_mixture_against_quadrature_oracle():
     # f = 2 e_{-1} + 5 e_3 sampled on M=16; oracle values from the defining
     # integral evaluated by a much finer midpoint sum.
     f = lambda th: 2 * np.exp(-1j * th) + 5 * np.exp(3j * th)
-    g = GridFunction(16, f(grid_thetas(16)))
-    got = analyze(g, IndexWindow(-4, 4))
+    got = analyze(f(grid_thetas(16)), IndexWindow(-4, 4))
     th_fine = 2 * np.pi * (np.arange(4096) + 0.5) / 4096
     for k in range(-4, 5):
         oracle = np.mean(f(th_fine) * np.exp(-1j * k * th_fine))
@@ -57,21 +54,20 @@ def test_analyze_mixture_against_quadrature_oracle():
 
 
 def test_analyze_rejects_wide_window():
-    g = GridFunction(8, np.ones(8))
     with pytest.raises(ValueError):
-        analyze(g, IndexWindow(-4, 4))
+        analyze(np.ones(8), IndexWindow(-4, 4))
 
 
 # -------------------------------------------------------------- synthesize
 
 def test_synthesize_constant():
     g = synthesize(unit(0), 8)
-    assert np.allclose(g.samples, 1.0, atol=1e-15)
+    assert np.allclose(g, 1.0, atol=1e-15)
 
 
 def test_synthesize_first_monomial():
     g = synthesize(unit(1), 4)
-    assert np.allclose(g.samples, np.exp(1j * grid_thetas(4)), atol=1e-15)
+    assert np.allclose(g, np.exp(1j * grid_thetas(4)), atol=1e-15)
 
 
 def test_synthesize_rejects_window_beyond_nyquist():
@@ -223,8 +219,24 @@ def test_coeff_vector_rejects_nan():
 
 
 def test_grid_function_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        GridFunction(12, np.ones(12))
+    # a grid function is its sample array; every grid the library builds,
+    # samples or analyzes has a power-of-two size >= 2
+    for size in (0, 1, 12):
+        for make in (lambda: grid_thetas(size),
+                     lambda: synthesize(unit(0), size),
+                     lambda: analyze(np.ones(size), IndexWindow(0, 0))):
+            with pytest.raises(ValueError, match="not a power of two"):
+                make()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_rejects_non_finite_samples(bad):
+    f = np.ones(8)
+    f[3] = bad
+    # the coefficients come out non-finite, and CoeffVector refuses them
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="finite"):
+        analyze(f, IndexWindow(-1, 1))
 
 
 def test_index_window_rejects_empty():
