@@ -28,11 +28,13 @@ routine here:
   and formed densely otherwise; B is real when its entries are, to the
   relative level ``_REAL_CAST_RTOL``.
 * lower end: the largest value of ||A u|| over modulated wave packets
-  u = L^(-1/2) sum_l e^(i l theta) e_{m+l}.  Packets supported on columns
-  m .. m+L-1 are feasible test vectors for A(I - P_m), so the bracket is
-  ordered by construction; compact perturbations vanish on such
-  high-frequency packets as m grows.  Only the L columns the packets
-  touch enter the product.
+  u = L^(-1/2) sum_l e^(i l theta) e_{m+l}, theta on a uniform grid.
+  Packets supported on columns m .. m+L-1 are feasible test vectors for
+  A(I - P_m), so the bracket is ordered by construction; compact
+  perturbations vanish on such high-frequency packets as m grows.
+  ||A u||^2 = u^H G_L u reads only the L x L Gram matrix G_L of those
+  columns, and its diagonal sums, folded onto the grid, give every angle
+  at once by one FFT (``_packet_lower``): O(N L^2 + thetas log thetas).
 
 Weighted spaces are handled by conjugating with the outer function of the
 weight (an isometry onto the unweighted space), so a single flat-metric
@@ -54,10 +56,11 @@ from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
 # A block whose imaginary parts are at most this fraction of its largest
-# entry is taken as real for the Gram eigenvalue (a real symmetric G costs a
-# quarter of the complex Hermitian one in the product and in the
-# tridiagonalisation).  The rule (``_real_cast``) is decided once, on the
-# coefficient windows that the block repeats, before the block is built.
+# entry is taken as real for its Gram matrix, at both ends of the bracket (a
+# real symmetric G costs a quarter of the complex Hermitian one in the
+# product and in the tridiagonalisation).  The rule (``_real_cast``) is
+# decided once, on the coefficient windows that the block repeats, before
+# the block is built.
 _REAL_CAST_RTOL = 1e-12
 
 # A block whose coefficient window spans at most (N - m) // this ratio
@@ -117,6 +120,19 @@ def _real_cast(*windows: np.ndarray) -> bool | None:
         return None
     return all(np.max(np.abs(w.imag), initial=0.0) <= _REAL_CAST_RTOL * scale
                for w in windows)
+
+
+def _block_real_cast(g: CoeffVector, lead: np.ndarray, N: int,
+                     K: int) -> bool | None:
+    """``_real_cast`` of the block of ``_block_parts`` cut to K columns,
+    decided on the coefficient windows it repeats: the values of g that its
+    Toeplitz columns hold, and its leading columns."""
+    lead = lead[:, :K]
+    p0 = lead.shape[1]
+    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
+    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
+        else lead[:0]
+    return _real_cast(toeplitz, lead)
 
 
 def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
@@ -379,11 +395,7 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
     export the routines (``_numpy_lapack`` is None), every block takes the
     dense G to NumPy's eigvalsh, whose top eigenvalue is sterf's.
     """
-    p0 = lead.shape[1]
-    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
-    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
-        else lead[:0]
-    real = _real_cast(toeplitz, lead)
+    real = _block_real_cast(g, lead, N, K)
     if real is None:
         return 0.0
     lapack = _numpy_lapack() is not None
@@ -400,11 +412,65 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
     return math.sqrt(max(float(lam), 0.0))
 
 
-def _wave_packets(L: int, thetas: int) -> np.ndarray:
-    """L x thetas block whose columns are the packets u_theta on their
-    support, for a uniform theta grid of the given size."""
-    ths = 2.0 * np.pi * np.arange(thetas) / thetas
-    return np.exp(1j * np.outer(np.arange(L), ths)) / math.sqrt(L)
+def _packet_lower(g: CoeffVector, lead: np.ndarray, N: int, L: int,
+                  thetas: int) -> float:
+    """max over theta_k = 2 pi k / thetas of ||B u_k||, u_k the packet
+    L^(-1/2) (e^(i l theta_k))_l on the first L columns B of the block of
+    ``_block_parts``, from their Gram matrix G = B^H B.
+
+    The formula.  ||B u_k||^2 = u_k^H G u_k = (1/L) sum_(p,q) G[p, q]
+    e^(i (q - p) theta_k), and e^(i (q - p) theta_k) depends on p - q only
+    through j = (p - q) mod thetas.  So with the folded diagonal sums
+    c_j = sum of G[p, q] over p - q = j mod thetas (one bincount; exact
+    folding, since the grid is uniform), ||B u_k||^2 = (1/L) DFT(c)_k for
+    every k at once: O(N L^2 + thetas log thetas) in place of the
+    O(N L thetas) of applying the packets.  B is real, and G with it, when
+    ``_real_cast`` says so (``_block_real_cast``); a complex G need not be
+    exactly Hermitian, and the real part of its DFT is taken.  Any real
+    window s on the packets enters only as c_j = sum s_p s_q G[p, q].
+
+    Its error (first order in u = 2^-53, gamma_n = n u / (1 - n u); complex
+    inner products of length n err by gamma_(n+2), Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.6).  Let nu = || |B| ||_2,
+    the norm of the entrywise moduli (nu >= ||B|| >= the value; for
+    Toeplitz columns nu <= ||g||_l1).  The computed G satisfies
+    |dG| <= gamma_(N+2) |B|^H |B|, bin j sums at most
+    n_f = L ceil((2L - 1) / thetas) entries, and an FFT output of length
+    T = thetas errs by at most ((1 + eta)^t - 1) sum_j |c_j|, with
+    t = log2 T radix-2 passes (T a power of two; a radix-4 pass counts as
+    two) and eta = mu + gamma_4 (sqrt 2 + mu), mu the twiddles' error
+    (Higham, Thm. 24.2, taken entrywise: each output is reached from each
+    input along one path of butterflies with weights of modulus one).
+    Every one of these sums is bounded by sum_(p,q) (|B|^H |B|)[p, q] =
+    || |B| 1 ||^2 <= L nu^2, so, for the value lambda_k = ||B u_k||^2,
+
+        |computed lambda_k - lambda_k| <= (gamma_(N+2) + gamma_(n_f)
+                                          + t eta + u) nu^2,
+
+    and the max over k moves by no more.  Applying the packets directly,
+    with the packets' entries in error by delta relative, errs by
+    (2 (gamma_(L+2) + delta) + gamma_(2N+1)) nu^2 on the same lambda_k; a
+    packet whose phases l theta_k are formed in floating point has
+    delta ~ 4 pi L u, one whose phases are reduced mod 2 pi exactly has
+    delta <= (6 pi + 4) u.  The two routes agree to the sum of their
+    bounds, on lower^2; on lower divide by the sum of the two values, and
+    add u/2 of each for its square root.  The real cast, dropping an
+    imaginary part E of B, moves lambda_k by at most (2 ||B|| + ||E||) ||E||
+    more.  These are worst cases: for rounding
+    errors of random sign each gamma_n scales like sqrt(n) (Higham & Mary,
+    SIAM J. Sci. Comput. 41, 2019), which is what the suite's blocks show.
+    """
+    real = _block_real_cast(g, lead, N, L)
+    if real is None:
+        return 0.0
+    B = _block(g, lead, N, L, real)
+    G = B.T @ B if real else B.conj().T @ B
+    bins = (np.subtract.outer(np.arange(L), np.arange(L)) % thetas).ravel()
+    c = np.bincount(bins, G.real.ravel(), thetas)
+    if not real:
+        c = c + 1j * np.bincount(bins, G.imag.ravel(), thetas)
+    top = float(np.max(np.fft.fft(c).real)) / L
+    return math.sqrt(max(top, 0.0))
 
 
 def compression_deficiency_bound(a: CoeffVector, m: int, N: int) -> float:
@@ -455,9 +521,11 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     no weighted one; dense storage otherwise.  The choice changes
     sigma_max by rounding only; on a given build it rests on the block's
     structure alone.  The lower end is the largest ||A u_theta|| over the
-    wave packets on columns m .. m+L-1, applied as the complex columns
-    A[:, m:m+L], times the L x thetas modulation block.  Both ends read the
-    block parts of one ``_block_parts`` call.
+    wave packets on columns m .. m+L-1, taken from the L x L Gram matrix of
+    those columns by one length-thetas FFT of its folded diagonal sums
+    (``_packet_lower``, which derives its rounding against applying the
+    packets directly).  Both ends read the block parts of one
+    ``_block_parts`` call.
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -468,9 +536,7 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("wave packet would overflow the section window")
     g, lead = _block_parts(a, W, N, m)
     upper = _sigma_max(g, lead, N, N - m)
-    B = _block(g, lead, N, L)
-    lower = float(np.max(np.linalg.norm(B @ _wave_packets(L, thetas),
-                                        axis=0)))
+    lower = _packet_lower(g, lead, N, L, thetas)
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)

@@ -96,12 +96,14 @@ def analyze(f: np.ndarray, win: IndexWindow) -> CoeffVector:
     Midpoint (trapezoid on a periodic function) quadrature of the defining
     integral, which on the offset grid is a scaled DFT with a half-sample
     phase twist.  Exact for trigonometric polynomials of degree < M/2
-    whose spectrum lies inside the window.  Non-finite samples give
-    non-finite coefficients, which ``CoeffVector`` refuses.
+    whose spectrum lies inside the window.  Non-finite samples are refused
+    before the transform, which would spread them over every coefficient.
     """
     M = _grid_size(len(f))
     if len(win) > M:
         raise ValueError(f"window length {len(win)} exceeds grid size {M}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("grid samples must be finite")
     F = np.fft.fft(f) / M
     ks = win.indices()
     coeffs = np.exp(-1j * np.pi * ks / M) * F[ks % M]

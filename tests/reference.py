@@ -139,6 +139,18 @@ def sigma_max_of_block(B: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
+def packet_lower(B: np.ndarray, thetas: int) -> float:
+    """max over theta_k = 2 pi k / thetas of ||B u_k||, each packet
+    u_k = L^(-1/2) (e^(i l theta_k))_l applied to the assembled columns B
+    directly.  l k is reduced mod thetas in integers, so every phase is
+    formed from an angle in [0, 2 pi): each entry of u_k is in error by at
+    most (6 pi + 4) u relative."""
+    L = B.shape[1]
+    r = np.outer(np.arange(L), np.arange(thetas)) % thetas
+    U = np.exp(2j * np.pi * r / thetas) / math.sqrt(L)
+    return float(np.max(np.linalg.norm(B @ U, axis=0)))
+
+
 def tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
     """lambda_max of the symmetric tridiagonal with diagonal d and
     off-diagonal e, by plain bisection on the Sturm sequence in long double

@@ -15,14 +15,15 @@ from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
                       compression_deficiency_bound, essential_bracket,
                       operators, outer_pair, outer_pair_exact,
                       sample_power_weight, symbol_sup)
-from toepnorm.acceptance import (bracket_symbols, run_unweighted_bracket,
+from toepnorm.acceptance import (bracket_symbols, independence_weights,
+                                 run_unweighted_bracket,
                                  run_weight_independence, weighted_bracket)
 from toepnorm.estimation import (_BAND_RATIO, _block_parts, _gram_band,
                                  _sigma_max, _tridiagonal, _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import (block, gram_of_block, sigma_max_of_block,
-                       tridiagonal_top)
+from reference import (block, gram_of_block, packet_lower,
+                       sigma_max_of_block, tridiagonal_top)
 
 
 def laurent(lo, coeffs):
@@ -325,9 +326,10 @@ def test_real_cast_covers_the_leading_columns(grams):
 def test_weighted_bracket_peak_memory():
     """Traced peak of one real weighted bracket at N = 1024, m = 64, in units
     of one real block, N (N - m) 8 bytes: the block, its (N - m)^2 Gram
-    matrix (0.94 units) and O(N L) packet columns, with no complex block or
-    real copy beside them.  LAPACK's workspace, including eigvalsh's copy
-    of G, is allocated outside Python and not traced."""
+    matrix (0.94 units), and the N x L packet columns with their L x L Gram
+    matrix, with no complex block or real copy beside them.  LAPACK's
+    workspace, including eigvalsh's copy of G, is allocated outside Python
+    and not traced."""
     params = BracketParams()
     N, m = params.N, params.m
     a = bracket_symbols()[1][1]
@@ -612,6 +614,112 @@ def test_banded_upper_matches_dense_path(monkeypatch):
 
 
 # ----------------------------------------------- lower end: wave-packet bound
+
+U = 2.0 ** -53
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+def packet_tolerance(B, lower, ref, thetas):
+    """The bound of ``_packet_lower``'s docstring on |lower - ref|, ref the
+    direct route of ``reference.packet_lower`` on the complex columns B:
+    the Gram route's and the direct route's errors on lower^2, with the
+    twiddles of the FFT taken to 2 u and the real cast's dropped imaginary
+    part E, divided by lower + ref, and the square roots' rounding."""
+    N, L = B.shape
+    nu = np.linalg.norm(np.abs(B), 2)
+    mu = 2 * U
+    eta = mu + gamma(4) * (math.sqrt(2.0) + mu)
+    passes = math.ceil(math.log2(thetas)) if thetas > 1 else 0
+    n_f = L * math.ceil((2 * L - 1) / thetas)
+    gram = gamma(N + 2) + gamma(n_f) + passes * eta + U
+    direct = 2 * (gamma(L + 2) + (6 * math.pi + 4) * U) + gamma(2 * N + 1)
+    scale = float(np.max(np.abs(B)))
+    cast = np.max(np.abs(B.imag)) <= est._REAL_CAST_RTOL * scale
+    e = np.linalg.norm(B.imag, 2) if cast else 0.0
+    return (((gram + direct) * nu ** 2 + (2 * nu + e) * e) / (lower + ref)
+            + U * max(lower, ref))
+
+
+def check_packet_lower(a, W, N, m, L, thetas):
+    lower = est._packet_lower(*_block_parts(a, W, N, m), N, L, thetas)
+    B = block(a, W, N, m, L)
+    ref = packet_lower(B, thetas)
+    assert abs(lower - ref) <= packet_tolerance(B, lower, ref, thetas)
+    return lower, ref
+
+
+def test_packet_lower_matches_direct_route_on_the_suite():
+    # the suite's symbols, unweighted and with the grid pair of each
+    # independence weight, at the suite's parameters
+    params = BracketParams()
+    N = params.N
+    for _, a in bracket_symbols():
+        for W in [None] + [grid_pair(pw, a, N)
+                           for pw in independence_weights()]:
+            check_packet_lower(a, W, N, params.m, params.L, params.thetas)
+
+
+def test_packet_lower_complex_symbol_off_axis_exact_pair():
+    N, m = 1024, 64
+    a = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    W = outer_pair_exact(PowerWeight(((1.0, 0.3),)), IndexWindow(0, N))
+    B = block(a, W, N, m, 64)
+    assert np.max(np.abs(B.imag)) > 0.1
+    check_packet_lower(a, W, N, m, 64, 256)
+
+
+def test_packet_lower_with_leading_columns():
+    # m = 1 < n = 3: the first two packet columns are conjugated columns
+    N, m = 128, 1
+    W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
+    for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
+        a = laurent(-3, h)
+        assert _block_parts(a, W, N, m)[1].shape[1] == 2
+        check_packet_lower(a, W, N, m, 16, 64)
+
+
+@pytest.mark.parametrize("L,thetas", [(64, 32), (64, 1), (1, 256), (1, 1)])
+def test_packet_lower_fold_and_degenerate_sizes(L, thetas):
+    # thetas < 2L - 1 folds several diagonals onto one bin; thetas = 1 is
+    # the unmodulated packet, L = 1 one column at every angle
+    N, m = 256, 16
+    a = bracket_symbols()[2][1]
+    for W in (None, grid_pair(PowerWeight(((0.0, 0.3),)), a, N)):
+        lower, _ = check_packet_lower(a, W, N, m, L, thetas)
+        if L == 1:
+            col = block(a, W, N, m, 1)[:, 0]
+            assert abs(lower - np.linalg.norm(col)) <= 1e-14 * lower
+
+
+def test_packet_lower_of_the_shift_is_exactly_one():
+    # e_{-1}: the packet columns are orthonormal, G = I, every c_j but c_0
+    # is 0 and the FFT of (L, 0, ..., 0) is L at every angle
+    assert essential_bracket(bracket_symbols()[0][1], None,
+                             BracketParams()).lower == 1.0
+
+
+def test_packet_lower_peak_memory_is_below_one_product():
+    """Traced peak of one unweighted bracket at N = 1024, L = 64,
+    thetas = 4096.  Applying the packets directly forms B u_k for every k,
+    an N x thetas complex array of N thetas 16 bytes (64 MiB here), so its
+    peak lies above that.  The Gram route holds the band Gram storage and
+    its index arrays (O((N - m) span)), the N x L block, its L x L Gram
+    matrix and bin indices, and length-thetas transforms: O(N L + L^2 +
+    thetas), a few MiB, so the peak stays below that one array."""
+    params = BracketParams(thetas=4096)
+    a = bracket_symbols()[1][1]
+    essential_bracket(a, None, params)
+    tracemalloc.start()
+    try:
+        essential_bracket(a, None, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.N * params.thetas * 16
+
 
 def test_lower_identity_symbol_exact():
     est = essential_bracket(laurent(0, [1.0]), None,
