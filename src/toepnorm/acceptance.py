@@ -8,9 +8,12 @@ each check with its value and bound; the test suite asserts the checks.
 
 Random polynomial coefficients come from a fixed seed, so repeated runs on
 the same machine with the same BLAS thread count give identical tables.
-Dense products and decompositions run in the BLAS library, whose
-summation order depends on its thread count: the last digits of the
-tables can differ between thread counts.
+The identity sections and residual norms are summed in orders fixed by
+their shapes (:func:`~toepnorm.operators.conjugated_toeplitz_matrix`,
+:func:`identity_residual`), so their rows do not depend on the BLAS thread
+count.  The brackets' dense Gram products and reductions run in the BLAS
+library, whose summation order can depend on it: the last digits of a
+weighted upper end can differ between thread counts.
 """
 
 from __future__ import annotations
@@ -119,6 +122,14 @@ def seeded_h(rng, degree: int = 4) -> CoeffVector:
     return CoeffVector(IndexWindow(0, degree), coeffs)
 
 
+def _sum_squares(x: np.ndarray) -> float:
+    """||x||_F^2 of a C-ordered complex array: the squares of its real and
+    imaginary parts, summed by NumPy's pairwise summation, whose order is
+    fixed by the shape.  np.linalg.norm of a complex array sums by BLAS
+    ddot, whose order follows the BLAS thread count."""
+    return float(np.sum(np.square(x.view(np.float64))))
+
+
 def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
                       ) -> tuple[float, np.ndarray]:
     """Residual of the conjugation identity on N x N sections.
@@ -128,8 +139,9 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     coefficient is its own term of the pair's analysis, so a wider window
     would change none of them.  Returns the Frobenius-relative residual
     ||C - T - K0|| / ||T|| of C = M_W T(e_{-n}h) M_{1/W}, T = T(e_{-n}h)
-    and K0 from ``k0_matrix``, together with the N singular values of K0
-    in descending order.
+    and K0 from ``k0_matrix``, with both Frobenius norms summed in an order
+    fixed by the shape (``_sum_squares``), together with the N singular
+    values of K0 in descending order.
 
     They are taken from the columns of K0 that are not all zero, padded
     with zeros to length N.  This is exact: K0 K0^H is the sum of c c^H
@@ -146,7 +158,7 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     K0 = k0_matrix(n, h, W, N)
     C -= T
     C -= K0
-    res = float(np.linalg.norm(C) / np.linalg.norm(T))
+    res = math.sqrt(_sum_squares(C) / _sum_squares(T))
     nz = np.flatnonzero(np.any(K0, axis=0))
     sv = np.zeros(N)
     sv[:len(nz)] = np.linalg.svd(K0[:, nz], compute_uv=False)
@@ -168,13 +180,20 @@ def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
     is at most 1e-8.  ``k0_rank`` counts the singular values above
     1e-8 sigma_1; ``decreasing`` is the verdict of the 2N clause.
 
-    The floor.  C, T and K0 are products of inner dimension <= 2N + n, so
-    the residual's rounding error is up to about 2 (2N + n) u ||W||_l1
-    ||1/W||_l1, u = 2^-53 (Higham 2002, Sec. 3.5).  Only a weight within
-    rounding of w == 1 has no truncation error, and there the product of
-    norms is 1: 5.7e-14 at N = 128, 1e-12 at 2N + n = 4500.  Below it the
-    residuals' order is noise (|t-1|^1e-13, N = 64: 2.9e-17, 3.5e-17); it is
-    five decades under the suite's least residual_256 (1.1e-7).
+    The floor.  C = L_W (T_a L_{1/W}) is summed through its factors' zero
+    patterns: an entry of T_a L_{1/W} has at most deg h + 1 nonzero terms
+    and one of L_W (.) at most N (a zero term adds an exact zero, so dense
+    GEMMs of the same factors have the same counts); K0 is a product of
+    inner dimension n.  A complex inner product of k terms errs by at most
+    sqrt(2) gamma_(k+2) |x|^T |y|, gamma_k ~ k u, u = 2^-53 (Higham 2002,
+    Secs. 3.5-3.6), and || |L_W| |T_a| |L_{1/W}| ||_F <= ||W||_l1 ||T||_F
+    ||1/W||_l1, so the residual's rounding error is up to about
+    sqrt(2) (N + deg h + n + 6) u ||W||_l1 ||1/W||_l1.  Only a weight
+    within rounding of w == 1 has no truncation error, and there the
+    product of norms is 1: 2.2e-14 at N = 128 with deg h = 4 and n = 3,
+    1e-12 at N of about 6,300.  Below it the residuals' order is noise
+    (|t-1|^1e-13, N = 64: 2.9e-17, 3.5e-17); it is five decades under the
+    suite's least residual_256 (1.1e-7).
     """
     res, ratio, rank = [], 0.0, 0
     for size in (N, 2 * N):

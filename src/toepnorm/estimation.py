@@ -43,15 +43,14 @@ Gram structure serves every weight.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _section
+from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _numpy_lapack,
+                        _section)
 from .spectral import CoeffVector, IndexWindow
 from .weights import OuterPair
 
@@ -156,44 +155,6 @@ def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
     return ab
 
 
-@functools.cache
-def _numpy_lapack():
-    """NumPy's own LAPACKE routines for the top Gram eigenvalue, or None when
-    NumPy's LAPACK does not export them: the Householder reductions of a
-    Hermitian matrix to a real symmetric tridiagonal from band storage
-    (sbtrd/hbtrd) and from dense storage (sytrd/hetrd), each keyed by dtype,
-    and the LDL^T factorisation of a symmetric positive definite tridiagonal
-    (pttrf).
-
-    NumPy's wheels link a scipy-openblas LAPACK with 64-bit integers whose
-    symbols carry a ``64_`` suffix; loading the extension module that
-    already links it resolves them through its own dependencies, so no
-    second BLAS is loaded.  Only these suffixed names are bound: the suffix
-    fixes the integer width, so no ABI is guessed.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        band = {np.dtype(np.float64): lib.scipy_LAPACKE_dsbtrd64_,
-                np.dtype(np.complex128): lib.scipy_LAPACKE_zhbtrd64_}
-        dense = {np.dtype(np.float64): lib.scipy_LAPACKE_dsytrd64_,
-                 np.dtype(np.complex128): lib.scipy_LAPACKE_zhetrd64_}
-        pttrf = lib.scipy_LAPACKE_dpttrf64_
-    except (OSError, AttributeError):
-        return None
-    i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-    for f in band.values():
-        # (layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq) -> info
-        f.argtypes = [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr, ptr,
-                      ptr, i64]
-    for f in dense.values():
-        # (layout, uplo, n, a, lda, d, e, tau) -> info
-        f.argtypes = [ctypes.c_int, char, i64, ptr, i64, ptr, ptr, ptr]
-    pttrf.argtypes = [i64, ptr, ptr]  # (n, d, e) -> info
-    for f in (*band.values(), *dense.values(), pttrf):
-        f.restype = i64
-    return band, dense, pttrf
-
-
 def _lapack_info(info: int, what: str) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} failed (info = {info})")
@@ -210,29 +171,32 @@ def _tridiagonal(G: np.ndarray, band: bool) -> tuple[np.ndarray, np.ndarray]:
     Math. 12, 1968), on a column-major copy.  Otherwise G is the C-ordered
     K x K matrix itself, reduced in place (it is overwritten) by sytrd/hetrd
     with uplo = 'L' on the column-major view of its buffer, which is G^T:
-    for G exactly Hermitian that is conj(G), whose reduction gives the same
-    d and e bit for bit, and these are the ones on which NumPy's eigvalsh
-    (syevd/heevd, uplo 'L') runs sterf.  Both reductions are the first step
-    of LAPACK's full-spectrum drivers (sbevd/hbevd, syevd/heevd).
+    only G's upper triangle is read (``_dense_gram`` fills no other), and
+    the Hermitian matrix it defines is reduced in its conjugate, whose
+    reduction gives the same d and e bit for bit.  For G exactly Hermitian
+    in full these are the ones on which NumPy's eigvalsh (syevd/heevd, uplo
+    'L') runs sterf.  Both reductions are the first step of LAPACK's
+    full-spectrum drivers (sbevd/hbevd, syevd/heevd).
     """
-    band_trd, dense_trd, _ = _numpy_lapack()
+    lapack = _numpy_lapack()
     K = G.shape[1]
     d, e = np.empty(K), np.empty(max(K - 1, 0))
     if band:
         ab = np.array(G, order="F")
         kd = ab.shape[0] - 1
-        _lapack_info(band_trd[ab.dtype](102, b"N", b"L", K, kd,
-                                        ab.ctypes.data, kd + 1, d.ctypes.data,
-                                        e.ctypes.data, None, 1),
+        _lapack_info(lapack.band[ab.dtype](102, b"N", b"L", K, kd,
+                                           ab.ctypes.data, kd + 1,
+                                           d.ctypes.data, e.ctypes.data,
+                                           None, 1),
                      "band tridiagonal reduction")
     else:
         if G.shape != (K, K) or not G.flags.c_contiguous:
             raise ValueError("dense reduction needs a square C-ordered "
                              "matrix")
         tau = np.empty(max(K - 1, 1), dtype=G.dtype)
-        _lapack_info(dense_trd[G.dtype](102, b"L", K, G.ctypes.data, K,
-                                        d.ctypes.data, e.ctypes.data,
-                                        tau.ctypes.data),
+        _lapack_info(lapack.dense[G.dtype](102, b"L", K, G.ctypes.data, K,
+                                           d.ctypes.data, e.ctypes.data,
+                                           tau.ctypes.data),
                      "dense tridiagonal reduction")
     return d, e
 
@@ -292,7 +256,7 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
     that bound, makes LAPACKE refuse the factorisation (info = -2), which
     raises.
     """
-    pttrf = _numpy_lapack()[2]
+    pttrf = _numpy_lapack().pttrf
     # pttrf reads doubles through the pointers
     d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
     K = len(d)
@@ -365,6 +329,32 @@ def _block(g: CoeffVector, lead: np.ndarray, N: int, cols: int,
     return B
 
 
+def _dense_gram(B: np.ndarray) -> np.ndarray:
+    """G = B^H B of a C-ordered real or complex N x K block, whose C-order
+    upper triangle is what the dense reduction (``_tridiagonal``) and
+    eigvalsh (UPLO = 'U') read.
+
+    A real B gives the whole symmetric G by syrk (NumPy's B.T @ B), with no
+    transposed copy.  A complex B gives that triangle by zherk from NumPy's
+    BLAS (``_numpy_lapack``), zeros below it: no conjugated copy of B, half
+    the flops of a GEMM, and a diagonal that is real by construction, so
+    the matrix read is exactly Hermitian.  Where NumPy's BLAS lacks zherk,
+    G is the GEMM B^H B, Hermitian to rounding.
+    """
+    lapack = _numpy_lapack()
+    if np.isrealobj(B):
+        return B.T @ B
+    if lapack is None:
+        return B.conj().T @ B
+    if B.dtype != np.complex128 or not B.flags.c_contiguous:
+        raise ValueError("zherk needs a C-ordered complex128 block")
+    N, K = B.shape
+    G = np.zeros((K, K), dtype=complex)
+    lapack.herk(_ROW_MAJOR, _UPPER, _CONJ_TRANS, K, N, 1.0, B.ctypes.data, K,
+                0.0, G.ctypes.data, K)
+    return G
+
+
 def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
     """sigma_max of the N x K block of ``_block_parts`` as sqrt(lambda_max(G)),
     G = B^H B.
@@ -386,14 +376,17 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
     unweighted: a weighted g = w * a * winv spans at least 2(N + n) - 2,
     since ``_block_parts`` refuses shorter pair windows, so no block in band
     storage has leading columns.  Otherwise B is built real or complex from
-    the start, a real B forms G as B.T @ B (syrk) with no conjugated copy,
-    and G is reduced in place by sytrd/hetrd.  Product and reductions both
-    run in NumPy's BLAS and LAPACK, which build the sections too; a second
-    BLAS in the process (SciPy's, tried for this step) made it about twice
-    as slow at N = 1024 (two BLAS threads, 2-vCPU box), the idle workers of
-    one library competing with the other's.  Where NumPy's LAPACK does not
+    the start, G is formed by a rank-k product (``_dense_gram``: syrk or
+    zherk, with no transposed or conjugated copy of B, which is freed
+    before the reduction) and reduced in place by sytrd/hetrd.  Product
+    and reductions both run in NumPy's BLAS and LAPACK, which build the
+    sections too; a second BLAS in the process (SciPy's, tried for this
+    step) made it about twice as slow at N = 1024 (two BLAS threads, 2-vCPU
+    box), the idle workers of one library competing with the other's.
+    Where NumPy's LAPACK does not
     export the routines (``_numpy_lapack`` is None), every block takes the
-    dense G to NumPy's eigvalsh, whose top eigenvalue is sterf's.
+    dense G to NumPy's eigvalsh, reading the same upper triangle, whose top
+    eigenvalue is sterf's.
     """
     real = _block_real_cast(g, lead, N, K)
     if real is None:
@@ -404,11 +397,9 @@ def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
         lam = _tridiagonal_top(*_tridiagonal(_gram_band(c, g.lo, N, K),
                                              band=True))
     else:
-        B = _block(g, lead, N, K, real)
-        G = B.T @ B if real else B.conj().T @ B
-        del B  # B need not outlive the product
+        G = _dense_gram(_block(g, lead, N, K, real))
         lam = (_tridiagonal_top(*_tridiagonal(G, band=False)) if lapack
-               else np.linalg.eigvalsh(G)[-1])
+               else np.linalg.eigvalsh(G, UPLO="U")[-1])
     return math.sqrt(max(float(lam), 0.0))
 
 

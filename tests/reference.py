@@ -4,7 +4,8 @@ The library builds every section as a product of structured matrices.  The
 coefficient algebra here works on single coefficient windows instead, one
 column at a time: the Riesz projection P, its truncation P_n, products as
 direct convolutions, T(e_{-n} h) by its shifted-analytic formula, and the
-column-wise conjugated and K0 sections assembled from them.  The Schwarz
+column-wise conjugated and K0 sections assembled from them; beside them,
+the conjugated section as dense GEMMs of the factor sections.  The Schwarz
 integral gives an outer function from grid samples independently of the
 cepstral constructions.  The dense sigma_max formula is kept in the form
 that reads the whole assembled block, which ``block`` builds from the
@@ -17,6 +18,7 @@ import numpy as np
 
 from toepnorm import CoeffVector, IndexWindow
 from toepnorm.estimation import _block, _block_parts
+from toepnorm.operators import _section
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
 
@@ -91,6 +93,52 @@ def conjugated_reference(a, W, N):
     return out
 
 
+def conjugated_gemm(a, W, N):
+    """The section of M_W T(a) M_{1/W} as L_W (T_a L_{1/W}), both products
+    dense GEMMs over the whole factor sections, zeros included."""
+    n = max(0, -a.lo)
+    inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, N)
+    return _section(W.w_coeffs, N, N) @ inner
+
+
+def composition_bound(a, W, N):
+    """Entrywise bound on the difference of two roundings of the product
+    L_W (T_a L_{1/W}) that differ only in summation order, as between
+    ``conjugated_gemm`` and the library's composition.
+
+    Each entry of T_a L_{1/W} is a complex inner product of at most
+    k1 = hi - lo + 1 nonzero terms (a's window) and each entry of L_W X
+    one of at most k2 = N (a row of the triangular L_W); a zero term adds
+    an exact zero in any order, so the dense GEMM and the banded route
+    share these counts.  A complex inner product of k terms, summed in any
+    order, errs by at most sqrt(2) gamma_(k+2) |x|^T |y|, with
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.5-3.6).  So the computed inner factor
+    X^ satisfies |X^ - X| <= sqrt(2) gamma_(k1+2) |T_a| |L_{1/W}|, and the
+    computed product
+
+        |C^ - L_W X| <= sqrt(2) (gamma_(k1+2) + gamma_(k2+2)
+                        (1 + sqrt(2) gamma_(k1+2))) |L_W| |T_a| |L_{1/W}|
+
+    on each route; two routes differ by at most twice that.  The product
+    of the moduli is itself formed in floating point, from nonnegative
+    terms, to relative gamma_(2N + n) below 1e-12, which the factor
+    1 + 1e-9 covers.
+    """
+    u = 2.0 ** -53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    n = max(0, -a.lo)
+    k1 = a.hi - a.lo + 1
+    g1, g2 = math.sqrt(2) * gamma(k1 + 2), math.sqrt(2) * gamma(N + 2)
+    M = np.abs(_section(W.w_coeffs, N, N)) @ (
+        np.abs(_section(a, N, N + n)) @ np.abs(_section(W.winv_coeffs,
+                                                        N + n, N)))
+    return 2 * (g1 + g2 * (1 + g1)) * (1 + 1e-9) * M
+
+
 def k0_reference(n, h, W, N):
     """Both terms of T(e_{-n}) P_n M_h - T(e_{-n}) M_W P_n M_{h/W}, column
     by column."""
@@ -116,27 +164,35 @@ def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
     return _block(*_block_parts(a, W, N, m), N, cols)
 
 
-def gram_of_block(B: np.ndarray) -> np.ndarray | None:
-    """B^H B of an assembled complex block, with the real cast decided on
-    the whole matrix: real when max |Im B| is at most 1e-12 max |B|, then
-    G = B.T @ B of a contiguous copy of B.real, else G = B^H B; None for a
-    zero block."""
+def cast_block(B: np.ndarray) -> np.ndarray | None:
+    """An assembled complex block with the real cast decided on the whole
+    matrix: a contiguous copy of B.real when max |Im B| is at most 1e-12
+    max |B|, else B itself; None for a zero block."""
     scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale == 0.0:
         return None
     if np.max(np.abs(B.imag)) <= 1e-12 * scale:
-        B = np.ascontiguousarray(B.real)
-        return B.T @ B
-    return B.conj().T @ B
+        return np.ascontiguousarray(B.real)
+    return B
+
+
+def gram_of_block(B: np.ndarray) -> np.ndarray | None:
+    """B^H B of ``cast_block(B)`` by a dense GEMM (B.T @ B for a real cast),
+    in full; None for a zero block."""
+    B = cast_block(B)
+    if B is None:
+        return None
+    return B.T @ B if np.isrealobj(B) else B.conj().T @ B
 
 
 def sigma_max_of_block(B: np.ndarray) -> float:
     """sqrt(lambda_max(B^H B)) of an assembled complex block, the Gram
-    matrix of ``gram_of_block``; the top eigenvalue from eigvalsh."""
+    matrix of ``gram_of_block``; the top eigenvalue from eigvalsh on the
+    upper triangle, the one the library's dense path reads."""
     G = gram_of_block(B)
     if G is None:
         return 0.0
-    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(G, UPLO="U")[-1]), 0.0))
 
 
 def packet_lower(B: np.ndarray, thetas: int) -> float:

@@ -595,10 +595,11 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 """
 
 
-def _run_python(*args):
-    """Run the interpreter in a fresh process that imports this toepnorm."""
+def _run_python(*args, env: dict | None = None):
+    """Run the interpreter in a fresh process that imports this toepnorm,
+    with the variables of ``env`` added to its environment."""
     src = Path(toepnorm.__file__).resolve().parent.parent
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -621,13 +622,17 @@ _NO_SCIPY = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # any import of SciPy now raises ImportError
 import numpy as np
-from toepnorm import cli, estimation
+from toepnorm import cli, estimation, operators
 
 eigvalsh, dense = np.linalg.eigvalsh, []
-np.linalg.eigvalsh = lambda G: dense.append(len(G)) or eigvalsh(G)
+np.linalg.eigvalsh = lambda G, **kw: dense.append(len(G)) or eigvalsh(G, **kw)
+loader, composed = operators._numpy_lapack, []
 if sys.argv[1] == "dense":  # as on a NumPy whose LAPACK lacks the routines
-    estimation._numpy_lapack = lambda: None
+    loader = estimation._numpy_lapack = lambda: None
     estimation._tridiagonal = None  # never called
+# the route of each conjugated section: ztrmm, or the GEMMs without it
+operators._numpy_lapack = lambda: composed.append(loader() is not None) \
+    or loader()
 argvs = [["ap-check", "--weight", "0:0.3", "--grid", "64"],
          ["verify-identity", "--symbol=-1:1", "--weight", "0:0.3",
           "--N", "16"]]
@@ -636,20 +641,46 @@ argvs += [["essnorm", "--symbol=-1:1,2:0.5", *weight, "--N", "256",
           for weight in ([], ["--weight", "0:0.3"])]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
-print(json.dumps([codes, len(dense)]))
+print(json.dumps([codes, len(dense), composed]))
 """
 
 
 @pytest.mark.parametrize("band", ["numpy", "dense"])
 def test_subcommands_run_without_scipy(band):
     # SciPy is only a test dependency: with its import blocked, every
-    # subcommand runs, on NumPy's LAPACK reductions and on the dense path
-    # that replaces them where NumPy's LAPACK does not export them, where
-    # each of the three brackets' blocks goes to eigvalsh
+    # subcommand runs, on NumPy's BLAS and LAPACK routines and on the dense
+    # path that replaces them where NumPy's library does not export them,
+    # where each of the three brackets' blocks goes to eigvalsh and
+    # verify-identity composes its sections at N and 2N by GEMMs
     proc = _run_python("-c", _NO_SCIPY, band)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0, 0],
-                                       3 if band == "dense" else 0]
+                                       3 if band == "dense" else 0,
+                                       [band == "numpy"] * 2]
+
+
+_IDENTITY_TABLES = """
+import sys
+from toepnorm import acceptance, cli
+cli._write_table(acceptance.run_conjugation_identity().rows, "csv", None)
+sys.exit(cli.main(["verify-identity", "--symbol=-2:0.7,-1:1j,1:0.4",
+                   "--weight", "0:0.3", "--weight", "0:-0.3",
+                   "--weight", "0:0.25,3.141592653589793:-0.25",
+                   "--N", "128"]))
+"""
+
+
+def test_identity_tables_do_not_depend_on_blas_threads():
+    # the identity sections and residual norms sum in orders fixed by their
+    # shapes, so the rows of identity.csv and the verify-identity table are
+    # byte-identical at one and two BLAS threads
+    procs = [_run_python("-c", _IDENTITY_TABLES,
+                         env={"OPENBLAS_NUM_THREADS": str(threads)})
+             for threads in (1, 2)]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    assert procs[0].stdout.count("\n") == 1 + 6 + 1 + 3
+    assert procs[0].stdout == procs[1].stdout
 
 
 @pytest.mark.parametrize("script, args, header, rows", [

@@ -22,7 +22,7 @@ from toepnorm.estimation import (_BAND_RATIO, _block_parts, _gram_band,
                                  _sigma_max, _tridiagonal, _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import (block, gram_of_block, packet_lower,
+from reference import (block, cast_block, gram_of_block, packet_lower,
                        sigma_max_of_block, tridiagonal_top)
 
 
@@ -229,8 +229,9 @@ def grams(monkeypatch):
 
 def test_dense_upper_matches_whole_block_cast_bitwise(grams):
     # the cast decided on the coefficient window gives the Gram matrix, to
-    # the byte, of the cast decided on the whole assembled block, on both
-    # branches and with leading conjugated columns (m < n = 3 for e_{-3} h)
+    # the byte, of the cast decided on the whole assembled block (through
+    # the same product), on both branches and with leading conjugated
+    # columns (m < n = 3 for e_{-3} h)
     weights = [PowerWeight(((0.0, 0.3),)),
                PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
     cases = [(a, grid_pair(pw, a, 1024), 1024, 64)
@@ -247,7 +248,7 @@ def test_dense_upper_matches_whole_block_cast_bitwise(grams):
     for a, W, N, m in cases:
         B = block(a, W, N, m)
         real.append(np.max(np.abs(B.imag)) <= 1e-12 * np.max(np.abs(B)))
-        ref = gram_of_block(B)
+        ref = est._dense_gram(cast_block(B))
         del grams[:]
         up = sigma_max(a, W, N, m)
         assert len(grams) == 1 and grams[0].dtype == ref.dtype
@@ -319,7 +320,8 @@ def test_real_cast_covers_the_leading_columns(grams):
     assert abs(B[0, 0] + 1j * eps) <= 1e-22
     assert not np.any(B[:, 1:].imag)
     up = sigma_max(a, W, N, m)
-    assert [G.tobytes() for G in grams] == [gram_of_block(B).tobytes()]
+    assert [G.tobytes() for G in grams] == [
+        est._dense_gram(cast_block(B)).tobytes()]
     assert abs(up - math.sqrt(1.0 + eps ** 2)) <= 1e-15 and up > 1.0
 
 
@@ -342,6 +344,54 @@ def test_weighted_bracket_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * N * (N - m) * 8
+
+
+def test_complex_weighted_bracket_peak_memory():
+    """Traced peak of one complex weighted bracket at N = 1024, m = 64, in
+    units of N (N - m) 8 bytes: the complex block (2 units) and its
+    (N - m)^2 complex Gram matrix (2 (N - m) / N = 1.875 units), with no
+    conjugated copy of the block beside them, and 0.25 units for the
+    coefficient windows, the packet columns (2 L / (N - m) = 0.13 units)
+    and their L x L Gram matrix."""
+    params = BracketParams()
+    N, m = params.N, params.m
+    a = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    W = grid_pair(PowerWeight(((0.0, 0.3),)), a, N)
+    essential_bracket(a, W, params)
+    tracemalloc.start()
+    try:
+        essential_bracket(a, W, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + 2 * (N - m) / N + 0.25) * N * (N - m) * 8
+
+
+@pytest.mark.parametrize("N, K", [(6, 5), (70, 63), (128, 127), (300, 17),
+                                  (1024, 960)])
+def test_complex_dense_gram_is_exactly_hermitian(N, K):
+    # the triangle that both dense reductions read, zherk's, defines an
+    # exactly Hermitian G with a real diagonal (a GEMM's diagonal keeps a
+    # rounding-level imaginary part at these sizes), within rounding of the
+    # GEMM: each entry is a complex inner product of N terms, so it errs by
+    # at most sqrt(2) gamma_(N+2) (|B|^T |B|) on either route (Higham,
+    # 3.5-3.6)
+    rng = np.random.default_rng([N, K])
+    B = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
+    G = est._dense_gram(B)
+    assert G.dtype == complex and not np.any(np.tril(G, -1))
+    assert not np.any(np.diagonal(G).imag)
+    gamma = (N + 2) * U / (1 - (N + 2) * U)
+    bound = 2 * math.sqrt(2) * gamma * (np.abs(B).T @ np.abs(B))
+    assert np.all(np.triu(np.abs(G - gram_of_block(B))) <= bound)
+    if est._numpy_lapack() is None:
+        return
+    # only the upper triangle is read: a NaN below it changes nothing
+    marked = G.copy()
+    marked[np.tril_indices(K, -1)] = np.nan
+    d, e = _tridiagonal(G.copy(), band=False)
+    dm, em = _tridiagonal(marked, band=False)
+    assert d.tobytes() == dm.tobytes() and e.tobytes() == em.tobytes()
 
 
 def random_laurent(rng, lo, span, complex_coeffs):
@@ -525,14 +575,15 @@ def pttrf_calls(monkeypatch):
     # counts the LDL^T factorisations that the bisection makes
     if est._numpy_lapack() is None:
         pytest.skip("NumPy's LAPACK does not export the factorisation")
-    band, dense, pttrf = est._numpy_lapack()
+    lapack = est._numpy_lapack()
     calls = []
 
     def counted(*args):
         calls.append(args[0])
-        return pttrf(*args)
+        return lapack.pttrf(*args)
 
-    monkeypatch.setattr(est, "_numpy_lapack", lambda: (band, dense, counted))
+    monkeypatch.setattr(est, "_numpy_lapack",
+                        lambda: lapack._replace(pttrf=counted))
     return calls
 
 

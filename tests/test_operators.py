@@ -8,13 +8,14 @@ from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
                       outer_pair_exact, outer_pair_refined, symbol_sup,
                       toeplitz_matrix)
-from toepnorm import acceptance
+from toepnorm import acceptance, operators
 from toepnorm.acceptance import identity_residual, rank_ratio
 from toepnorm.operators import _section
 from toepnorm.weights import PowerWeight
 
-from reference import (apply_special_toeplitz, block, conjugated_reference,
-                       coeff, k0_reference, multiply, riesz_project, unit)
+from reference import (apply_special_toeplitz, block, composition_bound,
+                       conjugated_gemm, conjugated_reference, coeff,
+                       k0_reference, multiply, riesz_project, unit)
 
 
 def cv(lo, coeffs):
@@ -224,6 +225,42 @@ def test_conjugation_identity_decreases_with_section_size():
                for N in (128, 256)}
         assert res[128] <= 1e-6
         assert res[256] < res[128]
+
+
+def identity_sections():
+    """(a, W, N) of the suite's 12 identity cases (run_conjugation_identity,
+    at N = 128 and 256), with the pair that identity_residual builds."""
+    rng = np.random.default_rng(acceptance._SEED)
+    hs = {n: acceptance.seeded_h(rng) for n in (1, 2, 3)}
+    return [(cv(-n, hs[n].coeffs),
+             outer_pair_refined(PowerWeight(((0.0, lam),)), 8 * N,
+                                IndexWindow(0, N + n - 1)), N)
+            for N in (128, 256) for n in (1, 2, 3) for lam in (-0.3, 0.3)]
+
+
+def composition_cases():
+    """The suite's identity sections, a symbol with an interior zero
+    coefficient (skipped by the banded product) and one with lo >= 0 (no
+    extra rows of L_{1/W})."""
+    W = refined_pair(0.3, 64)
+    return identity_sections() + [
+        (cv(-2, [1.0, 0.0, 0.5j, 0.0, -0.3]), W, 64),
+        (cv(1, [0.5, 1j, 0.0, 0.2]), W, 64)]
+
+
+def test_composition_matches_dense_gemms_within_rounding():
+    for a, W, N in composition_cases():
+        C = conjugated_toeplitz_matrix(a, W, N)
+        dev = np.abs(C - conjugated_gemm(a, W, N))
+        assert np.all(dev <= composition_bound(a, W, N))
+
+
+def test_composition_without_blas_names_is_the_dense_gemms(monkeypatch):
+    # where NumPy's BLAS lacks ztrmm, both products are GEMMs, to the bit
+    monkeypatch.setattr(operators, "_numpy_lapack", lambda: None)
+    for a, W, N in composition_cases():
+        assert conjugated_toeplitz_matrix(a, W, N).tobytes() \
+            == conjugated_gemm(a, W, N).tobytes()
 
 
 # ------------------------------------ product builders against column loops
