@@ -23,10 +23,7 @@ routine here:
   lambda_max(T) alone is found by bisection on the sign of the LDL^T pivots
   of sI - T, a test that is monotone in s under IEEE rounding, so it stays
   exact where the top of the spectrum clusters (``_tridiagonal_top``).  G
-  is held in band storage when the block's coefficient window spans at
-  most (N - m) // 32 (every narrow unweighted block and no weighted one),
-  and formed densely otherwise; B is real when its entries are, to the
-  relative level ``_REAL_CAST_RTOL``.
+  is held in band storage for a narrow block and formed densely otherwise.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{m+l}, theta on a uniform grid.
   Packets supported on columns m .. m+L-1 are feasible test vectors for
@@ -35,6 +32,10 @@ routine here:
   ||A u||^2 = u^H G_L u reads only the L x L Gram matrix G_L of those
   columns, and its diagonal sums, folded onto the grid, give every angle
   at once by one FFT (``_packet_lower``): O(N L^2 + thetas log thetas).
+
+Both ends read one block, in one dtype: its parts are made once
+(``_block_parts``) and cast once (``_cast_parts``), float64 when the
+block's values are real.
 
 Weighted spaces are handled by conjugating with the outer function of the
 weight (an isometry onto the unweighted space), so a single flat-metric
@@ -50,16 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _numpy_lapack,
-                        _section)
-from .spectral import CoeffVector, IndexWindow
+                        _toeplitz)
+from .spectral import CoeffVector
 from .weights import OuterPair
 
 # A block whose imaginary parts are at most this fraction of its largest
-# entry is taken as real for its Gram matrix, at both ends of the bracket (a
-# real symmetric G costs a quarter of the complex Hermitian one in the
-# product and in the tridiagonalisation).  The rule (``_real_cast``) is
-# decided once, on the coefficient windows that the block repeats, before
-# the block is built.
+# entry is taken as real for its Gram matrices (a real symmetric G costs a
+# quarter of the complex Hermitian one in the product and in the
+# tridiagonalisation).  ``_cast_parts`` applies the rule.
 _REAL_CAST_RTOL = 1e-12
 
 # A block whose coefficient window spans at most (N - m) // this ratio
@@ -108,36 +107,10 @@ class NormEstimate:
             raise ValueError("bracket lower end exceeds upper end")
 
 
-def _real_cast(*windows: np.ndarray) -> bool | None:
-    """The real-cast rule for a block whose entries are the values of these
-    coefficient windows, and zeros: None when every value is zero (the
-    block's sigma_max is 0), else whether no imaginary part exceeds
-    _REAL_CAST_RTOL times the largest modulus among them.  Maxima are exact,
-    so the verdict is the one the whole block would give."""
-    scale = max(float(np.max(np.abs(w), initial=0.0)) for w in windows)
-    if scale == 0.0:
-        return None
-    return all(np.max(np.abs(w.imag), initial=0.0) <= _REAL_CAST_RTOL * scale
-               for w in windows)
-
-
-def _block_real_cast(g: CoeffVector, lead: np.ndarray, N: int,
-                     K: int) -> bool | None:
-    """``_real_cast`` of the block of ``_block_parts`` cut to K columns,
-    decided on the coefficient windows it repeats: the values of g that its
-    Toeplitz columns hold, and its leading columns."""
-    lead = lead[:, :K]
-    p0 = lead.shape[1]
-    # columns p >= p0 of the section of g hold its values at -p .. N-1-p
-    toeplitz = g.on_window(IndexWindow(1 - K, N - 1 - p0)) if p0 < K \
-        else lead[:0]
-    return _real_cast(toeplitz, lead)
-
-
 def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
     """Lower band storage ab[d, p] = G[p + d, p] of G = B^H B for the
     N x K block B whose column p holds g_s in row p + s, where c holds g's
-    coefficients on its window [lo, lo + u] (the block of ``_block_parts``
+    values at frequencies lo .. lo + u (the block of ``_block_parts``
     without leading columns).
 
     G[p + d, p] = sum of g_s conj(g_{s-d}) over s in [lo + d, lo + u] with
@@ -285,15 +258,23 @@ def _tridiagonal_top(d: np.ndarray, e: np.ndarray) -> float:
     return _from_order_key(klo)
 
 
-def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
-                 m: int) -> tuple[CoeffVector, np.ndarray]:
-    """Columns m..N-1 of the N x N section of T(a), or of M_W T(a) M_{1/W}
-    when W is given, as (g, lead): the section of g, _section(g, N, N - m),
-    with its first lead.shape[1] columns replaced by the complex columns
-    lead.
+# A block's parts (lo, g, lead), as ``_block_parts`` describes them
+_Parts = tuple[int, np.ndarray, np.ndarray]
 
-    The conjugated section is Toeplitz away from its first n = max(0, -lo)
-    columns: for e_j with j >= n the inner projection in
+
+def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
+                 m: int) -> _Parts:
+    """Columns m..N-1 of the N x N section of T(a), or of M_W T(a) M_{1/W}
+    when W is given, as (lo, g, lead): the N x K Toeplitz matrix, K = N - m,
+    whose column p holds in row p + s the value g[s - lo] (zero outside
+    lo .. lo + len(g) - 1), with its first p0 = lead.shape[1] columns
+    replaced by the complex columns lead.  g keeps only the values that the
+    Toeplitz columns show: column p >= p0 holds frequencies -p .. N-1-p, so
+    g is trimmed to max(lo, 1 - K) .. N - 1 - p0, and is empty when every
+    column leads.
+
+    The conjugated section is Toeplitz away from its first
+    n = max(0, -a.lo) columns: for e_j with j >= n the inner projection in
     P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
     the one convolution g = w * a * winv (g = a without a weight), and the
     block is the section of g shifted by m.  For j < n it drops the
@@ -316,16 +297,39 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
                 for j in range(m, min(n_neg, N))]
         if cols:
             lead = np.stack(cols, axis=1)
-    g = CoeffVector(IndexWindow(a.lo + m, a.lo + m + len(g) - 1), g)
-    return g, lead
+    K, p0, lo = N - m, lead.shape[1], a.lo + m
+    first = max(lo, 1 - K)
+    stop = min(lo + len(g), N - p0) if p0 < K else first
+    return first, g[first - lo:max(first, stop) - lo], lead
 
 
-def _block(g: CoeffVector, lead: np.ndarray, N: int, cols: int,
-           real: bool = False) -> np.ndarray:
-    """The block of ``_block_parts`` cut to cols columns, or its real part."""
-    B = _section(g, N, cols, real)
+def _cast_parts(parts: _Parts) -> _Parts | None:
+    """The parts of ``_block_parts`` in the dtype that their block is built
+    and reduced in: their real parts (float64) when no imaginary part
+    exceeds _REAL_CAST_RTOL times the largest modulus among them, else the
+    complex parts unchanged; None when every value is zero (a zero block).
+    The parts hold every value that the block shows, and maxima are exact,
+    so the verdict is the one the whole assembled block would give."""
+    lo, g, lead = parts
+    vals = np.concatenate((g, lead.ravel()))
+    scale = np.max(np.abs(vals), initial=0.0)
+    if scale == 0.0:
+        return None
+    if np.max(np.abs(vals.imag)) > _REAL_CAST_RTOL * scale:
+        return parts
+    return lo, g.real, lead.real
+
+
+def _block(parts: _Parts, N: int, cols: int) -> np.ndarray:
+    """The block of ``_block_parts`` cut to cols columns, in its parts'
+    dtype."""
+    lo, g, lead = parts
+    # the values at frequencies 1 - cols .. N - 1; g ends at or below N - 1
+    vals, off = np.zeros(N + cols - 1, dtype=g.dtype), lo + cols - 1
+    vals[max(off, 0):max(off + len(g), 0)] = g[max(-off, 0):]
+    B = _toeplitz(vals, cols)
     lead = lead[:, :cols]
-    B[:, :lead.shape[1]] = lead.real if real else lead
+    B[:, :lead.shape[1]] = lead
     return B
 
 
@@ -355,59 +359,53 @@ def _dense_gram(B: np.ndarray) -> np.ndarray:
     return G
 
 
-def _sigma_max(g: CoeffVector, lead: np.ndarray, N: int, K: int) -> float:
-    """sigma_max of the N x K block of ``_block_parts`` as sqrt(lambda_max(G)),
-    G = B^H B.
+def _sigma_max(parts: _Parts, N: int, K: int) -> float:
+    """sigma_max of the N x K block B of the cast parts (``_cast_parts``) as
+    sqrt(lambda_max(G)), G = B^H B, in the parts' dtype.
 
-    The real cast is decided once, on the coefficient windows B repeats (the
-    values of g that its Toeplitz columns hold, and its leading columns), so
-    no matrix is scanned for it.  G is reduced to a real symmetric
-    tridiagonal T by LAPACK (``_tridiagonal``), and lambda_max(T) is taken
-    alone, by bisection (``_tridiagonal_top``): O(K) per step, against the
-    O(K^2) of sterf's whole spectrum.  The bisection stays exact where the
+    G is reduced to a real symmetric tridiagonal T by LAPACK
+    (``_tridiagonal``), and lambda_max(T) is taken alone, by bisection
+    (``_tridiagonal_top``): O(K) per step, against the O(K^2) of sterf's
+    whole spectrum.  The bisection stays exact where the
     top of the spectrum clusters, as it does for a unimodular symbol, where
     G is close to I; LAPACK's single-eigenvalue drivers do not: there stebz
     with RANGE = 'I' returns INFO = 2 and no eigenvalue, and stemr returns
     a value under the top with no error.
 
-    When g spans u = hi - lo <= K // _BAND_RATIO, G has bandwidth u and is
-    held in band storage (``_gram_band``), whose reduction (sbtrd/hbtrd,
-    O(K^2 u)) replaces the O(K^3) dense one.  Every such block is
-    unweighted: a weighted g = w * a * winv spans at least 2(N + n) - 2,
-    since ``_block_parts`` refuses shorter pair windows, so no block in band
-    storage has leading columns.  Otherwise B is built real or complex from
-    the start, G is formed by a rank-k product (``_dense_gram``: syrk or
-    zherk, with no transposed or conjugated copy of B, which is freed
-    before the reduction) and reduced in place by sytrd/hetrd.  Product
-    and reductions both run in NumPy's BLAS and LAPACK, which build the
-    sections too; a second BLAS in the process (SciPy's, tried for this
-    step) made it about twice as slow at N = 1024 (two BLAS threads, 2-vCPU
-    box), the idle workers of one library competing with the other's.
-    Where NumPy's LAPACK does not
-    export the routines (``_numpy_lapack`` is None), every block takes the
-    dense G to NumPy's eigvalsh, reading the same upper triangle, whose top
-    eigenvalue is sterf's.
+    When B has no leading columns and g spans u = len(g) - 1 <=
+    K // _BAND_RATIO, G has bandwidth u and is held in band storage
+    (``_gram_band``), whose reduction (sbtrd/hbtrd, O(K^2 u)) replaces the
+    O(K^3) dense one.  That takes the narrow unweighted blocks: a weighted
+    g = w * a * winv runs up to N - 1 - p0 after trimming, since
+    ``_block_parts`` refuses shorter pair windows, so it spans at least
+    K - 1 when a.lo <= 0 and some column is Toeplitz.  Otherwise B is
+    built, G is formed by a rank-k product (``_dense_gram``: syrk or zherk,
+    with no transposed or conjugated copy of B, which is freed before the
+    reduction) and reduced in place by sytrd/hetrd.  Product and reductions
+    both run in NumPy's BLAS and LAPACK, which build the sections too; a
+    second BLAS in the process (SciPy's, tried for this step) made it about
+    twice as slow at N = 1024 (two BLAS threads, 2-vCPU box), the idle
+    workers of one library competing with the other's.  Where NumPy's
+    LAPACK does not export the routines (``_numpy_lapack`` is None), every
+    block takes the dense G to NumPy's eigvalsh, reading the same upper
+    triangle, whose top eigenvalue is sterf's.
     """
-    real = _block_real_cast(g, lead, N, K)
-    if real is None:
-        return 0.0
+    lo, g, lead = parts
     lapack = _numpy_lapack() is not None
-    if g.hi - g.lo <= K // _BAND_RATIO and lapack:
-        c = g.coeffs.real if real else g.coeffs
-        lam = _tridiagonal_top(*_tridiagonal(_gram_band(c, g.lo, N, K),
+    if lapack and not lead.shape[1] and len(g) - 1 <= K // _BAND_RATIO:
+        lam = _tridiagonal_top(*_tridiagonal(_gram_band(g, lo, N, K),
                                              band=True))
     else:
-        G = _dense_gram(_block(g, lead, N, K, real))
+        G = _dense_gram(_block(parts, N, K))
         lam = (_tridiagonal_top(*_tridiagonal(G, band=False)) if lapack
                else np.linalg.eigvalsh(G, UPLO="U")[-1])
     return math.sqrt(max(float(lam), 0.0))
 
 
-def _packet_lower(g: CoeffVector, lead: np.ndarray, N: int, L: int,
-                  thetas: int) -> float:
+def _packet_lower(parts: _Parts, N: int, L: int, thetas: int) -> float:
     """max over theta_k = 2 pi k / thetas of ||B u_k||, u_k the packet
     L^(-1/2) (e^(i l theta_k))_l on the first L columns B of the block of
-    ``_block_parts``, from their Gram matrix G = B^H B.
+    the cast parts (``_cast_parts``), from their Gram matrix G = B^H B.
 
     The formula.  ||B u_k||^2 = u_k^H G u_k = (1/L) sum_(p,q) G[p, q]
     e^(i (q - p) theta_k), and e^(i (q - p) theta_k) depends on p - q only
@@ -415,10 +413,9 @@ def _packet_lower(g: CoeffVector, lead: np.ndarray, N: int, L: int,
     c_j = sum of G[p, q] over p - q = j mod thetas (one bincount; exact
     folding, since the grid is uniform), ||B u_k||^2 = (1/L) DFT(c)_k for
     every k at once: O(N L^2 + thetas log thetas) in place of the
-    O(N L thetas) of applying the packets.  B is real, and G with it, when
-    ``_real_cast`` says so (``_block_real_cast``); a complex G need not be
-    exactly Hermitian, and the real part of its DFT is taken.  Any real
-    window s on the packets enters only as c_j = sum s_p s_q G[p, q].
+    O(N L thetas) of applying the packets.  A complex G need not be exactly
+    Hermitian, and the real part of its DFT is taken.  Any real window s on
+    the packets enters only as c_j = sum s_p s_q G[p, q].
 
     Its error (first order in u = 2^-53, gamma_n = n u / (1 - n u); complex
     inner products of length n err by gamma_(n+2), Higham, Accuracy and
@@ -445,16 +442,14 @@ def _packet_lower(g: CoeffVector, lead: np.ndarray, N: int, L: int,
     delta ~ 4 pi L u, one whose phases are reduced mod 2 pi exactly has
     delta <= (6 pi + 4) u.  The two routes agree to the sum of their
     bounds, on lower^2; on lower divide by the sum of the two values, and
-    add u/2 of each for its square root.  The real cast, dropping an
+    add u/2 of each for its square root.  A real cast, dropping an
     imaginary part E of B, moves lambda_k by at most (2 ||B|| + ||E||) ||E||
     more.  These are worst cases: for rounding
     errors of random sign each gamma_n scales like sqrt(n) (Higham & Mary,
     SIAM J. Sci. Comput. 41, 2019), which is what the suite's blocks show.
     """
-    real = _block_real_cast(g, lead, N, L)
-    if real is None:
-        return 0.0
-    B = _block(g, lead, N, L, real)
+    B = _block(parts, N, L)
+    real = np.isrealobj(B)
     G = B.T @ B if real else B.conj().T @ B
     bins = (np.subtract.outer(np.arange(L), np.arange(L)) % thetas).ravel()
     c = np.bincount(bins, G.real.ravel(), thetas)
@@ -506,17 +501,14 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     found by bisection on a positive-definiteness test (the top of a
     Toeplitz section's singular spectrum clusters too tightly for power
     iteration or LAPACK's single-eigenvalue drivers, but the test stays
-    monotone there).  Band storage when the block's window spans at most
-    (N - m) // _BAND_RATIO and NumPy's LAPACK exports the reductions
-    (``_numpy_lapack``), which holds for every narrow unweighted block and
-    no weighted one; dense storage otherwise.  The choice changes
-    sigma_max by rounding only; on a given build it rests on the block's
-    structure alone.  The lower end is the largest ||A u_theta|| over the
-    wave packets on columns m .. m+L-1, taken from the L x L Gram matrix of
-    those columns by one length-thetas FFT of its folded diagonal sums
-    (``_packet_lower``, which derives its rounding against applying the
-    packets directly).  Both ends read the block parts of one
-    ``_block_parts`` call.
+    monotone there).  The Gram matrix is held in band or dense storage by
+    ``_sigma_max``'s rule; the choice changes sigma_max by rounding only,
+    and on a given build it rests on the block's structure alone.  The
+    lower end is the largest ||A u_theta|| over the wave packets on columns
+    m .. m+L-1, taken from the L x L Gram matrix of those columns by one
+    length-thetas FFT of its folded diagonal sums (``_packet_lower``, which
+    derives its rounding against applying the packets directly).  Both ends read the parts of one ``_block_parts``
+    call, cast once (``_cast_parts``); a zero block gives (0, 0).
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -525,9 +517,11 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
         raise ValueError("packet parameters must be positive")
     if m + L > N - max(0, a.hi):
         raise ValueError("wave packet would overflow the section window")
-    g, lead = _block_parts(a, W, N, m)
-    upper = _sigma_max(g, lead, N, N - m)
-    lower = _packet_lower(g, lead, N, L, thetas)
+    parts = _cast_parts(_block_parts(a, W, N, m))
+    if parts is None:
+        return NormEstimate(0.0, 0.0)
+    upper = _sigma_max(parts, N, N - m)
+    lower = _packet_lower(parts, N, L, thetas)
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)

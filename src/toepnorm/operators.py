@@ -102,20 +102,22 @@ _ROW_MAJOR, _LEFT, _UPPER, _LOWER = 101, 141, 121, 122
 _NO_TRANS, _CONJ_TRANS, _NON_UNIT = 111, 113, 131
 
 
-def _section(c: CoeffVector, rows: int, cols: int,
-             real: bool = False) -> np.ndarray:
-    """rows x cols matrix with entries c-hat(i - j), zero outside c's window;
-    with real=True, a float matrix of their real parts.
+def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
+    """rows x cols matrix with entries c-hat(i - j), zero outside c's window.
 
     For analytic c this is the lower-triangular matrix of multiplication by
-    c, compressed to the first rows/cols monomials.  Row i is the slice
-    rows-1-i .. rows-2-i+cols of the reversed value window, so the matrix is
-    a copy of the reversed row order of its sliding windows (the inner
-    stride stays positive, which copies faster than a reversed one).
+    c, compressed to the first rows/cols monomials.
     """
-    vals = c.on_window(IndexWindow(1 - cols, rows - 1))[::-1]
-    vals = (vals.real if real else vals).copy()
-    return sliding_window_view(vals, cols)[::-1].copy()
+    return _toeplitz(c.on_window(IndexWindow(1 - cols, rows - 1)), cols)
+
+
+def _toeplitz(vals: np.ndarray, cols: int) -> np.ndarray:
+    """The rows x cols matrix, rows = len(vals) - cols + 1, with entries
+    vals[i - j + cols - 1] in vals' dtype.  Row i is the slice
+    rows-1-i .. rows-2-i+cols of the reversed values, so the matrix is a
+    copy of the reversed row order of their sliding windows (the inner
+    stride stays positive, which copies faster than a reversed one)."""
+    return sliding_window_view(vals[::-1].copy(), cols)[::-1].copy()
 
 
 def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
     columns, built from the parts of one ``_block_parts`` call: the
     assembled matrix that the references here are compared with."""
     cols = N - m if cols is None else cols
-    return _block(*_block_parts(a, W, N, m), N, cols)
+    return _block(_block_parts(a, W, N, m), N, cols)
 
 
 def cast_block(B: np.ndarray) -> np.ndarray | None:

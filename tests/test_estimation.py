@@ -18,8 +18,9 @@ from toepnorm import (BracketParams, CoeffVector, IndexWindow, NormEstimate,
 from toepnorm.acceptance import (bracket_symbols, independence_weights,
                                  run_unweighted_bracket,
                                  run_weight_independence, weighted_bracket)
-from toepnorm.estimation import (_BAND_RATIO, _block_parts, _gram_band,
-                                 _sigma_max, _tridiagonal, _tridiagonal_top)
+from toepnorm.estimation import (_BAND_RATIO, _block_parts, _cast_parts,
+                                 _gram_band, _sigma_max, _tridiagonal,
+                                 _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
 from reference import (block, cast_block, gram_of_block, packet_lower,
@@ -40,7 +41,7 @@ SYM_CURVED = laurent(-1, [1.0, 0.0, 0.0, 0.5])
 
 
 def sigma_max(a, W, N, m):
-    return _sigma_max(*_block_parts(a, W, N, m), N, N - m)
+    return _sigma_max(_cast_parts(_block_parts(a, W, N, m)), N, N - m)
 
 
 def dense_sigma_max(monkeypatch, a, W, N, m):
@@ -204,9 +205,25 @@ def test_sigma_max_matches_svdvals(monkeypatch):
         assert abs(dense_sigma_max(monkeypatch, a, W, N, m) - ref) \
             <= 1e-14 * ref
         assert abs(sigma_max(a, W, N, m) - ref) <= 1e-14 * ref
-    zero = laurent(-1, [0.0, 0.0])
-    assert dense_sigma_max(monkeypatch, zero, None, 64, 8) == 0.0
-    assert sigma_max(zero, None, 64, 8) == 0.0
+
+
+def test_zero_block_bracket_is_exactly_zero(monkeypatch):
+    # a zero symbol, and e_{-40} at N = 32, whose one value lies below every
+    # column's window: the cast finds no nonzero value, and the bracket is
+    # (0, 0) without a sigma_max or packet step, whatever the LAPACK
+    def unreached(*args):
+        raise AssertionError("zero block reached a norm routine")
+
+    monkeypatch.setattr(est, "_sigma_max", unreached)
+    monkeypatch.setattr(est, "_packet_lower", unreached)
+    params = BracketParams(N=32, m=4, L=8, thetas=16)
+    for lapack in (est._numpy_lapack, lambda: None):
+        with monkeypatch.context() as patch:
+            patch.setattr(est, "_numpy_lapack", lapack)
+            for a in (laurent(-1, [0.0, 0.0]), laurent(-40, [1.0])):
+                got = essential_bracket(a, None, params)
+                assert (got.lower, got.upper) == (0.0, 0.0)
+                assert not np.signbit([got.lower, got.upper]).any()
 
 
 @pytest.fixture
@@ -267,14 +284,15 @@ def test_bracket_builds_no_section_wider_than_its_block(monkeypatch):
     # coefficient windows, not from the literal product, whose factor
     # sections are N x (N + 3) and N x N
     N, m = 256, 1
-    section, built = operators._section, []
+    toeplitz, built = operators._toeplitz, []
 
-    def spy(c, rows, cols, real=False):
-        built.append(rows * cols)
-        return section(c, rows, cols, real)
+    def spy(vals, cols):
+        S = toeplitz(vals, cols)
+        built.append(S.size)
+        return S
 
-    monkeypatch.setattr(operators, "_section", spy)
-    monkeypatch.setattr(est, "_section", spy)
+    monkeypatch.setattr(operators, "_toeplitz", spy)
+    monkeypatch.setattr(est, "_toeplitz", spy)
     a = laurent(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     essential_bracket(a, W, BracketParams(N=N, m=m, L=32, thetas=16))
@@ -415,8 +433,8 @@ def test_gram_band_matches_dense_gram():
     for a, N, m in cases:
         B = block(a, None, N, m)
         G = B.conj().T @ B
-        g, _ = _block_parts(a, None, N, m)
-        ab = _gram_band(g.coeffs, g.lo, N, N - m)
+        lo, g, _ = _block_parts(a, None, N, m)
+        ab = _gram_band(g, lo, N, N - m)
         K, scale = N - m, np.max(np.abs(G))
         for d in range(a.hi - a.lo + 1):
             dev = np.max(np.abs(ab[d, :K - d] - np.diagonal(G, -d)))
@@ -450,7 +468,9 @@ def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
     lam = sterf(*_tridiagonal(ab, band=True))
     assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
     if not np.any(c):
-        assert sigma_max(a, None, N, m) == 0.0 and not np.any(lam)
+        # the cast step stops a zero block before sigma_max
+        assert _cast_parts(_block_parts(a, None, N, m)) is None
+        assert not np.any(lam)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -673,12 +693,13 @@ def gamma(n):
     return n * U / (1 - n * U)
 
 
-def packet_tolerance(B, lower, ref, thetas):
+def packet_tolerance(B, lower, ref, thetas, cast):
     """The bound of ``_packet_lower``'s docstring on |lower - ref|, ref the
     direct route of ``reference.packet_lower`` on the complex columns B:
     the Gram route's and the direct route's errors on lower^2, with the
-    twiddles of the FFT taken to 2 u and the real cast's dropped imaginary
-    part E, divided by lower + ref, and the square roots' rounding."""
+    twiddles of the FFT taken to 2 u and, where the whole block was cast to
+    real, the dropped imaginary part E of B, divided by lower + ref, and
+    the square roots' rounding."""
     N, L = B.shape
     nu = np.linalg.norm(np.abs(B), 2)
     mu = 2 * U
@@ -687,18 +708,21 @@ def packet_tolerance(B, lower, ref, thetas):
     n_f = L * math.ceil((2 * L - 1) / thetas)
     gram = gamma(N + 2) + gamma(n_f) + passes * eta + U
     direct = 2 * (gamma(L + 2) + (6 * math.pi + 4) * U) + gamma(2 * N + 1)
-    scale = float(np.max(np.abs(B)))
-    cast = np.max(np.abs(B.imag)) <= est._REAL_CAST_RTOL * scale
     e = np.linalg.norm(B.imag, 2) if cast else 0.0
     return (((gram + direct) * nu ** 2 + (2 * nu + e) * e) / (lower + ref)
             + U * max(lower, ref))
 
 
 def check_packet_lower(a, W, N, m, L, thetas):
-    lower = est._packet_lower(*_block_parts(a, W, N, m), N, L, thetas)
-    B = block(a, W, N, m, L)
+    # the cast is the whole block's (reference.cast_block), the packets read
+    # its first L columns
+    lower = est._packet_lower(_cast_parts(_block_parts(a, W, N, m)), N, L,
+                              thetas)
+    whole = block(a, W, N, m)
+    cast = np.isrealobj(cast_block(whole))
+    B = whole[:, :L]
     ref = packet_lower(B, thetas)
-    assert abs(lower - ref) <= packet_tolerance(B, lower, ref, thetas)
+    assert abs(lower - ref) <= packet_tolerance(B, lower, ref, thetas, cast)
     return lower, ref
 
 
@@ -728,7 +752,7 @@ def test_packet_lower_with_leading_columns():
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
         a = laurent(-3, h)
-        assert _block_parts(a, W, N, m)[1].shape[1] == 2
+        assert _block_parts(a, W, N, m)[2].shape[1] == 2
         check_packet_lower(a, W, N, m, 16, 64)
 
 
@@ -743,6 +767,31 @@ def test_packet_lower_fold_and_degenerate_sizes(L, thetas):
         if L == 1:
             col = block(a, W, N, m, 1)[:, 0]
             assert abs(lower - np.linalg.norm(col)) <= 1e-14 * lower
+
+
+def test_both_ends_read_one_cast(monkeypatch):
+    # with m + L <= n the packet columns miss e_{-40}: on their own they
+    # hold 1e-3 e_{-10} + 1e-13i e_{-9}, complex by the cast rule, while the
+    # whole block, scaled by e_{-40}, is real.  Both ends build the real
+    # block, and the lower end stays within _packet_lower's bound of the
+    # direct route, the real cast's term included.
+    N, m, L, thetas = 128, 4, 16, 64
+    a = laurent(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j])
+    built, block_ = [], est._block
+
+    def spy(parts, N, cols):
+        B = block_(parts, N, cols)
+        built.append((cols, B.dtype))
+        return B
+
+    monkeypatch.setattr(est, "_block", spy)
+    got = essential_bracket(a, None, BracketParams(N=N, m=m, L=L,
+                                                   thetas=thetas))
+    assert built == [(N - m, np.float64), (L, np.float64)]
+    assert got.lower <= got.upper
+    assert np.iscomplexobj(cast_block(block(a, None, N, m, L)))
+    assert np.isrealobj(cast_block(block(a, None, N, m)))
+    assert check_packet_lower(a, None, N, m, L, thetas)[0] == got.lower
 
 
 def test_packet_lower_of_the_shift_is_exactly_one():

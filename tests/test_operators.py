@@ -10,7 +10,7 @@ from toepnorm import (CoeffVector, IndexWindow, OuterPair,
                       toeplitz_matrix)
 from toepnorm import acceptance, operators
 from toepnorm.acceptance import identity_residual, rank_ratio
-from toepnorm.operators import _section
+from toepnorm.operators import _section, _toeplitz
 from toepnorm.weights import PowerWeight
 
 from reference import (apply_special_toeplitz, block, composition_bound,
@@ -66,7 +66,10 @@ def test_toeplitz_diagonal_constancy_and_nesting():
 def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
     # scipy.linalg.toeplitz of the first column and row is the reference the
     # strided builder replaced; both only copy coefficients, so they agree
-    # bitwise.  Windows straddle 0, lie above it and lie below it.
+    # bitwise.  Windows straddle 0, lie above it and lie below it.  The
+    # complex case is _section; the real one runs its sliding-window core,
+    # _toeplitz, on float64 values, as estimation._block does for a real
+    # block.
     rng = np.random.default_rng([hi - lo, rows, cols])
     coeffs = rng.standard_normal(hi - lo + 1)
     if kind == "complex":
@@ -74,9 +77,15 @@ def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
     c = cv(lo, coeffs)
     col = c.on_window(IndexWindow(0, rows - 1))
     row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
-    S = _section(c, rows, cols)
+    if kind == "real":
+        col, row = col.real, row.real
+        vals = c.on_window(IndexWindow(1 - cols, rows - 1)).real.copy()
+        S = _toeplitz(vals, cols)
+    else:
+        S = _section(c, rows, cols)
     expected = toeplitz(col, row)
-    assert S.dtype == expected.dtype and S.shape == (rows, cols)
+    assert S.dtype == expected.dtype == coeffs.dtype
+    assert S.shape == (rows, cols)
     assert S.tobytes() == expected.tobytes()
     # estimation._block writes its leading columns into the result in place
     assert S.flags.c_contiguous and S.flags.writeable
