@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from toepnorm.acceptance import identity_residual, rank_ratio, seeded_h
+from toepnorm.acceptance import identity_residual, rank_ratio, seeded_symbol
 from toepnorm.weights import PowerWeight
 
 
@@ -31,12 +31,12 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20240901)
     args = ap.parse_args()
 
-    h = seeded_h(np.random.default_rng(args.seed), args.degree)
+    a = seeded_symbol(np.random.default_rng(args.seed), args.n, args.degree)
     pw = PowerWeight(((0.0, args.exponent),))
 
     print("N,residual,rank_ratio")
     for N in (int(s) for s in args.sizes.split(",")):
-        res, sv = identity_residual(args.n, h, pw, N)
+        res, sv = identity_residual(a, pw, N)
         print(f"{N},{res:.17g},{rank_ratio(sv, args.n):.17g}")
     return 0
 

@@ -5,7 +5,7 @@ from .spectral import CoeffVector, IndexWindow, analyze, synthesize
 from .weights import (OuterPair, PowerWeight, ap_characteristic,
                       khvedelidze_ap_check, outer_pair, outer_pair_exact,
                       outer_pair_refined, sample_power_weight)
-from .operators import (conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
+from .operators import (conjugated_toeplitz_matrix, k0_matrix, shift_order,
                         symbol_sup, toeplitz_matrix)
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket)
@@ -17,8 +17,8 @@ __all__ = [
     "OuterPair", "PowerWeight", "ap_characteristic", "khvedelidze_ap_check",
     "outer_pair", "outer_pair_exact", "outer_pair_refined",
     "sample_power_weight",
-    "conjugated_toeplitz_matrix", "csa_decompose",
-    "k0_matrix", "symbol_sup", "toeplitz_matrix",
+    "conjugated_toeplitz_matrix", "k0_matrix", "shift_order",
+    "symbol_sup", "toeplitz_matrix",
     "BracketParams", "NormEstimate",
     "compression_deficiency_bound", "essential_bracket",
 ]

@@ -27,8 +27,8 @@ import numpy as np
 
 from .estimation import (BracketParams, NormEstimate,
                          compression_deficiency_bound, essential_bracket)
-from .operators import (conjugated_toeplitz_matrix, k0_matrix, symbol_sup,
-                        toeplitz_matrix)
+from .operators import (conjugated_toeplitz_matrix, k0_matrix, shift_order,
+                        symbol_sup, toeplitz_matrix)
 from .spectral import CoeffVector, IndexWindow
 from .weights import (PowerWeight, ap_characteristic, khvedelidze_ap_check,
                       outer_pair, outer_pair_exact, outer_pair_refined,
@@ -95,16 +95,11 @@ def _criterion(gate: float | None = None):
     return decorate
 
 
-def _symbol(lo: int, coeffs) -> CoeffVector:
-    arr = np.asarray(coeffs, dtype=complex)
-    return CoeffVector(IndexWindow(lo, lo + len(arr) - 1), arr)
-
-
 def bracket_symbols() -> list[tuple[str, CoeffVector]]:
     return [
-        ("e_-1", _symbol(-1, [1.0])),
-        ("e_-1+0.5e_2", _symbol(-1, [1.0, 0.0, 0.0, 0.5])),
-        ("2e_-2+e_1+0.3e_3", _symbol(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])),
+        ("e_-1", CoeffVector(-1, [1.0])),
+        ("e_-1+0.5e_2", CoeffVector(-1, [1.0, 0.0, 0.0, 0.5])),
+        ("2e_-2+e_1+0.3e_3", CoeffVector(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])),
     ]
 
 
@@ -114,12 +109,12 @@ def independence_weights() -> list[PowerWeight]:
             PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
 
 
-def seeded_h(rng, degree: int = 4) -> CoeffVector:
-    """Analytic polynomial h of the given degree whose coefficients are
-    standard complex Gaussians drawn from ``rng``."""
+def seeded_symbol(rng, n: int, degree: int = 4) -> CoeffVector:
+    """The symbol e_{-n} h, h the analytic polynomial of the given degree
+    whose coefficients are standard complex Gaussians drawn from ``rng``."""
     coeffs = (rng.standard_normal(degree + 1)
               + 1j * rng.standard_normal(degree + 1)) / math.sqrt(2.0)
-    return CoeffVector(IndexWindow(0, degree), coeffs)
+    return CoeffVector(-n, coeffs)
 
 
 def _sum_squares(x: np.ndarray) -> float:
@@ -130,18 +125,19 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(np.sum(np.square(x.view(np.float64))))
 
 
-def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
+def identity_residual(a: CoeffVector, pw: PowerWeight, N: int
                       ) -> tuple[float, np.ndarray]:
-    """Residual of the conjugation identity on N x N sections.
+    """Residual of the conjugation identity for a on N x N sections.
 
     W is the two-grid refined outer pair of ``pw`` at grid 8N with outer
-    window [0, N + n - 1], the coefficients the sections read; each
-    coefficient is its own term of the pair's analysis, so a wider window
-    would change none of them.  Returns the Frobenius-relative residual
-    ||C - T - K0|| / ||T|| of C = M_W T(e_{-n}h) M_{1/W}, T = T(e_{-n}h)
-    and K0 from ``k0_matrix``, with both Frobenius norms summed in an order
-    fixed by the shape (``_sum_squares``), together with the N singular
-    values of K0 in descending order.
+    window [0, N + n - 1], n = ``shift_order(a)``, the coefficients the
+    sections read; each coefficient is its own term of the pair's
+    analysis, so a wider window would change none of them.  Returns the
+    Frobenius-relative residual ||C - T - K0|| / ||T|| of
+    C = M_W T(a) M_{1/W}, T = T(a) and K0 from ``k0_matrix``, with both
+    Frobenius norms summed in an order fixed by the shape
+    (``_sum_squares``), together with the N singular values of K0 in
+    descending order.
 
     They are taken from the columns of K0 that are not all zero, padded
     with zeros to length N.  This is exact: K0 K0^H is the sum of c c^H
@@ -151,11 +147,10 @@ def identity_residual(n: int, h: CoeffVector, pw: PowerWeight, N: int
     to be the first n, so a column >= n that the composition leaves
     nonzero shows in the values and in :func:`rank_ratio`.
     """
-    W = outer_pair_refined(pw, 8 * N, IndexWindow(0, N + n - 1))
-    a = CoeffVector(IndexWindow(-n, h.hi - n), h.coeffs)
+    W = outer_pair_refined(pw, 8 * N, IndexWindow(0, N + shift_order(a) - 1))
     T = toeplitz_matrix(a, N)
     C = conjugated_toeplitz_matrix(a, W, N)
-    K0 = k0_matrix(n, h, W, N)
+    K0 = k0_matrix(a, W, N)
     C -= T
     C -= K0
     res = math.sqrt(_sum_squares(C) / _sum_squares(T))
@@ -171,33 +166,36 @@ def rank_ratio(sv: np.ndarray, n: int) -> float:
     return float(np.max(sv[n:], initial=0.0) / sv[0]) if sv[0] else 0.0
 
 
-def identity_clauses(n: int, h: CoeffVector, pw: PowerWeight, N: int
+def identity_clauses(a: CoeffVector, pw: PowerWeight, N: int
                      ) -> tuple[dict, dict[str, Check]]:
-    """The conjugation identity's clauses for e_{-n} h and ``pw`` at sizes
-    N and 2N: the residual (:func:`identity_residual`) at N is at most
-    1e-6; at 2N it is strictly smaller or below the floor 1e-12; the larger
-    sigma_{n+1}/sigma_1 of the two K0 (``rank_ratio``, :func:`rank_ratio`)
-    is at most 1e-8.  ``k0_rank`` counts the singular values above
-    1e-8 sigma_1; ``decreasing`` is the verdict of the 2N clause.
+    """The conjugation identity's clauses for the symbol a and ``pw`` at
+    sizes N and 2N: the residual (:func:`identity_residual`) at N is at
+    most 1e-6; at 2N it is strictly smaller or below the floor 1e-12; the
+    larger sigma_{n+1}/sigma_1, n = ``shift_order(a)``, of the two K0
+    (``rank_ratio``, :func:`rank_ratio`) is at most 1e-8.  ``k0_rank``
+    counts the singular values above 1e-8 sigma_1; ``decreasing`` is the
+    verdict of the 2N clause.
 
     The floor.  C = L_W (T_a L_{1/W}) is summed through its factors' zero
-    patterns: an entry of T_a L_{1/W} has at most deg h + 1 nonzero terms
-    and one of L_W (.) at most N (a zero term adds an exact zero, so dense
-    GEMMs of the same factors have the same counts); K0 is a product of
-    inner dimension n.  A complex inner product of k terms errs by at most
-    sqrt(2) gamma_(k+2) |x|^T |y|, gamma_k ~ k u, u = 2^-53 (Higham 2002,
-    Secs. 3.5-3.6), and || |L_W| |T_a| |L_{1/W}| ||_F <= ||W||_l1 ||T||_F
-    ||1/W||_l1, so the residual's rounding error is up to about
-    sqrt(2) (N + deg h + n + 6) u ||W||_l1 ||1/W||_l1.  Only a weight
-    within rounding of w == 1 has no truncation error, and there the
-    product of norms is 1: 2.2e-14 at N = 128 with deg h = 4 and n = 3,
-    1e-12 at N of about 6,300.  Below it the residuals' order is noise
+    patterns: an entry of T_a L_{1/W} has at most d + 1 nonzero terms,
+    d = hi - lo, and one of L_W (.) at most N (a zero term adds an exact
+    zero, so dense GEMMs of the same factors have the same counts); K0 is
+    a product of inner dimension n.  A complex inner product of k terms
+    errs by at most sqrt(2) gamma_(k+2) |x|^T |y|, gamma_k ~ k u,
+    u = 2^-53 (Higham 2002, Secs. 3.5-3.6), and
+    || |L_W| |T_a| |L_{1/W}| ||_F <= ||W||_l1 ||T||_F ||1/W||_l1, so the
+    residual's rounding error is up to about
+    sqrt(2) (N + d + n + 6) u ||W||_l1 ||1/W||_l1.  Only a weight within
+    rounding of w == 1 has no truncation error, and there the product of
+    norms is 1: 2.2e-14 at N = 128 with d = 4 and n = 3, 1e-12 at N of
+    about 6,300.  Below it the residuals' order is noise
     (|t-1|^1e-13, N = 64: 2.9e-17, 3.5e-17); it is five decades under the
     suite's least residual_256 (1.1e-7).
     """
+    n = shift_order(a)
     res, ratio, rank = [], 0.0, 0
     for size in (N, 2 * N):
-        r, sv = identity_residual(n, h, pw, size)
+        r, sv = identity_residual(a, pw, size)
         res.append(r)
         ratio = max(ratio, rank_ratio(sv, n))
         rank = max(rank, int(np.sum(sv > 1e-8 * sv[0])))
@@ -244,15 +242,16 @@ def ap_characteristics(pw: PowerWeight, p: float, grids: tuple[int, ...]
 
 @_criterion(gate=10.0)
 def run_conjugation_identity():
-    """Sections of M_W T(e_{-n}h) M_{1/W} against T(e_{-n}h) + K0: the
-    clauses of :func:`identity_clauses` at N=128 and 256 for n in {1,2,3},
-    seeded degree-4 h and weights |t-1|^(+-0.3)."""
+    """Sections of M_W T(a) M_{1/W} against T(a) + K0: the clauses of
+    :func:`identity_clauses` at N=128 and 256 for a = e_{-n} h, n in
+    {1,2,3}, seeded degree-4 h (:func:`seeded_symbol`) and weights
+    |t-1|^(+-0.3)."""
     rng = np.random.default_rng(_SEED)
-    hs = {n: seeded_h(rng) for n in (1, 2, 3)}
+    symbols = {n: seeded_symbol(rng, n) for n in (1, 2, 3)}
     rows, members = [], {}
     for n in (1, 2, 3):
         for lam in (-0.3, 0.3):
-            cells, checks = identity_clauses(n, hs[n],
+            cells, checks = identity_clauses(symbols[n],
                                              PowerWeight(((0.0, lam),)), 128)
             for name, check in checks.items():
                 members.setdefault(name, []).append(check)

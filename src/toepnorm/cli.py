@@ -4,12 +4,12 @@ essential-norm tables, emitted as CSV or JSON.
 Each subcommand reads its settings from its own flags, which carry the
 defaults.  The range checks on those flags (every coefficient, angle and
 exponent finite, p > 1, every size positive, a symbol not identically
-zero and with its squares inside the floating-point range, N and the
-grid a power of two >= 2 when a weight is given, verify-identity's N
-above the symbol's shift order and at least one weight, essnorm's m at
-most N/4 and its packets inside the section) are made here, so a bad
-value is a configuration error that names its flag even where no library
-call would see it.
+zero, with a nonzero coefficient inside the section and its squares
+inside the floating-point range, N and the grid a power of two >= 2 when
+a weight is given, verify-identity's N above the symbol's shift order and
+at least one weight, essnorm's m at most N/4 and its packets inside the
+section) are made here, so a bad value is a configuration error that
+names its flag even where no library call would see it.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import acceptance
 from .estimation import BracketParams, essential_bracket
-from .operators import csa_decompose, symbol_sup
-from .spectral import CoeffVector, IndexWindow
+from .operators import shift_order, symbol_sup
+from .spectral import CoeffVector
 from .weights import OuterPairError, PowerWeight, khvedelidze_ap_check
 
 EXIT_OK = 0
@@ -70,17 +70,18 @@ def _pairs(text: str, what: str, key, value) -> list:
 
 
 def parse_symbol(text: str) -> CoeffVector:
-    """Parse 'idx:coeff[,idx:coeff...]', e.g. '-1:1,2:0.5' or '0:1+2j'."""
+    """Parse 'idx:coeff[,idx:coeff...]', e.g. '-1:1,2:0.5' or '0:1+2j', on
+    the window from its lowest nonzero term to its highest."""
     terms = {}
     for idx, val in _pairs(text, "--symbol term", int, complex):
         terms[idx] = terms.get(idx, 0.0) + val
     if not terms:
         raise ValueError("symbol has no terms")
-    lo, hi = min(terms), max(terms)
-    coeffs = np.zeros(hi - lo + 1, dtype=complex)
-    for k, v in terms.items():
-        coeffs[k - lo] = v
-    return CoeffVector(IndexWindow(lo, hi), coeffs)
+    nonzero = [k for k, v in terms.items() if v]
+    if not nonzero:
+        raise ValueError("symbol must not be zero")
+    lo, hi = min(nonzero), max(nonzero)
+    return CoeffVector(lo, [terms.get(k, 0.0) for k in range(lo, hi + 1)])
 
 
 def parse_weight(text: str) -> PowerWeight:
@@ -91,10 +92,7 @@ def parse_weight(text: str) -> PowerWeight:
 def _symbol(args) -> CoeffVector:
     if not args.symbol:
         raise ValueError(f"{args.command} requires a symbol")
-    a = parse_symbol(args.symbol)
-    if not np.any(a.coeffs):
-        raise ValueError("symbol must not be zero")
-    return a
+    return parse_symbol(args.symbol)
 
 
 def _check_sizes(args, grid_flag: str, *flags: str) -> None:
@@ -116,9 +114,11 @@ def _check_symbol_scale(a: CoeffVector, N: int, m: int,
     sums a subcommand forms: F = ||T_N(a)[:, m:]||_F^2 must lie in
     [lower, Omega], Omega the largest double.
 
-    F is taken as s^2 times the count-weighted sum of |a_k / s|^2,
-    s = max |a_k|, with diagonal k holding max(0, min(N, N - k) -
-    max(m, -k)) entries of the block, so no coefficient is squared.  A
+    F is taken as s^2 times the count-weighted sum of |a_k / s|^2, with
+    diagonal k holding max(0, min(N, N - k) - max(m, -k)) entries of the
+    block and s the largest |a_k| that the block holds, so no coefficient
+    is squared.  A block that holds no nonzero coefficient is zero, with
+    no square to form and nothing to check; it is refused, naming --N.  A
     square below the smallest normal double is rounded to a multiple of
     eta = 2^-1074, an absolute error of at most eta / 2 per real square.
 
@@ -145,12 +145,15 @@ def _check_symbol_scale(a: CoeffVector, N: int, m: int,
     block is B conjugated by the outer pair, on the same scale (its
     sigma_max tends to the same limit); the range is taken on B.
     """
-    s = float(np.max(np.abs(a.coeffs)))
     k = a.window.indices()
     count = np.clip(np.minimum(N, N - k) - np.maximum(m, -k), 0, None)
-    q = float(count @ (np.abs(a.coeffs) / s) ** 2)
-    if q == 0.0:  # the block holds no coefficient, so it forms no square
-        return
+    held = np.abs(a.coeffs[count > 0])
+    s = float(np.max(held, initial=0.0))
+    if s == 0.0:
+        raise ValueError(f"--N must be large enough for the section to hold "
+                         f"a nonzero coefficient of the symbol (at N = {N} "
+                         "it holds none)")
+    q = float(count[count > 0] @ (held / s) ** 2)
     lg = 2.0 * math.log10(s) + math.log10(q)
     if not math.log10(lower) <= lg <= math.log10(sys.float_info.max):
         raise ValueError(
@@ -220,7 +223,7 @@ def cmd_ap_check(args) -> int:
 def cmd_verify_identity(args) -> int:
     _check_sizes(args, "N")
     a = _symbol(args)
-    n, h = csa_decompose(a)
+    n = shift_order(a)
     if args.N <= n:  # the N x N section of T(e_{-n} h) would be all zero
         raise ValueError(f"--N must exceed the symbol's shift order n = {n}")
     if not args.weight:  # an empty table would read as a pass
@@ -230,7 +233,7 @@ def cmd_verify_identity(args) -> int:
     rows = []
     for pw in [parse_weight(w) for w in args.weight]:
         with _naming(pw):
-            cells = acceptance.identity_clauses(n, h, pw, args.N)[0]
+            cells = acceptance.identity_clauses(a, pw, args.N)[0]
         del cells["rank_ratio"]  # the table reports k0_rank alone
         rows.append({"weight": pw.label(), "n": n, **cells})
     _write_table(rows, args.format, args.out)

@@ -8,7 +8,7 @@ a-hat(i - j).  This module builds N x N compressions of:
 * its conjugation M_W T(a) M_{1/W} by the outer function of a weight
   (``conjugated_toeplitz_matrix``), and
 * the finite-rank correction K0 that separates the two
-  (``k0_matrix``), satisfying  M_W T(e_{-n} h) M_{1/W} = T(e_{-n} h) + K0.
+  (``k0_matrix``), satisfying  M_W T(a) M_{1/W} = T(a) + K0.
 
 Each section is a plain ndarray, built as a product of the sections of the
 operator's factors: multiplication by an analytic function is a
@@ -19,10 +19,11 @@ its factors through their zero patterns (a banded T(a), a triangular
 multiplication by W), in the BLAS that NumPy links (``_numpy_lapack``, the
 one loader of its BLAS and LAPACK routines, which ``estimation`` shares).
 
-A symbol is a finite Laurent polynomial, passed as its ``CoeffVector``.
-Written as e_{-n} h with analytic h, it admits the exact representation
-T(e_{-n} h) f = e_{-n} (I - P_n)(h f); ``csa_decompose`` returns that
-(n, h), the form in which ``k0_matrix`` takes the symbol.
+A symbol is a finite Laurent polynomial, passed whole as its
+``CoeffVector`` to every section.  Written as e_{-n} h, with n its
+``shift_order`` and h = e_n a analytic, it admits the exact representation
+T(e_{-n} h) f = e_{-n} (I - P_n)(h f), from which ``k0_matrix`` takes its
+correction.
 """
 
 from __future__ import annotations
@@ -127,8 +128,15 @@ def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:
     return _section(a, N, N)
 
 
-def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
-    """Section of the finite-rank correction
+def shift_order(a: CoeffVector) -> int:
+    """The shift order n = max(1, -lo) of the symbol a: a = e_{-n} h with
+    h = e_n a analytic, and its K0 has rank at most n."""
+    return max(1, -a.lo)
+
+
+def k0_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
+    """Section of the finite-rank correction of the symbol a = e_{-n} h,
+    n = ``shift_order(a)``, h = e_n a:
 
         K0 = T(e_{-n}) P_n M_h  -  T(e_{-n}) M_W P_n M_{h/W}.
 
@@ -144,10 +152,8 @@ def k0_matrix(n: int, h: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
-    if n < 1:
-        raise ValueError("shift order n must be >= 1")
-    if h.lo != 0:
-        raise ValueError("h must be analytic (window starting at 0)")
+    n = shift_order(a)
+    h = CoeffVector(a.lo + n, a.coeffs)
     pn_hw = _section(h, n, n) @ _section(W.winv_coeffs, n, N)
     return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
 
@@ -200,18 +206,6 @@ def _toeplitz_times(a: CoeffVector, X: np.ndarray) -> np.ndarray:
             np.multiply(c, X[top - s:N - s], out=term[top:])
             out[top:] += term[top:]
     return out
-
-
-def csa_decompose(a: CoeffVector) -> tuple[int, CoeffVector]:
-    """Rewrite a finite Laurent symbol as e_{-n} h.
-
-    n = max(1, -lowest frequency of a); h = e_n * a is analytic and the
-    reconstruction e_{-n} h reproduces the input coefficientwise.
-    """
-    n = max(1, -a.lo)
-    shifted = CoeffVector(IndexWindow(a.lo + n, a.hi + n), a.coeffs)
-    win = IndexWindow(0, max(shifted.hi, 0))
-    return n, CoeffVector(win, shifted.on_window(win))
 
 
 def symbol_sup(a: CoeffVector) -> float:

@@ -2,10 +2,12 @@
 
 Functions on the circle are represented in two ways:
 
-* ``CoeffVector``: a finite window of Fourier/Laurent coefficients, entry k
-  holding the coefficient of z**(lo+k).  Windows with lo >= 0 represent
+* ``CoeffVector(lo, coeffs)``: a finite window of Fourier/Laurent
+  coefficients, entry k holding the coefficient of z**(lo+k), so the
+  array's length fixes the window.  Windows with lo >= 0 represent
   analytic (Hardy-space) elements; a Toeplitz symbol, a finite Laurent
-  polynomial, is passed as its CoeffVector.
+  polynomial, is passed whole as its CoeffVector.  ``IndexWindow`` is a
+  requested window, one that ``analyze`` fills or ``on_window`` reads.
 * a grid function: the NumPy array of its M = len(samples) samples on the
   uniform *offset* grid theta_k = 2*pi*(k + 1/2) / M (``grid_thetas``), M a
   power of two >= 2.  The half-sample offset keeps sampled power weights
@@ -46,26 +48,27 @@ class IndexWindow:
 class CoeffVector:
     """Fourier coefficients on an index window.
 
-    ``coeffs[k]`` is the coefficient of z**(window.lo + k).
+    ``coeffs[k]`` is the coefficient of z**(lo + k); the array's length
+    fixes the window's upper end ``hi``.
     """
 
-    window: IndexWindow
+    lo: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 1 or len(self.coeffs) != len(self.window):
-            raise ValueError("coefficient array does not match the window length")
+        if self.coeffs.ndim != 1 or not len(self.coeffs):
+            raise ValueError("coefficients must be a nonempty 1-D array")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
     @property
-    def lo(self) -> int:
-        return self.window.lo
+    def hi(self) -> int:
+        return self.lo + len(self.coeffs) - 1
 
     @property
-    def hi(self) -> int:
-        return self.window.hi
+    def window(self) -> IndexWindow:
+        return IndexWindow(self.lo, self.hi)
 
     def on_window(self, window: IndexWindow) -> np.ndarray:
         """Coefficients restricted/padded to another window."""
@@ -107,7 +110,7 @@ def analyze(f: np.ndarray, win: IndexWindow) -> CoeffVector:
     F = np.fft.fft(f) / M
     ks = win.indices()
     coeffs = np.exp(-1j * np.pi * ks / M) * F[ks % M]
-    return CoeffVector(win, coeffs)
+    return CoeffVector(win.lo, coeffs)
 
 
 def synthesize(c: CoeffVector, size: int) -> np.ndarray:

@@ -202,7 +202,7 @@ def _pair_from_log_grid(uh: np.ndarray, size: int,
         raise ValueError("window exceeds the Nyquist range of the weight grid")
     vhat = uh.copy()
     vhat[1:] *= 2.0
-    v = synthesize(CoeffVector(IndexWindow(0, len(vhat) - 1), vhat), size)
+    v = synthesize(CoeffVector(0, vhat), size)
     return OuterPair(*(analyze(np.exp(samples), win) for samples in (v, -v)))
 
 
@@ -253,5 +253,5 @@ def outer_pair_exact(w: PowerWeight, win: IndexWindow) -> OuterPair:
     if win.lo != 0:
         raise ValueError("outer coefficient window must start at 0")
     v = _power_log_spectrum(w, win.hi + 1)
-    return OuterPair(CoeffVector(win, _exp_series(v)),
-                     CoeffVector(win, _exp_series(-v)))
+    return OuterPair(CoeffVector(0, _exp_series(v)),
+                     CoeffVector(0, _exp_series(-v)))

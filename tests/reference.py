@@ -30,36 +30,29 @@ def coeff(c: CoeffVector, k: int) -> complex:
     return 0.0 + 0.0j
 
 
-def unit(n: int) -> CoeffVector:
-    """The monomial z**n as a CoeffVector."""
-    return CoeffVector(IndexWindow(n, n), np.array([1.0 + 0.0j]))
-
-
 def riesz_project(c: CoeffVector) -> CoeffVector:
     """Annihilate all negative-frequency coefficients."""
     win = IndexWindow(max(c.lo, 0), max(c.hi, 0))
-    return CoeffVector(win, c.on_window(win))
+    return CoeffVector(win.lo, c.on_window(win))
 
 
 def truncate_pn(c: CoeffVector, n: int) -> CoeffVector:
     """Keep coefficients at frequencies 0..n-1 only; output window is [0, n-1]."""
     if n < 1:
         raise ValueError("truncation order must be >= 1")
-    win = IndexWindow(0, n - 1)
-    return CoeffVector(win, c.on_window(win))
+    return CoeffVector(0, c.on_window(IndexWindow(0, n - 1)))
 
 
 def multiply(a: CoeffVector, b: CoeffVector) -> CoeffVector:
     """Pointwise product as an exact Cauchy-product (direct) convolution on
     the window [a.lo + b.lo, a.hi + b.hi]; there is no wrap-around."""
-    win = IndexWindow(a.lo + b.lo, a.hi + b.hi)
-    return CoeffVector(win, np.convolve(a.coeffs, b.coeffs))
+    return CoeffVector(a.lo + b.lo, np.convolve(a.coeffs, b.coeffs))
 
 
 def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
     """Coefficientwise sum on the union window."""
     win = IndexWindow(min(a.lo, b.lo), max(a.hi, b.hi))
-    return CoeffVector(win, a.on_window(win) + b.on_window(win))
+    return CoeffVector(win.lo, a.on_window(win) + b.on_window(win))
 
 
 def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVector:
@@ -76,10 +69,8 @@ def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVecto
         raise ValueError("f must be analytic (no negative frequencies)")
     hf = multiply(h, f)
     if hf.hi < n:
-        return CoeffVector(IndexWindow(0, 0), np.zeros(1, dtype=complex))
-    win = IndexWindow(0, hf.hi - n)
-    out = np.array([coeff(hf, k + n) for k in range(len(win))])
-    return CoeffVector(win, out)
+        return CoeffVector(0, [0.0])
+    return CoeffVector(0, [coeff(hf, k) for k in range(n, hf.hi + 1)])
 
 
 def conjugated_reference(a, W, N):
@@ -87,7 +78,7 @@ def conjugated_reference(a, W, N):
     win = IndexWindow(0, N - 1)
     out = np.zeros((N, N), dtype=complex)
     for j in range(N):
-        x = riesz_project(multiply(W.winv_coeffs, unit(j)))
+        x = riesz_project(multiply(W.winv_coeffs, CoeffVector(j, [1.0])))
         y = riesz_project(multiply(a, x))
         out[:, j] = riesz_project(multiply(W.w_coeffs, y)).on_window(win)
     return out
@@ -145,12 +136,13 @@ def k0_reference(n, h, W, N):
     win = IndexWindow(0, N - 1)
     hwi = multiply(h, W.winv_coeffs)
     out = np.zeros((N, N), dtype=complex)
+    one = CoeffVector(0, [1.0])
     for j in range(N):
-        ej = unit(j)
-        term1 = apply_special_toeplitz(n, unit(0),
+        ej = CoeffVector(j, [1.0])
+        term1 = apply_special_toeplitz(n, one,
                                        truncate_pn(multiply(h, ej), n))
         t2 = truncate_pn(multiply(hwi, ej), n)
-        term2 = apply_special_toeplitz(n, unit(0), multiply(W.w_coeffs, t2))
+        term2 = apply_special_toeplitz(n, one, multiply(W.w_coeffs, t2))
         out[:, j] = term1.on_window(win) - term2.on_window(win)
     return out
 

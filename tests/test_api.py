@@ -1,6 +1,8 @@
 """The public API: every exported name serves the library itself."""
 
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -69,3 +71,16 @@ def test_every_public_method_has_a_caller():
                     if not any(attr.search(text) for text in texts):
                         uncalled.append(f"{path.name}:{cls.name}.{node.name}")
     assert uncalled == []
+
+
+def test_readme_library_tour_runs():
+    # the tour's python block runs as written and prints the identity
+    # residual of the exact pair, then the bracket of e_{-1}, sup|a| = 1
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(tour.split("```", 1)[0], "README.md", "exec"), {})
+    residual, bracket = out.getvalue().splitlines()
+    assert float(residual) <= 1e-14
+    assert all(abs(float(x) - 1.0) <= 1e-3 for x in bracket.split())

@@ -137,6 +137,20 @@ def test_zero_symbol_is_config_error(args, capsys):
     assert out == "" and "configuration error" in err
 
 
+@pytest.mark.parametrize("padded, trimmed", [
+    (["essnorm", "--symbol=-1:1,5:0", "--N", "8", "--m", "2", "--L", "2"],
+     "--symbol=-1:1"),
+    (["verify-identity", "--symbol=-3:0,0:1", "--weight", "0:0.3", "--N",
+      "16"], "--symbol=0:1"),
+])
+def test_zero_end_terms_of_a_symbol_are_trimmed(padded, trimmed, capsys):
+    # the window runs from the lowest nonzero term to the highest, so a zero
+    # end term moves neither essnorm's packet room nor the shift order
+    got = run(padded, capsys)
+    assert got == run([padded[0], trimmed, *padded[2:]], capsys)
+    assert got[0] == 0
+
+
 SMALL = ["--N", "64", "--m", "4", "--L", "8", "--thetas", "8"]
 
 
@@ -180,6 +194,9 @@ def test_non_finite_input_names_its_flag_and_term(args, flag, term, raw,
      "128"],
     ["verify-identity", "--symbol=-1:1e160", "--weight", "0:0.3", "--N",
      "128"],
+    # the section holds 1e-200 alone; the coefficient 1 lies outside it
+    ["essnorm", "--symbol=-40:1,0:1e-200", "--N", "32", "--m", "4", "--L",
+     "8"],
 ])
 def test_symbol_whose_squares_leave_the_float_range_is_config_error(
         args, capsys):
@@ -187,6 +204,20 @@ def test_symbol_whose_squares_leave_the_float_range_is_config_error(
     code, out, err = run(args, capsys)
     assert code == 2
     assert out == "" and err.startswith("configuration error: --symbol")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-identity", "--symbol=200:1", "--weight", "0:0.3", "--N", "16"],
+    ["essnorm", "--symbol=-40:1", "--N", "32", "--m", "4", "--L", "8"],
+])
+def test_section_holding_no_coefficient_is_config_error(args, capsys):
+    # a zero section has nothing to check: verify-identity would divide by
+    # ||T||_F = 0, essnorm would print the vacuous bracket (0, 0)
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err == ("configuration error: --N must be large enough for the "
+                   "section to hold a nonzero coefficient of the symbol "
+                   f"(at N = {args[args.index('--N') + 1]} it holds none)\n")
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
@@ -320,6 +351,16 @@ def test_verify_identity_N_must_exceed_the_shift_order(args, capsys):
     code, out, err = run(["verify-identity", *args], capsys)
     assert code == 2
     assert out == "" and "configuration error: --N must" in err
+
+
+def test_verify_identity_analytic_symbol_has_shift_order_one(capsys):
+    # 1 = e_{-1} e_1: n = 1, and K0 vanishes
+    code, out, _ = run(["verify-identity", "--symbol=0:1", "--weight",
+                        "0:0.3", "--N", "16"], capsys)
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    cells = dict(zip(header, row))
+    assert cells["n"] == "1" and cells["k0_rank"] == "0"
 
 
 def test_verify_identity_without_a_weight_is_config_error(capsys):

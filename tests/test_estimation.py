@@ -27,17 +27,12 @@ from reference import (block, cast_block, gram_of_block, packet_lower,
                        sigma_max_of_block, tridiagonal_top)
 
 
-def laurent(lo, coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
-
-
 def naive_pair(pw, N):
     return outer_pair(sample_power_weight(pw, 8 * N), IndexWindow(0, N + 15))
 
 
-SYM_FLAT = laurent(-1, [1.0])
-SYM_CURVED = laurent(-1, [1.0, 0.0, 0.0, 0.5])
+SYM_FLAT = CoeffVector(-1, [1.0])
+SYM_CURVED = CoeffVector(-1, [1.0, 0.0, 0.0, 0.5])
 
 
 def sigma_max(a, W, N, m):
@@ -59,13 +54,13 @@ def upper(a, W, m, N):
 
 
 def test_essential_upper_identity_symbol():
-    assert abs(upper(laurent(0, [1.0]), None, 8, 128) - 1.0) < 1e-8
+    assert abs(upper(CoeffVector(0, [1.0]), None, 8, 128) - 1.0) < 1e-8
 
 
 def test_essential_upper_identity_symbol_weighted():
     from toepnorm import outer_pair_exact
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 255))
-    assert abs(upper(laurent(0, [1.0]), W, 8, 128) - 1.0) < 1e-8
+    assert abs(upper(CoeffVector(0, [1.0]), W, 8, 128) - 1.0) < 1e-8
 
 
 def test_essential_upper_pure_shift():
@@ -73,7 +68,7 @@ def test_essential_upper_pure_shift():
 
 
 def test_essential_upper_weighted_close_to_sup():
-    spec = laurent(-1, [2.0, 0.0, 0.0, 1.0])
+    spec = CoeffVector(-1, [2.0, 0.0, 0.0, 1.0])
     pw = PowerWeight(((0.0, 0.3),))
     up = upper(spec, naive_pair(pw, 1024), 64, 1024)
     sup = symbol_sup(spec)
@@ -187,7 +182,7 @@ def test_sigma_max_matches_svdvals(monkeypatch):
     # the storage the block takes (band for every unweighted case here) and
     # in dense storage
     pw = PowerWeight(((0.0, 0.3),))
-    sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    sym_complex = CoeffVector(-1, [1j, 0.0, 0.0, 0.4])
     assert np.max(np.abs(block(sym_complex, None, 64, 16).imag)) > 0.5
     cases = []
     for _, a in bracket_symbols():
@@ -195,10 +190,10 @@ def test_sigma_max_matches_svdvals(monkeypatch):
     cases += [
         (sym_complex, None, 256, 16),       # Hermitian G
         (SYM_FLAT, None, 512, 32),          # clustered top: G = I
-        (laurent(0, [1.0]),
+        (CoeffVector(0, [1.0]),
          outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 255)),
          128, 8),
-        (laurent(0, [1.0]), None, 128, 8),  # unimodular: G = I
+        (CoeffVector(0, [1.0]), None, 128, 8),  # unimodular: G = I
     ]
     for a, W, N, m in cases:
         ref = svdvals(block(a, W, N, m))[0]
@@ -220,7 +215,7 @@ def test_zero_block_bracket_is_exactly_zero(monkeypatch):
     for lapack in (est._numpy_lapack, lambda: None):
         with monkeypatch.context() as patch:
             patch.setattr(est, "_numpy_lapack", lapack)
-            for a in (laurent(-1, [0.0, 0.0]), laurent(-40, [1.0])):
+            for a in (CoeffVector(-1, [0.0, 0.0]), CoeffVector(-40, [1.0])):
                 got = essential_bracket(a, None, params)
                 assert (got.lower, got.upper) == (0.0, 0.0)
                 assert not np.signbit([got.lower, got.upper]).any()
@@ -253,13 +248,13 @@ def test_dense_upper_matches_whole_block_cast_bitwise(grams):
                PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
     cases = [(a, grid_pair(pw, a, 1024), 1024, 64)
              for _, a in bracket_symbols() for pw in weights]
-    sym_complex = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    sym_complex = CoeffVector(-1, [1j, 0.0, 0.0, 0.4])
     cases.append((sym_complex, grid_pair(weights[0], sym_complex, 256),
                   256, 16))                         # Hermitian G
     for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
-        a = laurent(-3, h)
+        a = CoeffVector(-3, h)
         cases += [(a, grid_pair(weights[0], a, 128), 128, m) for m in (1, 2)]
-    deep = laurent(-40, [1.0, 0.0, 0.5])     # n > N: no Toeplitz column
+    deep = CoeffVector(-40, [1.0, 0.0, 0.5])     # n > N: no Toeplitz column
     cases.append((deep, grid_pair(weights[0], deep, 32), 32, 4))
     real = []
     for a, W, N, m in cases:
@@ -293,7 +288,7 @@ def test_bracket_builds_no_section_wider_than_its_block(monkeypatch):
 
     monkeypatch.setattr(operators, "_toeplitz", spy)
     monkeypatch.setattr(est, "_toeplitz", spy)
-    a = laurent(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
+    a = CoeffVector(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     essential_bracket(a, W, BracketParams(N=N, m=m, L=32, thetas=16))
     assert built and max(built) <= N * (N - m)
@@ -311,7 +306,7 @@ def test_bracket_builds_its_block_once(monkeypatch):
     block_parts = est._block_parts
     monkeypatch.setattr(est, "_block_parts", spy)
     N = 256
-    a = laurent(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
+    a = CoeffVector(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     for pair in (None, W):
         for m in (1, 16):
@@ -331,9 +326,8 @@ def test_real_cast_covers_the_leading_columns(grams):
     w[:2] = 1.0, 1j * eps
     # successive products, so that w * winv cancels exactly past k = 0
     winv = np.cumprod(np.r_[1.0, np.full(N + 15, -1j * eps)])
-    W = OuterPair(CoeffVector(IndexWindow(0, N + 15), w),
-                  CoeffVector(IndexWindow(0, N + 15), winv))
-    a = laurent(-2, [1.0])
+    W = OuterPair(CoeffVector(0, w), CoeffVector(0, winv))
+    a = CoeffVector(-2, [1.0])
     B = block(a, W, N, m)
     assert abs(B[0, 0] + 1j * eps) <= 1e-22
     assert not np.any(B[:, 1:].imag)
@@ -373,7 +367,7 @@ def test_complex_weighted_bracket_peak_memory():
     and their L x L Gram matrix."""
     params = BracketParams()
     N, m = params.N, params.m
-    a = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    a = CoeffVector(-1, [1j, 0.0, 0.0, 0.4])
     W = grid_pair(PowerWeight(((0.0, 0.3),)), a, N)
     essential_bracket(a, W, params)
     tracemalloc.start()
@@ -416,14 +410,14 @@ def random_laurent(rng, lo, span, complex_coeffs):
     c = rng.standard_normal(span + 1)
     if complex_coeffs:
         c = c + 1j * rng.standard_normal(span + 1)
-    return laurent(lo, c)
+    return CoeffVector(lo, c)
 
 
 def test_gram_band_matches_dense_gram():
     # N = 256, m = 16: span 7 = (N - m) // _BAND_RATIO is the cutoff
     rng = np.random.default_rng(7)
     cases = [(SYM_CURVED, 1024, 64),
-             (laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64)]
+             (CoeffVector(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64)]
     for complex_coeffs in (False, True):
         cases += [
             (random_laurent(rng, -3, 4, complex_coeffs), 128, 8),
@@ -450,12 +444,12 @@ def sterf(d, e):
 
 
 @pytest.mark.parametrize("a, N, m", [
-    (laurent(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64),   # real band
-    (laurent(-1, [1j, 0.0, 0.0, 0.4]), 512, 32),              # complex band
-    (laurent(-6, [0.3, 1.0, 0.5j, -0.2, 0.1, 0.7]), 256, 2),  # top cut
-    (laurent(-3, np.linspace(1.0, 2.0, 8) * 1j ** np.arange(8)),
+    (CoeffVector(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64),  # real band
+    (CoeffVector(-1, [1j, 0.0, 0.0, 0.4]), 512, 32),           # complex band
+    (CoeffVector(-6, [0.3, 1.0, 0.5j, -0.2, 0.1, 0.7]), 256, 2),  # top cut
+    (CoeffVector(-3, np.linspace(1.0, 2.0, 8) * 1j ** np.arange(8)),
      256, 16),                                     # span 7 at the cutoff
-    (laurent(-1, [0.0, 0.0]), 64, 8),                         # zero band
+    (CoeffVector(-1, [0.0, 0.0]), 64, 8),                         # zero band
 ])
 def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
     # sterf of the band reduction through NumPy's LAPACK is sbevd/hbevd
@@ -497,7 +491,8 @@ def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
     # take
     params = BracketParams(N=256, m=16, L=16, thetas=16)
     cases = [a for _, a in bracket_symbols()]
-    cases += [laurent(-1, [1j, 0.0, 0.0, 0.4]), laurent(-1, [0.0, 0.0])]
+    cases += [CoeffVector(-1, [1j, 0.0, 0.0, 0.4]),
+              CoeffVector(-1, [0.0, 0.0])]
     monkeypatch.setattr(est, "_numpy_lapack", lambda: None)
     for name in ("_gram_band", "_tridiagonal", "_tridiagonal_top"):
         monkeypatch.setattr(est, name, None)  # never called
@@ -646,7 +641,7 @@ def test_tridiagonal_top_on_clusters(pttrf_calls):
         assert 0 < len(pttrf_calls) <= 65
     identity = _tridiagonal_top(np.ones(K), np.zeros(K - 1))
     assert identity == 1.0 and math.sqrt(identity) == 1.0
-    assert sigma_max(laurent(0, [1.0]), None, 128, 8) == 1.0
+    assert sigma_max(CoeffVector(0, [1.0]), None, 128, 8) == 1.0
 
 
 def test_tridiagonal_top_of_order_one_and_two(pttrf_calls):
@@ -739,7 +734,7 @@ def test_packet_lower_matches_direct_route_on_the_suite():
 
 def test_packet_lower_complex_symbol_off_axis_exact_pair():
     N, m = 1024, 64
-    a = laurent(-1, [1j, 0.0, 0.0, 0.4])
+    a = CoeffVector(-1, [1j, 0.0, 0.0, 0.4])
     W = outer_pair_exact(PowerWeight(((1.0, 0.3),)), IndexWindow(0, N))
     B = block(a, W, N, m, 64)
     assert np.max(np.abs(B.imag)) > 0.1
@@ -751,7 +746,7 @@ def test_packet_lower_with_leading_columns():
     N, m = 128, 1
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
-        a = laurent(-3, h)
+        a = CoeffVector(-3, h)
         assert _block_parts(a, W, N, m)[2].shape[1] == 2
         check_packet_lower(a, W, N, m, 16, 64)
 
@@ -776,7 +771,7 @@ def test_both_ends_read_one_cast(monkeypatch):
     # block, and the lower end stays within _packet_lower's bound of the
     # direct route, the real cast's term included.
     N, m, L, thetas = 128, 4, 16, 64
-    a = laurent(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j])
+    a = CoeffVector(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j])
     built, block_ = [], est._block
 
     def spy(parts, N, cols):
@@ -822,7 +817,7 @@ def test_packet_lower_peak_memory_is_below_one_product():
 
 
 def test_lower_identity_symbol_exact():
-    est = essential_bracket(laurent(0, [1.0]), None,
+    est = essential_bracket(CoeffVector(0, [1.0]), None,
                             BracketParams(N=256, m=16, L=32, thetas=64))
     assert abs(est.lower - 1.0) < 1e-12
 
@@ -834,7 +829,7 @@ def test_lower_pure_shift():
 
 
 def test_lower_within_three_percent_of_sup():
-    spec = laurent(-1, [2.0, 0.0, 0.0, 1.0])
+    spec = CoeffVector(-1, [2.0, 0.0, 0.0, 1.0])
     sup = symbol_sup(spec)
     est = essential_bracket(spec, None,
                             BracketParams(N=512, m=64, L=128, thetas=256))
@@ -852,7 +847,7 @@ def test_lower_rejects_overflowing_packet():
 # ----------------------------------------------------------- essential_bracket
 
 def test_bracket_identity_symbol_tight():
-    est = essential_bracket(laurent(0, [1.0]), None,
+    est = essential_bracket(CoeffVector(0, [1.0]), None,
                             BracketParams(N=256, m=16, L=32, thetas=16))
     assert abs(est.lower - 1.0) < 1e-12
     assert abs(est.upper - 1.0) < 1e-9
@@ -878,7 +873,7 @@ def test_bracket_weighted_overlaps_unweighted():
 def test_bracket_scale_equivariance():
     params = BracketParams(N=256, m=16, L=32, thetas=32)
     base = essential_bracket(SYM_CURVED, None, params)
-    scaled_sym = CoeffVector(SYM_CURVED.window, 2.5 * SYM_CURVED.coeffs)
+    scaled_sym = CoeffVector(SYM_CURVED.lo, 2.5 * SYM_CURVED.coeffs)
     scaled = essential_bracket(scaled_sym, None, params)
     assert abs(scaled.lower - 2.5 * base.lower) <= 1e-12 * scaled.lower
     assert abs(scaled.upper - 2.5 * base.upper) <= 1e-12 * scaled.upper

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import toeplitz
 
 from toepnorm import (CoeffVector, IndexWindow, OuterPair,
-                      conjugated_toeplitz_matrix, csa_decompose, k0_matrix,
-                      outer_pair_exact, outer_pair_refined, symbol_sup,
+                      conjugated_toeplitz_matrix, k0_matrix, outer_pair_exact,
+                      outer_pair_refined, shift_order, symbol_sup,
                       toeplitz_matrix)
 from toepnorm import acceptance, operators
 from toepnorm.acceptance import identity_residual, rank_ratio
@@ -15,12 +15,7 @@ from toepnorm.weights import PowerWeight
 
 from reference import (apply_special_toeplitz, block, composition_bound,
                        conjugated_gemm, conjugated_reference, coeff,
-                       k0_reference, multiply, riesz_project, unit)
-
-
-def cv(lo, coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
+                       k0_reference, multiply, riesz_project)
 
 
 def refined_pair(lam, N, factor=4):
@@ -31,25 +26,25 @@ def refined_pair(lam, N, factor=4):
 # ------------------------------------------------------------ toeplitz_matrix
 
 def test_toeplitz_shift_symbol():
-    T = toeplitz_matrix(cv(1, [1.0]), 3)
+    T = toeplitz_matrix(CoeffVector(1, [1.0]), 3)
     expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     assert np.array_equal(T, expected)
 
 
 def test_toeplitz_identity_symbol():
-    T = toeplitz_matrix(cv(0, [1.0]), 5)
+    T = toeplitz_matrix(CoeffVector(0, [1.0]), 5)
     assert np.array_equal(T, np.eye(5, dtype=complex))
 
 
 def test_toeplitz_shifted_kind_consistency():
     # e_{-2} h with h = e_2 is the constant symbol.
-    T = toeplitz_matrix(cv(-2, [0.0, 0.0, 1.0]), 4)
+    T = toeplitz_matrix(CoeffVector(-2, [0.0, 0.0, 1.0]), 4)
     assert np.array_equal(T, np.eye(4, dtype=complex))
 
 
 def test_toeplitz_diagonal_constancy_and_nesting():
     rng = np.random.default_rng(5)
-    a = cv(-2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    a = CoeffVector(-2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
     T = toeplitz_matrix(a, 12)
     for d in range(-11, 12):
         vals = np.diagonal(T, -d)
@@ -74,7 +69,7 @@ def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
     coeffs = rng.standard_normal(hi - lo + 1)
     if kind == "complex":
         coeffs = coeffs + 1j * rng.standard_normal(hi - lo + 1)
-    c = cv(lo, coeffs)
+    c = CoeffVector(lo, coeffs)
     col = c.on_window(IndexWindow(0, rows - 1))
     row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
     if kind == "real":
@@ -94,24 +89,28 @@ def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
 # ----------------------------------------------------- apply_special_toeplitz
 
 def test_apply_special_simple_cases():
-    zero = apply_special_toeplitz(1, unit(0), unit(0))
+    one = CoeffVector(0, [1.0])
+    zero = apply_special_toeplitz(1, one, one)
     assert np.all(zero.coeffs == 0)
-    down = apply_special_toeplitz(1, unit(0), unit(1))
+    down = apply_special_toeplitz(1, one, CoeffVector(1, [1.0]))
     assert coeff(down, 0) == 1 and down.hi == 0
 
 
 def test_apply_special_worked_example():
-    out = apply_special_toeplitz(2, cv(0, [1.0, 1.0]), cv(0, [1.0, 1.0]))
+    h = CoeffVector(0, [1.0, 1.0])
+    out = apply_special_toeplitz(2, h, h)
     assert coeff(out, 0) == 1 and np.all(out.coeffs[1:] == 0)
 
 
 def test_apply_special_matches_projection_oracle():
     rng = np.random.default_rng(9)
     for n in (1, 2, 5):
-        h = cv(0, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        f = cv(1, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        h = CoeffVector(0, rng.standard_normal(4)
+                        + 1j * rng.standard_normal(4))
+        f = CoeffVector(1, rng.standard_normal(6)
+                        + 1j * rng.standard_normal(6))
         fast = apply_special_toeplitz(n, h, f)
-        full = cv(-n, h.coeffs.copy())
+        full = CoeffVector(-n, h.coeffs.copy())
         oracle = riesz_project(multiply(full, f))
         for k in range(0, max(fast.hi, oracle.hi) + 1):
             assert coeff(fast, k) == coeff(oracle, k)
@@ -119,37 +118,41 @@ def test_apply_special_matches_projection_oracle():
 
 def test_apply_special_rejects_nonanalytic():
     with pytest.raises(ValueError):
-        apply_special_toeplitz(1, cv(-1, [1.0, 1.0]), unit(0))
+        apply_special_toeplitz(1, CoeffVector(-1, [1.0, 1.0]),
+                               CoeffVector(0, [1.0]))
     with pytest.raises(ValueError):
-        apply_special_toeplitz(1, unit(0), cv(-1, [1.0]))
+        apply_special_toeplitz(1, CoeffVector(0, [1.0]),
+                               CoeffVector(-1, [1.0]))
 
 
 def test_column_consistency_with_sections():
     rng = np.random.default_rng(13)
     n, N = 2, 24
-    h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    T = toeplitz_matrix(cv(-n, h.coeffs), N)
+    h = CoeffVector(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    T = toeplitz_matrix(CoeffVector(-n, h.coeffs), N)
     win = IndexWindow(0, N - 1)
     for j in range(N):
-        col = apply_special_toeplitz(n, h, unit(j)).on_window(win)
+        ej = CoeffVector(j, [1.0])
+        col = apply_special_toeplitz(n, h, ej).on_window(win)
         assert np.max(np.abs(T[:, j] - col)) <= 1e-12
 
 
 # ------------------------------------------------------------------ k0_matrix
 
 def test_k0_vanishes_for_constant_weight():
-    h = cv(0, [1.0, 2.0, 0.5])
+    a = CoeffVector(-2, [1.0, 2.0, 0.5])
     W = outer_pair_exact(PowerWeight(), IndexWindow(0, 63))
-    K0 = k0_matrix(2, h, W, 16)
+    K0 = k0_matrix(a, W, 16)
     assert np.max(np.abs(K0)) == 0.0
 
 
 def test_k0_rank_bounds():
     rng = np.random.default_rng(17)
     for n, lam, N in ((1, 0.3, 64), (3, -0.3, 128)):
-        h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        a = CoeffVector(-n, rng.standard_normal(5)
+                        + 1j * rng.standard_normal(5))
         W = refined_pair(lam, N)
-        K0 = k0_matrix(n, h, W, N)
+        K0 = k0_matrix(a, W, N)
         sv = np.linalg.svd(K0, compute_uv=False)
         assert sv[n] / sv[0] <= 1e-8
         # columns beyond the first n vanish identically
@@ -169,10 +172,11 @@ def test_k0_singular_values_match_the_dense_svd(N, monkeypatch):
 
     monkeypatch.setattr(acceptance, "k0_matrix", recording_k0)
     rng = np.random.default_rng(acceptance._SEED)
-    hs = {n: acceptance.seeded_h(rng) for n in (1, 2, 3)}
+    symbols = {n: acceptance.seeded_symbol(rng, n) for n in (1, 2, 3)}
     for n in (1, 2, 3):
         for lam in (-0.3, 0.3):
-            _, sv = identity_residual(n, hs[n], PowerWeight(((0.0, lam),)), N)
+            _, sv = identity_residual(symbols[n], PowerWeight(((0.0, lam),)),
+                                      N)
             K0 = seen[-1]
             dense = np.linalg.svd(K0, compute_uv=False)
             nz = np.flatnonzero(np.any(K0, axis=0))
@@ -182,23 +186,23 @@ def test_k0_singular_values_match_the_dense_svd(N, monkeypatch):
 
 
 def test_k0_singular_values_for_constant_weight_are_zero():
-    _, sv = identity_residual(2, cv(0, [1.0, 2.0, 0.5]), PowerWeight(), 32)
+    _, sv = identity_residual(CoeffVector(-2, [1.0, 2.0, 0.5]), PowerWeight(),
+                              32)
     assert sv.shape == (32,) and np.all(sv == 0.0)
     assert rank_ratio(sv, 2) == 0.0
 
 
 def test_k0_rank_bound_fails_on_a_leaked_column(monkeypatch):
     # a nonzero column past the first n must reach the rank clause
-    def leaky_k0(n, h, W, N):
-        K0 = k0_matrix(n, h, W, N)
+    def leaky_k0(a, W, N):
+        K0 = k0_matrix(a, W, N)
         K0[:, n + 5] = 1e-3 * np.max(np.abs(K0))
         return K0
 
-    n, h, pw = 1, cv(0, [1.0, 0.5]), PowerWeight(((0.0, 0.3),))
-    assert acceptance.identity_clauses(n, h, pw, 32)[1][
-        "k0_rank_bound"].passed
+    n, a, pw = 1, CoeffVector(-1, [1.0, 0.5]), PowerWeight(((0.0, 0.3),))
+    assert acceptance.identity_clauses(a, pw, 32)[1]["k0_rank_bound"].passed
     monkeypatch.setattr(acceptance, "k0_matrix", leaky_k0)
-    cells, checks = acceptance.identity_clauses(n, h, pw, 32)
+    cells, checks = acceptance.identity_clauses(a, pw, 32)
     assert not checks["k0_rank_bound"].passed
     assert cells["rank_ratio"] > 1e-8 and cells["k0_rank"] == n + 1
 
@@ -206,7 +210,7 @@ def test_k0_rank_bound_fails_on_a_leaked_column(monkeypatch):
 # ------------------------------------------------- conjugated_toeplitz_matrix
 
 def test_conjugation_by_constant_weight_is_identity_map():
-    a = cv(-1, [1.0, 0.0, 0.5])
+    a = CoeffVector(-1, [1.0, 0.0, 0.5])
     N = 16
     T = toeplitz_matrix(a, N)
     W = outer_pair_exact(PowerWeight(), IndexWindow(0, 63))
@@ -216,21 +220,22 @@ def test_conjugation_by_constant_weight_is_identity_map():
 
 def test_conjugation_of_constant_symbol_is_identity_matrix():
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, 127))
-    C = conjugated_toeplitz_matrix(cv(0, [1.0]), W, 32)
+    C = conjugated_toeplitz_matrix(CoeffVector(0, [1.0]), W, 32)
     assert np.max(np.abs(C - np.eye(32))) < 1e-8
 
 
 def test_conjugation_identity_small():
     N = 128
-    rel, _ = identity_residual(1, unit(0), PowerWeight(((0.0, 0.3),)), N)
+    rel, _ = identity_residual(CoeffVector(-1, [1.0]),
+                               PowerWeight(((0.0, 0.3),)), N)
     assert rel <= 1e-6
 
 
 def test_conjugation_identity_decreases_with_section_size():
     rng = np.random.default_rng(23)
-    h = cv(0, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    a = CoeffVector(-4, rng.standard_normal(9) + 1j * rng.standard_normal(9))
     for lam in (0.3, -0.3):
-        res = {N: identity_residual(4, h, PowerWeight(((0.0, lam),)), N)[0]
+        res = {N: identity_residual(a, PowerWeight(((0.0, lam),)), N)[0]
                for N in (128, 256)}
         assert res[128] <= 1e-6
         assert res[256] < res[128]
@@ -240,8 +245,8 @@ def identity_sections():
     """(a, W, N) of the suite's 12 identity cases (run_conjugation_identity,
     at N = 128 and 256), with the pair that identity_residual builds."""
     rng = np.random.default_rng(acceptance._SEED)
-    hs = {n: acceptance.seeded_h(rng) for n in (1, 2, 3)}
-    return [(cv(-n, hs[n].coeffs),
+    symbols = {n: acceptance.seeded_symbol(rng, n) for n in (1, 2, 3)}
+    return [(symbols[n],
              outer_pair_refined(PowerWeight(((0.0, lam),)), 8 * N,
                                 IndexWindow(0, N + n - 1)), N)
             for N in (128, 256) for n in (1, 2, 3) for lam in (-0.3, 0.3)]
@@ -253,8 +258,8 @@ def composition_cases():
     extra rows of L_{1/W})."""
     W = refined_pair(0.3, 64)
     return identity_sections() + [
-        (cv(-2, [1.0, 0.0, 0.5j, 0.0, -0.3]), W, 64),
-        (cv(1, [0.5, 1j, 0.0, 0.2]), W, 64)]
+        (CoeffVector(-2, [1.0, 0.0, 0.5j, 0.0, -0.3]), W, 64),
+        (CoeffVector(1, [0.5, 1j, 0.0, 0.2]), W, 64)]
 
 
 def test_composition_matches_dense_gemms_within_rounding():
@@ -275,11 +280,13 @@ def test_composition_without_blas_names_is_the_dense_gemms(monkeypatch):
 # ------------------------------------ product builders against column loops
 
 def reference_symbols():
-    """2e_-2 + e_1 + 0.3e_3 (lo < 0 < hi) and e_{-3} h, with (n, h) for K0."""
-    a = cv(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3])
+    """2e_-2 + e_1 + 0.3e_3 (lo < 0 < hi) and e_{-3} h, each with the
+    (n, h) of a = e_{-n} h that the column reference of K0 takes."""
+    c = np.array([2.0, 0.0, 0.0, 1.0, 0.0, 0.3])
     rng = np.random.default_rng(37)
-    h = cv(0, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    return [(a, *csa_decompose(a)), (cv(-3, h.coeffs), 3, h)]
+    h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    return [(CoeffVector(-2, c), 2, CoeffVector(0, c)),
+            (CoeffVector(-3, h), 3, CoeffVector(0, h))]
 
 
 def reference_pairs(N):
@@ -304,7 +311,7 @@ def test_sections_match_column_reference(N):
                     # one column only, cut inside the non-Toeplitz ones
                     assert np.max(np.abs(block(a, W, N, m, 1)
                                          - C[:, m:m + 1])) <= tol
-            K0 = k0_matrix(n, h, W, N)
+            K0 = k0_matrix(a, W, N)
             assert K0.shape == (N, N)
             assert np.max(np.abs(K0 - k0_reference(n, h, W, N))) <= tol
 
@@ -315,8 +322,8 @@ def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
         K = N + max(0, -a.lo)
         for W in reference_pairs(N):
             short = OuterPair(
-                CoeffVector(IndexWindow(0, K - 1), W.w_coeffs.coeffs[:K]),
-                CoeffVector(IndexWindow(0, K - 1), W.winv_coeffs.coeffs[:K]))
+                CoeffVector(0, W.w_coeffs.coeffs[:K]),
+                CoeffVector(0, W.winv_coeffs.coeffs[:K]))
             assert np.array_equal(conjugated_toeplitz_matrix(a, short, N),
                                   conjugated_toeplitz_matrix(a, W, N))
 
@@ -324,29 +331,23 @@ def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
 def test_section_norm_bounded_by_symbol_sup():
     rng = np.random.default_rng(29)
     for _ in range(3):
-        a = cv(-2, rng.standard_normal(6))
+        a = CoeffVector(-2, rng.standard_normal(6))
         T = toeplitz_matrix(a, 128)
         smax = np.linalg.svd(T, compute_uv=False)[0]
         assert smax <= symbol_sup(a) + 1e-9
 
 
-# -------------------------------------------------------------- csa_decompose
+# ---------------------------------------------------------------- shift_order
 
-def test_csa_decompose_examples():
-    n, h = csa_decompose(cv(-2, [1.0, 0.0, 0.0, 3.0]))
-    assert n == 2
-    assert coeff(h, 0) == 1 and coeff(h, 3) == 3
-
-    analytic = cv(1, [2.0, 0.0, 1.0])
-    n2, h2 = csa_decompose(analytic)
-    assert n2 == 1
-    assert coeff(h2, 2) == 2 and coeff(h2, 4) == 1
+def test_shift_order_examples():
+    # a = e_{-n} h with h = e_n a analytic: n = -lo below 0, else 1
+    assert shift_order(CoeffVector(-2, [1.0, 0.0, 0.0, 3.0])) == 2
+    for lo in (0, 1, 5):
+        assert shift_order(CoeffVector(lo, [2.0, 0.0, 1.0])) == 1
 
 
-def test_csa_decompose_roundtrip_bitwise():
-    rng = np.random.default_rng(31)
-    a = cv(-3, rng.standard_normal(7) + 1j * rng.standard_normal(7))
-    n, h = csa_decompose(a)
-    rebuilt = cv(-n, h.coeffs)
-    for k in range(min(rebuilt.lo, a.lo), max(rebuilt.hi, a.hi) + 1):
-        assert coeff(rebuilt, k) == coeff(a, k)
+def test_k0_of_an_analytic_symbol_is_zero():
+    # h = e_1 a has no constant term, so P_1 M_{h/W} and K0 vanish exactly
+    W = refined_pair(0.3, 32)
+    for a in (CoeffVector(0, [1.0, 0.5j]), CoeffVector(1, [2.0, 0.0, 1.0])):
+        assert np.all(k0_matrix(a, W, 32) == 0.0)

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from toepnorm import CoeffVector, IndexWindow, analyze, synthesize
 from toepnorm.spectral import grid_thetas
 
-from reference import (add, coeff, multiply, riesz_project, truncate_pn,
-                       unit)
-
-
-def cv(lo, coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return CoeffVector(IndexWindow(lo, lo + len(coeffs) - 1), coeffs)
+from reference import add, coeff, multiply, riesz_project, truncate_pn
 
 
 windows = st.tuples(st.integers(-32, 32), st.integers(1, 16))
@@ -28,13 +22,13 @@ def coeff_vectors(draw, max_len=16, lo_range=32):
     lo = draw(st.integers(-lo_range, lo_range))
     n = draw(st.integers(1, max_len))
     vals = draw(st.lists(st.tuples(finite, finite), min_size=n, max_size=n))
-    return cv(lo, [complex(re, im) for re, im in vals])
+    return CoeffVector(lo, [complex(re, im) for re, im in vals])
 
 
 # ---------------------------------------------------------------- analyze
 
 def test_analyze_monomial():
-    g = synthesize(unit(1), 8)
+    g = synthesize(CoeffVector(1, [1.0]), 8)
     c = analyze(g, IndexWindow(-2, 2))
     assert np.allclose(c.coeffs, [0, 0, 0, 1, 0], atol=1e-14)
 
@@ -63,23 +57,23 @@ def test_analyze_rejects_wide_window():
 # -------------------------------------------------------------- synthesize
 
 def test_synthesize_constant():
-    g = synthesize(unit(0), 8)
+    g = synthesize(CoeffVector(0, [1.0]), 8)
     assert np.allclose(g, 1.0, atol=1e-15)
 
 
 def test_synthesize_first_monomial():
-    g = synthesize(unit(1), 4)
+    g = synthesize(CoeffVector(1, [1.0]), 4)
     assert np.allclose(g, np.exp(1j * grid_thetas(4)), atol=1e-15)
 
 
 def test_synthesize_rejects_window_beyond_nyquist():
     with pytest.raises(ValueError):
-        synthesize(cv(-3, np.ones(7)), 4)
+        synthesize(CoeffVector(-3, np.ones(7)), 4)
 
 
 def test_roundtrip_random_window():
     rng = np.random.default_rng(7)
-    c = cv(-7, rng.standard_normal(15) + 1j * rng.standard_normal(15))
+    c = CoeffVector(-7, rng.standard_normal(15) + 1j * rng.standard_normal(15))
     back = analyze(synthesize(c, 32), c.window)
     scale = np.max(np.abs(c.coeffs))
     assert np.max(np.abs(back.coeffs - c.coeffs)) < 1e-12 * scale
@@ -96,19 +90,19 @@ def test_roundtrip_property(c):
 # ------------------------------------------------------------------- riesz
 
 def test_riesz_kills_antianalytic():
-    out = riesz_project(unit(-3))
+    out = riesz_project(CoeffVector(-3, [1.0]))
     assert out.window == IndexWindow(0, 0)
     assert out.coeffs[0] == 0
 
 
 def test_riesz_fixes_analytic():
-    out = riesz_project(unit(2))
+    out = riesz_project(CoeffVector(2, [1.0]))
     assert out.window == IndexWindow(2, 2)
     assert coeff(out, 2) == 1 and coeff(out, 0) == 0
 
 
 def test_riesz_linearity_example():
-    c = cv(-1, [1.0, 0.0, 4.0])
+    c = CoeffVector(-1, [1.0, 0.0, 4.0])
     out = riesz_project(c)
     assert coeff(out, -1) == 0 and coeff(out, 1) == 4
 
@@ -125,21 +119,21 @@ def test_riesz_idempotent_bitwise(c):
 # -------------------------------------------------------------- truncate_pn
 
 def test_truncate_keeps_leading_block():
-    c = cv(-2, np.ones(6))
+    c = CoeffVector(-2, np.ones(6))
     out = truncate_pn(c, 2)
     assert out.window == IndexWindow(0, 1)
     assert np.array_equal(out.coeffs, [1, 1])
 
 
 def test_truncate_beyond_degree_equals_riesz():
-    c = cv(-2, [1.0, 2.0, 3.0, 4.0])
+    c = CoeffVector(-2, [1.0, 2.0, 3.0, 4.0])
     out = truncate_pn(c, c.hi + 5)
     rp = riesz_project(c)
     assert all(coeff(out, k) == coeff(rp, k) for k in range(-3, out.hi + 2))
 
 
 def test_truncate_misses_high_monomial():
-    out = truncate_pn(unit(5), 3)
+    out = truncate_pn(CoeffVector(5, [1.0]), 3)
     assert np.all(out.coeffs == 0)
 
 
@@ -156,18 +150,18 @@ def test_truncate_idempotent_and_commutes_with_riesz(c, n):
 # ----------------------------------------------------------------- multiply
 
 def test_multiply_monomials():
-    out = multiply(unit(2), unit(-5))
+    out = multiply(CoeffVector(2, [1.0]), CoeffVector(-5, [1.0]))
     assert out.window == IndexWindow(-3, -3) and out.coeffs[0] == 1
 
 
 def test_multiply_identity_element():
-    b = cv(-1, [2.0, 3.0, 4.0])
-    out = multiply(cv(0, [7.0]), b)
+    b = CoeffVector(-1, [2.0, 3.0, 4.0])
+    out = multiply(CoeffVector(0, [7.0]), b)
     assert np.array_equal(out.coeffs, 7.0 * b.coeffs)
 
 
 def test_multiply_polynomial_algebra():
-    out = multiply(cv(0, [1.0, 1.0]), cv(0, [1.0, -1.0]))
+    out = multiply(CoeffVector(0, [1.0, 1.0]), CoeffVector(0, [1.0, -1.0]))
     assert out.window == IndexWindow(0, 2)
     assert np.allclose(out.coeffs, [1, 0, -1])
 
@@ -193,7 +187,8 @@ def test_multiply_matches_double_loop_oracle(a, b):
 @settings(max_examples=30, deadline=None)
 @given(coeff_vectors(), coeff_vectors(), coeff_vectors())
 # |c| >> |b|: rounding in a*(b + c) is of order |a||c| eps, not |a||b||c| eps
-@example(a=cv(0, [1e-8j]), b=cv(-5, [1e-8]), c=cv(-5, [8.0]))
+@example(a=CoeffVector(0, [1e-8j]), b=CoeffVector(-5, [1e-8]),
+         c=CoeffVector(-5, [8.0]))
 def test_multiply_algebra_properties(a, b, c):
     scale = max(np.max(np.abs(a.coeffs)) * np.max(np.abs(b.coeffs))
                 * max(np.max(np.abs(c.coeffs)), 1.0), 1e-30)
@@ -217,7 +212,18 @@ def test_multiply_algebra_properties(a, b, c):
 
 def test_coeff_vector_rejects_nan():
     with pytest.raises(ValueError):
-        cv(0, [np.nan])
+        CoeffVector(0, [np.nan])
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], 1.0])
+def test_coeff_vector_rejects_empty_and_non_1d_arrays(coeffs):
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        CoeffVector(0, coeffs)
+
+
+def test_coeff_vector_window_follows_its_array():
+    c = CoeffVector(-2, np.arange(6))
+    assert (c.lo, c.hi) == (-2, 3) and c.window == IndexWindow(-2, 3)
 
 
 def test_grid_function_rejects_non_power_of_two():
@@ -225,7 +231,7 @@ def test_grid_function_rejects_non_power_of_two():
     # samples or analyzes has a power-of-two size >= 2
     for size in (0, 1, 12):
         for make in (lambda: grid_thetas(size),
-                     lambda: synthesize(unit(0), size),
+                     lambda: synthesize(CoeffVector(0, [1.0]), size),
                      lambda: analyze(np.ones(size), IndexWindow(0, 0))):
             with pytest.raises(ValueError, match="not a power of two"):
                 make()

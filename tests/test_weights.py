@@ -180,7 +180,7 @@ def two_analyze_pair(uh, size, win):
     for sign in (1.0, -1.0):
         v = sign * uh
         v[1:] *= 2.0
-        wg = np.exp(synthesize(CoeffVector(IndexWindow(0, len(v) - 1), v),
+        wg = np.exp(synthesize(CoeffVector(0, v),
                                size))
         coeffs.append(analyze(wg, win).coeffs)
     return coeffs
