@@ -11,9 +11,10 @@ the same machine with the same BLAS thread count give identical tables.
 The identity sections and residual norms are summed in orders fixed by
 their shapes (:func:`~toepnorm.operators.conjugated_toeplitz_matrix`,
 :func:`identity_residual`), so their rows do not depend on the BLAS thread
-count.  The brackets' dense Gram products and reductions run in the BLAS
-library, whose summation order can depend on it: the last digits of a
-weighted upper end can differ between thread counts.
+count (without ztrmm in NumPy's BLAS, the triangular product's can).  The
+brackets' dense Gram products and reductions run in the BLAS library,
+whose summation order can depend on it: the last digits of a weighted
+upper end can differ between thread counts.
 """
 
 from __future__ import annotations

@@ -25,17 +25,19 @@ routine here:
   exact where the top of the spectrum clusters (``_tridiagonal_top``).  G
   is held in band storage for a narrow block and formed densely otherwise.
 * lower end: the largest value of ||A u|| over modulated wave packets
-  u = L^(-1/2) sum_l e^(i l theta) e_{m+l}, theta on a uniform grid.
-  Packets supported on columns m .. m+L-1 are feasible test vectors for
-  A(I - P_m), so the bracket is ordered by construction; compact
-  perturbations vanish on such high-frequency packets as m grows.
-  ||A u||^2 = u^H G_L u reads only the L x L Gram matrix G_L of those
-  columns, and its diagonal sums, folded onto the grid, give every angle
+  u = L^(-1/2) sum_l e^(i l theta) e_{s+l}, theta on a uniform grid, from
+  the column s = min(max(m, n), N - max(0, hi) - L), n = max(0, -lo), of
+  ``compression_deficiency_bound``'s test vector.  As s >= m they are
+  feasible test vectors for A(I - P_m), so the bracket is ordered by
+  construction; compact perturbations vanish on such high-frequency
+  packets as m grows.  ||A u||^2 = u^H G_L u reads only the L x L Gram
+  matrix G_L of those columns; its folded diagonal sums give every angle
   at once by one FFT (``_packet_lower``): O(N L^2 + thetas log thetas).
 
 Both ends read one block, in one dtype: its parts are made once
 (``_block_parts``) and cast once (``_cast_parts``), float64 when the
-block's values are real.
+block's values are real; it is laid out by ``operators._toeplitz``.  A
+weighted block refuses a short outer pair as the section builders do.
 
 Weighted spaces are handled by conjugating with the outer function of the
 weight (an isometry onto the unweighted space), so a single flat-metric
@@ -50,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _numpy_lapack,
-                        _toeplitz)
+from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _check_pair_window,
+                        _numpy_lapack, _toeplitz)
 from .spectral import CoeffVector
 from .weights import OuterPair
 
@@ -286,10 +288,7 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
     g, lead = a.coeffs, np.empty((N, 0), dtype=complex)
     if W is not None:
         n_neg = max(0, -a.lo)
-        need = N + n_neg
-        if min(len(W.w_coeffs.coeffs), len(W.winv_coeffs.coeffs)) < need:
-            raise ValueError("outer pair window too short for this section: "
-                             f"need length >= {need}")
+        _check_pair_window(W, N + n_neg)
         w = W.w_coeffs.coeffs
         inner = np.convolve(a.coeffs, W.winv_coeffs.coeffs)
         g = np.convolve(w, inner)
@@ -320,15 +319,12 @@ def _cast_parts(parts: _Parts) -> _Parts | None:
     return lo, g.real, lead.real
 
 
-def _block(parts: _Parts, N: int, cols: int) -> np.ndarray:
-    """The block of ``_block_parts`` cut to cols columns, in its parts'
-    dtype."""
+def _block(parts: _Parts, N: int, first: int, cols: int) -> np.ndarray:
+    """Columns first .. first + cols - 1 of the block of ``_block_parts``,
+    in its parts' dtype, with its leading columns written over."""
     lo, g, lead = parts
-    # the values at frequencies 1 - cols .. N - 1; g ends at or below N - 1
-    vals, off = np.zeros(N + cols - 1, dtype=g.dtype), lo + cols - 1
-    vals[max(off, 0):max(off + len(g), 0)] = g[max(-off, 0):]
-    B = _toeplitz(vals, cols)
-    lead = lead[:, :cols]
+    B = _toeplitz(lo + first, g, N, cols)
+    lead = lead[:, first:first + cols]
     B[:, :lead.shape[1]] = lead
     return B
 
@@ -396,16 +392,18 @@ def _sigma_max(parts: _Parts, N: int, K: int) -> float:
         lam = _tridiagonal_top(*_tridiagonal(_gram_band(g, lo, N, K),
                                              band=True))
     else:
-        G = _dense_gram(_block(parts, N, K))
+        G = _dense_gram(_block(parts, N, 0, K))
         lam = (_tridiagonal_top(*_tridiagonal(G, band=False)) if lapack
                else np.linalg.eigvalsh(G, UPLO="U")[-1])
     return math.sqrt(max(float(lam), 0.0))
 
 
-def _packet_lower(parts: _Parts, N: int, L: int, thetas: int) -> float:
+def _packet_lower(parts: _Parts, N: int, first: int, L: int,
+                  thetas: int) -> float:
     """max over theta_k = 2 pi k / thetas of ||B u_k||, u_k the packet
-    L^(-1/2) (e^(i l theta_k))_l on the first L columns B of the block of
-    the cast parts (``_cast_parts``), from their Gram matrix G = B^H B.
+    L^(-1/2) (e^(i l theta_k))_l on the L columns B of the block of the
+    cast parts (``_cast_parts``) from its column first on, from their Gram
+    matrix G = B^H B.
 
     The formula.  ||B u_k||^2 = u_k^H G u_k = (1/L) sum_(p,q) G[p, q]
     e^(i (q - p) theta_k), and e^(i (q - p) theta_k) depends on p - q only
@@ -448,7 +446,7 @@ def _packet_lower(parts: _Parts, N: int, L: int, thetas: int) -> float:
     errors of random sign each gamma_n scales like sqrt(n) (Higham & Mary,
     SIAM J. Sci. Comput. 41, 2019), which is what the suite's blocks show.
     """
-    B = _block(parts, N, L)
+    B = _block(parts, N, first, L)
     real = np.isrealobj(B)
     G = B.T @ B if real else B.conj().T @ B
     bins = (np.subtract.outer(np.arange(L), np.arange(L)) % thetas).ravel()
@@ -504,11 +502,12 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     monotone there).  The Gram matrix is held in band or dense storage by
     ``_sigma_max``'s rule; the choice changes sigma_max by rounding only,
     and on a given build it rests on the block's structure alone.  The
-    lower end is the largest ||A u_theta|| over the wave packets on columns
-    m .. m+L-1, taken from the L x L Gram matrix of those columns by one
+    lower end is the largest ||A u_theta|| over the wave packets of the
+    module docstring, from the L x L Gram matrix of their columns by one
     length-thetas FFT of its folded diagonal sums (``_packet_lower``, which
-    derives its rounding against applying the packets directly).  Both ends read the parts of one ``_block_parts``
-    call, cast once (``_cast_parts``); a zero block gives (0, 0).
+    derives its rounding against applying the packets directly).  Both
+    ends read the parts of one ``_block_parts`` call, cast once
+    (``_cast_parts``); a zero block gives (0, 0).
     """
     N, m, L, thetas = params.N, params.m, params.L, params.thetas
     if not (1 <= m <= N // 4):
@@ -521,7 +520,8 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     if parts is None:
         return NormEstimate(0.0, 0.0)
     upper = _sigma_max(parts, N, N - m)
-    lower = _packet_lower(parts, N, L, thetas)
+    s = min(max(m, -a.lo), N - max(0, a.hi) - L)
+    lower = _packet_lower(parts, N, s - m, L, thetas)
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.
     upper = max(upper, lower)

@@ -13,9 +13,11 @@ a-hat(i - j).  This module builds N x N compressions of:
 Each section is a plain ndarray, built as a product of the sections of the
 operator's factors: multiplication by an analytic function is a
 lower-triangular Toeplitz matrix, T(a) a Toeplitz matrix, P_n a restriction
-to the first n rows and T(e_{-n}) the removal of the first n rows.  No
-section is assembled column by column.  The conjugated section multiplies
-its factors through their zero patterns (a banded T(a), a triangular
+to the first n rows and T(e_{-n}) the removal of the first n rows, each
+laid out by ``_toeplitz``, as ``estimation``'s blocks are.  No section is
+assembled column by column, and none takes an outer pair shorter than it
+reads (``_check_pair_window``).  The conjugated section multiplies its
+factors through their zero patterns (a banded T(a), a triangular
 multiplication by W), in the BLAS that NumPy links (``_numpy_lapack``, the
 one loader of its BLAS and LAPACK routines, which ``estimation`` shares).
 
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import CoeffVector, IndexWindow, synthesize
+from .spectral import CoeffVector, synthesize
 from .weights import OuterPair
 
 
@@ -103,29 +105,32 @@ _ROW_MAJOR, _LEFT, _UPPER, _LOWER = 101, 141, 121, 122
 _NO_TRANS, _CONJ_TRANS, _NON_UNIT = 111, 113, 131
 
 
-def _section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix with entries c-hat(i - j), zero outside c's window.
+def _toeplitz(lo: int, vals: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix with entries vals[i - j - lo], zero where that
+    index leaves vals, in vals' dtype: the run clipped at both ends to the
+    frequencies 1 - cols .. rows - 1 it shows.  Frequency k goes to
+    rows-1-k of one array, whose sliding windows in reversed row order are
+    copied once (row i is window rows-1-i; a positive inner stride copies
+    faster than a reversed one)."""
+    rev = np.zeros(rows + cols - 1, dtype=vals.dtype)
+    first, stop = max(lo, 1 - cols), min(lo + len(vals), rows)
+    if first < stop:
+        rev[rows - stop:rows - first] = vals[first - lo:stop - lo][::-1]
+    return sliding_window_view(rev, cols)[::-1].copy()
 
-    For analytic c this is the lower-triangular matrix of multiplication by
-    c, compressed to the first rows/cols monomials.
-    """
-    return _toeplitz(c.on_window(IndexWindow(1 - cols, rows - 1)), cols)
 
-
-def _toeplitz(vals: np.ndarray, cols: int) -> np.ndarray:
-    """The rows x cols matrix, rows = len(vals) - cols + 1, with entries
-    vals[i - j + cols - 1] in vals' dtype.  Row i is the slice
-    rows-1-i .. rows-2-i+cols of the reversed values, so the matrix is a
-    copy of the reversed row order of their sliding windows (the inner
-    stride stays positive, which copies faster than a reversed one)."""
-    return sliding_window_view(vals[::-1].copy(), cols)[::-1].copy()
+def _check_pair_window(W: OuterPair, need: int) -> None:
+    """Refuse a pair shorter than ``need``: zero-padded, it is another W."""
+    if min(len(W.w_coeffs.coeffs), len(W.winv_coeffs.coeffs)) < need:
+        raise ValueError("outer pair window too short for this section: "
+                         f"need length >= {need}")
 
 
 def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:
     """N x N section with entries a-hat(i - j), constant along diagonals."""
     if N < 1:
         raise ValueError("section size must be >= 1")
-    return _section(a, N, N)
+    return _toeplitz(a.lo, a.coeffs, N, N)
 
 
 def shift_order(a: CoeffVector) -> int:
@@ -153,9 +158,10 @@ def k0_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     if N < 1:
         raise ValueError("section size must be >= 1")
     n = shift_order(a)
-    h = CoeffVector(a.lo + n, a.coeffs)
-    pn_hw = _section(h, n, n) @ _section(W.winv_coeffs, n, N)
-    return -(_section(W.w_coeffs, N + n, n)[n:] @ pn_hw)
+    _check_pair_window(W, N + n)
+    pn_hw = (_toeplitz(a.lo + n, a.coeffs, n, n)
+             @ _toeplitz(0, W.winv_coeffs.coeffs, n, N))
+    return -(_toeplitz(0, W.w_coeffs.coeffs, N + n, n)[n:] @ pn_hw)
 
 
 def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
@@ -165,8 +171,8 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
     the product L_W T_a L_{1/W} of sections of the three factors: L_W is
     N x N, T_a is N x (N+n) with n = max(0, -lo), and L_{1/W} is
     (N+n) x N.  Rows < N of the composition reach coefficients of W and 1/W
-    below N+n only; shorter outer windows count as zero-padded, and that
-    finite window is the only truncation.
+    below N+n only, a pair with shorter windows is refused, and that finite
+    window is the only truncation.
 
     Each product is taken through its factor's zero pattern: T_a is zero
     outside a's window, so T_a L_{1/W} adds one scaled, shifted row block of
@@ -174,18 +180,18 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
     starts at 0, so L_W is lower triangular and multiplies that product in
     place (ztrmm).  Nothing is assumed about the result.  The summation
     order of neither product depends on the BLAS thread count.  Where
-    NumPy's BLAS does not export ztrmm (``_numpy_lapack`` is None), both
-    products are dense GEMMs, whose order can.
+    NumPy's BLAS does not export ztrmm (``_numpy_lapack`` is None), the
+    triangular product is one dense GEMM, whose order can.
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
     n = max(0, -a.lo)
+    _check_pair_window(W, N + n)
+    inner = _toeplitz_times(a, _toeplitz(0, W.winv_coeffs.coeffs, N + n, N))
+    L_w = _toeplitz(0, W.w_coeffs.coeffs, N, N)
     lapack = _numpy_lapack()
     if lapack is None:
-        inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, N)
-        return _section(W.w_coeffs, N, N) @ inner
-    inner = _toeplitz_times(a, _section(W.winv_coeffs, N + n, N))
-    L_w = _section(W.w_coeffs, N, N)
+        return L_w @ inner
     one = np.ones(1, dtype=complex)
     lapack.trmm(_ROW_MAJOR, _LEFT, _LOWER, _NO_TRANS, _NON_UNIT, N, N,
                 one.ctypes.data, L_w.ctypes.data, N, inner.ctypes.data, N)
@@ -194,7 +200,7 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
 
 def _toeplitz_times(a: CoeffVector, X: np.ndarray) -> np.ndarray:
     """T_a X for the (N + n) x N matrix X, n = max(0, -lo), T_a the
-    N x (N + n) section of ``_section``: row i is the sum over the
+    N x (N + n) section of a (``_toeplitz``): row i is the sum over the
     frequencies s of a, in increasing order, of a_s X[i - s], so each
     nonzero coefficient adds one scaled, shifted row block."""
     N = X.shape[1]

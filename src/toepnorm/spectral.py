@@ -6,8 +6,9 @@ Functions on the circle are represented in two ways:
   coefficients, entry k holding the coefficient of z**(lo+k), so the
   array's length fixes the window.  Windows with lo >= 0 represent
   analytic (Hardy-space) elements; a Toeplitz symbol, a finite Laurent
-  polynomial, is passed whole as its CoeffVector.  ``IndexWindow`` is a
-  requested window, one that ``analyze`` fills or ``on_window`` reads.
+  polynomial, is passed whole as its CoeffVector, which one routine lays
+  out as a section (``operators._toeplitz``).  ``IndexWindow`` is a
+  requested window, one that ``analyze`` fills.
 * a grid function: the NumPy array of its M = len(samples) samples on the
   uniform *offset* grid theta_k = 2*pi*(k + 1/2) / M (``grid_thetas``), M a
   power of two >= 2.  The half-sample offset keeps sampled power weights
@@ -69,16 +70,6 @@ class CoeffVector:
     @property
     def window(self) -> IndexWindow:
         return IndexWindow(self.lo, self.hi)
-
-    def on_window(self, window: IndexWindow) -> np.ndarray:
-        """Coefficients restricted/padded to another window."""
-        out = np.zeros(len(window), dtype=complex)
-        lo = max(self.lo, window.lo)
-        hi = min(self.hi, window.hi)
-        if lo <= hi:
-            out[lo - window.lo:hi - window.lo + 1] = \
-                self.coeffs[lo - self.lo:hi - self.lo + 1]
-        return out
 
 
 def _grid_size(size: int) -> int:

@@ -2,10 +2,11 @@
 
 The library builds every section as a product of structured matrices.  The
 coefficient algebra here works on single coefficient windows instead, one
-column at a time: the Riesz projection P, its truncation P_n, products as
-direct convolutions, T(e_{-n} h) by its shifted-analytic formula, and the
-column-wise conjugated and K0 sections assembled from them; beside them,
-the conjugated section as dense GEMMs of the factor sections.  The Schwarz
+column at a time: a window padded or cut to another (``on_window``), the
+Riesz projection P, its truncation P_n, products as direct convolutions,
+T(e_{-n} h) by its shifted-analytic formula, and the column-wise
+conjugated and K0 sections assembled from them; beside them, the
+conjugated section as dense GEMMs of the factor sections.  The Schwarz
 integral gives an outer function from grid samples independently of the
 cepstral constructions.  The dense sigma_max formula is kept in the form
 that reads the whole assembled block, which ``block`` builds from the
@@ -18,9 +19,26 @@ import numpy as np
 
 from toepnorm import CoeffVector, IndexWindow
 from toepnorm.estimation import _block, _block_parts
-from toepnorm.operators import _section
+from toepnorm.operators import _toeplitz
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
+
+
+def on_window(c: CoeffVector, window: IndexWindow) -> np.ndarray:
+    """Coefficients of c restricted/padded to another window."""
+    out = np.zeros(len(window), dtype=complex)
+    lo = max(c.lo, window.lo)
+    hi = min(c.hi, window.hi)
+    if lo <= hi:
+        out[lo - window.lo:hi - window.lo + 1] = \
+            c.coeffs[lo - c.lo:hi - c.lo + 1]
+    return out
+
+
+def section(c: CoeffVector, rows: int, cols: int) -> np.ndarray:
+    """The library's rows x cols Toeplitz section of c, entries c-hat(i - j)
+    (``operators._toeplitz``)."""
+    return _toeplitz(c.lo, c.coeffs, rows, cols)
 
 
 def coeff(c: CoeffVector, k: int) -> complex:
@@ -33,14 +51,14 @@ def coeff(c: CoeffVector, k: int) -> complex:
 def riesz_project(c: CoeffVector) -> CoeffVector:
     """Annihilate all negative-frequency coefficients."""
     win = IndexWindow(max(c.lo, 0), max(c.hi, 0))
-    return CoeffVector(win.lo, c.on_window(win))
+    return CoeffVector(win.lo, on_window(c, win))
 
 
 def truncate_pn(c: CoeffVector, n: int) -> CoeffVector:
     """Keep coefficients at frequencies 0..n-1 only; output window is [0, n-1]."""
     if n < 1:
         raise ValueError("truncation order must be >= 1")
-    return CoeffVector(0, c.on_window(IndexWindow(0, n - 1)))
+    return CoeffVector(0, on_window(c, IndexWindow(0, n - 1)))
 
 
 def multiply(a: CoeffVector, b: CoeffVector) -> CoeffVector:
@@ -52,7 +70,7 @@ def multiply(a: CoeffVector, b: CoeffVector) -> CoeffVector:
 def add(a: CoeffVector, b: CoeffVector) -> CoeffVector:
     """Coefficientwise sum on the union window."""
     win = IndexWindow(min(a.lo, b.lo), max(a.hi, b.hi))
-    return CoeffVector(win.lo, a.on_window(win) + b.on_window(win))
+    return CoeffVector(win.lo, on_window(a, win) + on_window(b, win))
 
 
 def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVector:
@@ -73,6 +91,13 @@ def apply_special_toeplitz(n: int, h: CoeffVector, f: CoeffVector) -> CoeffVecto
     return CoeffVector(0, [coeff(hf, k) for k in range(n, hf.hi + 1)])
 
 
+def cut_pair(W, K: int):
+    """The outer pair W with both windows cut to their first K
+    coefficients."""
+    return type(W)(CoeffVector(0, W.w_coeffs.coeffs[:K]),
+                   CoeffVector(0, W.winv_coeffs.coeffs[:K]))
+
+
 def conjugated_reference(a, W, N):
     """Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j)))."""
     win = IndexWindow(0, N - 1)
@@ -80,7 +105,7 @@ def conjugated_reference(a, W, N):
     for j in range(N):
         x = riesz_project(multiply(W.winv_coeffs, CoeffVector(j, [1.0])))
         y = riesz_project(multiply(a, x))
-        out[:, j] = riesz_project(multiply(W.w_coeffs, y)).on_window(win)
+        out[:, j] = on_window(riesz_project(multiply(W.w_coeffs, y)), win)
     return out
 
 
@@ -88,8 +113,8 @@ def conjugated_gemm(a, W, N):
     """The section of M_W T(a) M_{1/W} as L_W (T_a L_{1/W}), both products
     dense GEMMs over the whole factor sections, zeros included."""
     n = max(0, -a.lo)
-    inner = _section(a, N, N + n) @ _section(W.winv_coeffs, N + n, N)
-    return _section(W.w_coeffs, N, N) @ inner
+    inner = section(a, N, N + n) @ section(W.winv_coeffs, N + n, N)
+    return section(W.w_coeffs, N, N) @ inner
 
 
 def composition_bound(a, W, N):
@@ -124,9 +149,9 @@ def composition_bound(a, W, N):
     n = max(0, -a.lo)
     k1 = a.hi - a.lo + 1
     g1, g2 = math.sqrt(2) * gamma(k1 + 2), math.sqrt(2) * gamma(N + 2)
-    M = np.abs(_section(W.w_coeffs, N, N)) @ (
-        np.abs(_section(a, N, N + n)) @ np.abs(_section(W.winv_coeffs,
-                                                        N + n, N)))
+    M = np.abs(section(W.w_coeffs, N, N)) @ (
+        np.abs(section(a, N, N + n)) @ np.abs(section(W.winv_coeffs, N + n,
+                                                      N)))
     return 2 * (g1 + g2 * (1 + g1)) * (1 + 1e-9) * M
 
 
@@ -143,7 +168,7 @@ def k0_reference(n, h, W, N):
                                        truncate_pn(multiply(h, ej), n))
         t2 = truncate_pn(multiply(hwi, ej), n)
         term2 = apply_special_toeplitz(n, one, multiply(W.w_coeffs, t2))
-        out[:, j] = term1.on_window(win) - term2.on_window(win)
+        out[:, j] = on_window(term1, win) - on_window(term2, win)
     return out
 
 
@@ -153,7 +178,7 @@ def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
     columns, built from the parts of one ``_block_parts`` call: the
     assembled matrix that the references here are compared with."""
     cols = N - m if cols is None else cols
-    return _block(_block_parts(a, W, N, m), N, cols)
+    return _block(_block_parts(a, W, N, m), N, 0, cols)
 
 
 def cast_block(B: np.ndarray) -> np.ndarray | None:

@@ -73,6 +73,22 @@ def test_every_public_method_has_a_caller():
     assert uncalled == []
 
 
+def test_one_toeplitz_layout():
+    # every Toeplitz matrix is laid out by operators._toeplitz; no other
+    # module or function of the package makes sliding windows, so a second
+    # layout of a coefficient run cannot come back unnoticed
+    word = "sliding_window_view"
+    src = ROOT / "src"
+    assert [p.name for p in sorted(src.rglob("*.py"))
+            if word in p.read_text()] == ["operators.py"]
+    users = [fn.name for fn in ast.walk(ast.parse(
+                 (src / "toepnorm" / "operators.py").read_text()))
+             if isinstance(fn, ast.FunctionDef)
+             and any(getattr(n, "id", getattr(n, "attr", None)) == word
+                     for n in ast.walk(fn))]
+    assert users == ["_toeplitz"]
+
+
 def test_readme_library_tour_runs():
     # the tour's python block runs as written and prints the identity
     # residual of the exact pair, then the bracket of e_{-1}, sup|a| = 1

@@ -439,6 +439,24 @@ def test_essnorm_trivial_weight_rows_equal_unweighted(capsys):
     assert weighted[5] == "0"
 
 
+@pytest.mark.parametrize("args, least_lower, upper", [
+    (["--symbol=-40:1,-38:0.5", "--m", "4", "--L", "16"], 1.45,
+     "1.4907605707479497"),
+    (["--symbol=-3:1", "--m", "1", "--L", "2"], 1.0 - 1e-12, "1"),
+])
+def test_essnorm_packets_start_past_the_shift(args, least_lower, upper,
+                                              capsys):
+    # m < n = -lo: the packets start at column n (or as near it as the
+    # section allows), where compression_deficiency_bound puts its test
+    # vector.  On columns m .. m + L - 1 e_{-n} maps them below row 0 and
+    # the lower end read 0.  The upper end does not move.
+    code, out, _ = run(["essnorm", *args, "--N", "64"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[2] == upper
+    assert least_lower <= float(row[1]) <= float(upper)
+
+
 @pytest.mark.parametrize("symbol, args, message", [
     ("-1:1,2:0.5", ["--m", "32", "--N", "64"], "--m must be at most N/4 = 16"),
     ("-1:1,2:0.5", ["--m", "17", "--N", "64", "--L", "8"],
@@ -454,8 +472,9 @@ def test_essnorm_trivial_weight_rows_equal_unweighted(capsys):
 ])
 def test_essnorm_cutoff_and_packets_name_their_flags(symbol, args, message,
                                                      capsys):
-    # hi = 2: the packets' last column m + L - 1 must stay below N - 2; a
-    # symbol with no positive frequency leaves the whole section
+    # hi = 2: m + L must stay at most N - 2, so that L packet columns past
+    # the cutoff stay above the row cut; a symbol with no positive
+    # frequency leaves the whole section
     code, out, err = run(["essnorm", f"--symbol={symbol}", *args], capsys)
     if message is None:
         assert code == 0 and out.startswith("weight,lower,upper")

@@ -23,8 +23,8 @@ from toepnorm.estimation import (_BAND_RATIO, _block_parts, _cast_parts,
                                  _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import (block, cast_block, gram_of_block, packet_lower,
-                       sigma_max_of_block, tridiagonal_top)
+from reference import (block, cast_block, cut_pair, gram_of_block,
+                       packet_lower, sigma_max_of_block, tridiagonal_top)
 
 
 def naive_pair(pw, N):
@@ -281,8 +281,8 @@ def test_bracket_builds_no_section_wider_than_its_block(monkeypatch):
     N, m = 256, 1
     toeplitz, built = operators._toeplitz, []
 
-    def spy(vals, cols):
-        S = toeplitz(vals, cols)
+    def spy(lo, vals, rows, cols):
+        S = toeplitz(lo, vals, rows, cols)
         built.append(S.size)
         return S
 
@@ -314,6 +314,19 @@ def test_bracket_builds_its_block_once(monkeypatch):
             essential_bracket(a, pair, BracketParams(N=N, m=m, L=16,
                                                      thetas=16))
             assert len(calls) == 1
+
+
+def test_weighted_block_refuses_a_short_pair():
+    # the block reads the pair below N + n, n = max(0, -lo) = 3, under the
+    # rule that the section builders of operators share
+    N = 64
+    a = CoeffVector(-3, [1.0, 0.5, -0.3, 0.2, 0.1])
+    W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 7))
+    params = BracketParams(N=N, m=8, L=16, thetas=16)
+    essential_bracket(a, cut_pair(W, N + 3), params)
+    with pytest.raises(ValueError, match="outer pair window too short for "
+                       "this section: need length >= 67"):
+        essential_bracket(a, cut_pair(W, N + 2), params)
 
 
 def test_real_cast_covers_the_leading_columns(grams):
@@ -708,14 +721,21 @@ def packet_tolerance(B, lower, ref, thetas, cast):
             + U * max(lower, ref))
 
 
+def packet_start(a, N, m, L):
+    """The section column s where the bracket's packets start: past the
+    zeroed columns and the first n = max(0, -lo), inside the row cut."""
+    return min(max(m, -a.lo), N - max(0, a.hi) - L)
+
+
 def check_packet_lower(a, W, N, m, L, thetas):
     # the cast is the whole block's (reference.cast_block), the packets read
-    # its first L columns
-    lower = est._packet_lower(_cast_parts(_block_parts(a, W, N, m)), N, L,
-                              thetas)
+    # its L columns from section column packet_start on
+    first = packet_start(a, N, m, L) - m
+    lower = est._packet_lower(_cast_parts(_block_parts(a, W, N, m)), N,
+                              first, L, thetas)
     whole = block(a, W, N, m)
     cast = np.isrealobj(cast_block(whole))
-    B = whole[:, :L]
+    B = whole[:, first:first + L]
     ref = packet_lower(B, thetas)
     assert abs(lower - ref) <= packet_tolerance(B, lower, ref, thetas, cast)
     return lower, ref
@@ -742,13 +762,18 @@ def test_packet_lower_complex_symbol_off_axis_exact_pair():
 
 
 def test_packet_lower_with_leading_columns():
-    # m = 1 < n = 3: the first two packet columns are conjugated columns
+    # m = 1 < n = 3, so the block leads with two conjugated columns.  The
+    # packets start past them, at column n, where the section has room
+    # (L = 16); where it has none (L = N - hi - 1 = 126) they start at m,
+    # and their first two columns are the conjugated ones.
     N, m = 128, 1
     W = outer_pair_exact(PowerWeight(((0.0, 0.3),)), IndexWindow(0, N + 2))
     for h in ([1.0, 0.5, -0.3, 0.2, 0.1], [1.0, 0.5j, -0.3, 0.2, 0.1]):
         a = CoeffVector(-3, h)
         assert _block_parts(a, W, N, m)[2].shape[1] == 2
-        check_packet_lower(a, W, N, m, 16, 64)
+        for L, start in ((16, 3), (126, 1)):
+            assert packet_start(a, N, m, L) == start
+            check_packet_lower(a, W, N, m, L, 64)
 
 
 @pytest.mark.parametrize("L,thetas", [(64, 32), (64, 1), (1, 256), (1, 1)])
@@ -765,27 +790,33 @@ def test_packet_lower_fold_and_degenerate_sizes(L, thetas):
 
 
 def test_both_ends_read_one_cast(monkeypatch):
-    # with m + L <= n the packet columns miss e_{-40}: on their own they
-    # hold 1e-3 e_{-10} + 1e-13i e_{-9}, complex by the cast rule, while the
-    # whole block, scaled by e_{-40}, is real.  Both ends build the real
-    # block, and the lower end stays within _packet_lower's bound of the
-    # direct route, the real cast's term included.
-    N, m, L, thetas = 128, 4, 16, 64
-    a = CoeffVector(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j])
+    # hi = 24 leaves the packets no room past n = 40: they start at
+    # s = N - hi - L = 24, and their columns 24 .. 39 miss e_{-40}.  On
+    # their own they hold 1e-3 e_{-10} + 1e-13i e_{-9} + 1e-3 e_24, complex
+    # by the cast rule, while the whole block, scaled by e_{-40}, is real.
+    # Both ends build the real block, and the lower end stays within
+    # _packet_lower's bound of the direct route, the real cast's term
+    # included.
+    N, m, L, thetas = 64, 4, 16, 64
+    a = CoeffVector(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j, np.zeros(32),
+                               1e-3])
+    first = packet_start(a, N, m, L) - m
     built, block_ = [], est._block
 
-    def spy(parts, N, cols):
-        B = block_(parts, N, cols)
-        built.append((cols, B.dtype))
+    def spy(parts, N, first, cols):
+        B = block_(parts, N, first, cols)
+        built.append((first, cols, B.dtype))
         return B
 
     monkeypatch.setattr(est, "_block", spy)
     got = essential_bracket(a, None, BracketParams(N=N, m=m, L=L,
                                                    thetas=thetas))
-    assert built == [(N - m, np.float64), (L, np.float64)]
+    assert first == 20
+    assert built == [(0, N - m, np.float64), (first, L, np.float64)]
     assert got.lower <= got.upper
-    assert np.iscomplexobj(cast_block(block(a, None, N, m, L)))
-    assert np.isrealobj(cast_block(block(a, None, N, m)))
+    whole = block(a, None, N, m)
+    assert np.iscomplexobj(cast_block(whole[:, first:first + L]))
+    assert np.isrealobj(cast_block(whole))
     assert check_packet_lower(a, None, N, m, L, thetas)[0] == got.lower
 
 
@@ -837,7 +868,8 @@ def test_lower_within_three_percent_of_sup():
 
 
 def test_lower_rejects_overflowing_packet():
-    # hi = 2: the packet's last column m + L - 1 must stay below N - 2
+    # hi = 2: m + L must stay at most N - 2, so that L packet columns past
+    # the cutoff stay above the row cut
     essential_bracket(SYM_CURVED, None, BracketParams(N=64, m=16, L=46, thetas=4))
     with pytest.raises(ValueError, match="overflow"):
         essential_bracket(SYM_CURVED, None,

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from toepnorm import (CoeffVector, IndexWindow, OuterPair,
-                      conjugated_toeplitz_matrix, k0_matrix, outer_pair_exact,
-                      outer_pair_refined, shift_order, symbol_sup,
-                      toeplitz_matrix)
+from toepnorm import (CoeffVector, IndexWindow, conjugated_toeplitz_matrix,
+                      k0_matrix, outer_pair_exact, outer_pair_refined,
+                      shift_order, symbol_sup, toeplitz_matrix)
 from toepnorm import acceptance, operators
 from toepnorm.acceptance import identity_residual, rank_ratio
-from toepnorm.operators import _section, _toeplitz
+from toepnorm.operators import _toeplitz, _toeplitz_times
 from toepnorm.weights import PowerWeight
 
 from reference import (apply_special_toeplitz, block, composition_bound,
                        conjugated_gemm, conjugated_reference, coeff,
-                       k0_reference, multiply, riesz_project)
+                       cut_pair, k0_reference, multiply, on_window,
+                       riesz_project, section)
 
 
 def refined_pair(lam, N, factor=4):
@@ -53,37 +53,39 @@ def test_toeplitz_diagonal_constancy_and_nesting():
     assert np.array_equal(T, T2[:12, :12])
 
 
-# ------------------------------------------------------------------ _section
+# ----------------------------------------------------------------- _toeplitz
 
-@pytest.mark.parametrize("lo,hi", [(-2, 3), (2, 5), (-6, -1)])
+# at rows, cols = 7, 4 (frequencies -3 .. 6) these runs lie inside, lie
+# inside, clip low, clip both ends, clip high, clip low, miss, miss
+@pytest.mark.parametrize("lo,hi", [(-2, 3), (2, 5), (-6, -1), (-9, 9),
+                                   (4, 12), (-12, -3), (8, 11), (-11, -8)])
 @pytest.mark.parametrize("rows,cols", [(7, 4), (4, 7), (1, 1), (6, 6)])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_section_is_scipy_toeplitz_bitwise(lo, hi, rows, cols, kind):
     # scipy.linalg.toeplitz of the first column and row is the reference the
     # strided builder replaced; both only copy coefficients, so they agree
-    # bitwise.  Windows straddle 0, lie above it and lie below it.  The
-    # complex case is _section; the real one runs its sliding-window core,
-    # _toeplitz, on float64 values, as estimation._block does for a real
-    # block.
+    # bitwise.  The matrix shows the frequencies 1 - cols .. rows - 1; runs
+    # lie inside them, are clipped at their low end, at their high end or at
+    # both, or miss them wholly (an all-zero matrix).  The run is float64 or
+    # complex128, as a bracket block's or a section's is.
     rng = np.random.default_rng([hi - lo, rows, cols])
     coeffs = rng.standard_normal(hi - lo + 1)
     if kind == "complex":
         coeffs = coeffs + 1j * rng.standard_normal(hi - lo + 1)
     c = CoeffVector(lo, coeffs)
-    col = c.on_window(IndexWindow(0, rows - 1))
-    row = c.on_window(IndexWindow(1 - cols, 0))[::-1]
+    col = on_window(c, IndexWindow(0, rows - 1))
+    row = on_window(c, IndexWindow(1 - cols, 0))[::-1]
     if kind == "real":
         col, row = col.real, row.real
-        vals = c.on_window(IndexWindow(1 - cols, rows - 1)).real.copy()
-        S = _toeplitz(vals, cols)
-    else:
-        S = _section(c, rows, cols)
+    S = _toeplitz(lo, coeffs, rows, cols)
     expected = toeplitz(col, row)
     assert S.dtype == expected.dtype == coeffs.dtype
     assert S.shape == (rows, cols)
     assert S.tobytes() == expected.tobytes()
     # estimation._block writes its leading columns into the result in place
     assert S.flags.c_contiguous and S.flags.writeable
+    if hi < 1 - cols or lo > rows - 1:
+        assert not S.any()
 
 
 # ----------------------------------------------------- apply_special_toeplitz
@@ -133,7 +135,7 @@ def test_column_consistency_with_sections():
     win = IndexWindow(0, N - 1)
     for j in range(N):
         ej = CoeffVector(j, [1.0])
-        col = apply_special_toeplitz(n, h, ej).on_window(win)
+        col = on_window(apply_special_toeplitz(n, h, ej), win)
         assert np.max(np.abs(T[:, j] - col)) <= 1e-12
 
 
@@ -269,12 +271,18 @@ def test_composition_matches_dense_gemms_within_rounding():
         assert np.all(dev <= composition_bound(a, W, N))
 
 
-def test_composition_without_blas_names_is_the_dense_gemms(monkeypatch):
-    # where NumPy's BLAS lacks ztrmm, both products are GEMMs, to the bit
+def test_composition_without_blas_names_is_one_gemm(monkeypatch):
+    # where NumPy's BLAS lacks ztrmm, only the triangular product changes:
+    # it is one GEMM of L_W with the banded product, to the bit, and stays
+    # within the bound of two summation orders of the dense GEMMs
     monkeypatch.setattr(operators, "_numpy_lapack", lambda: None)
     for a, W, N in composition_cases():
-        assert conjugated_toeplitz_matrix(a, W, N).tobytes() \
-            == conjugated_gemm(a, W, N).tobytes()
+        n = max(0, -a.lo)
+        C = conjugated_toeplitz_matrix(a, W, N)
+        inner = _toeplitz_times(a, section(W.winv_coeffs, N + n, N))
+        assert C.tobytes() == (section(W.w_coeffs, N, N) @ inner).tobytes()
+        dev = np.abs(C - conjugated_gemm(a, W, N))
+        assert np.all(dev <= composition_bound(a, W, N))
 
 
 # ------------------------------------ product builders against column loops
@@ -321,11 +329,25 @@ def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
     for a, _, _ in reference_symbols():
         K = N + max(0, -a.lo)
         for W in reference_pairs(N):
-            short = OuterPair(
-                CoeffVector(0, W.w_coeffs.coeffs[:K]),
-                CoeffVector(0, W.winv_coeffs.coeffs[:K]))
-            assert np.array_equal(conjugated_toeplitz_matrix(a, short, N),
+            assert np.array_equal(conjugated_toeplitz_matrix(a, cut_pair(W, K),
+                                                             N),
                                   conjugated_toeplitz_matrix(a, W, N))
+
+
+@pytest.mark.parametrize("build,need", [
+    (conjugated_toeplitz_matrix, lambda a, N: N + max(0, -a.lo)),
+    (k0_matrix, lambda a, N: N + shift_order(a))])
+def test_section_builders_refuse_a_short_pair(build, need):
+    # one coefficient short of what the section reads is a different,
+    # truncated W, not a zero-padded one: refused, not built
+    N = 24
+    for a, _, _ in reference_symbols() + [(CoeffVector(1, [1.0, 0.5]),
+                                           None, None)]:
+        W = reference_pairs(N)[1]
+        build(a, cut_pair(W, need(a, N)), N)
+        with pytest.raises(ValueError, match="outer pair window too short "
+                           f"for this section: need length >= {need(a, N)}"):
+            build(a, cut_pair(W, need(a, N) - 1), N)
 
 
 def test_section_norm_bounded_by_symbol_sup():
