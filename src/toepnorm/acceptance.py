@@ -217,9 +217,9 @@ def weighted_bracket(a: CoeffVector, pw: PowerWeight, params: BracketParams,
     unweighted bracket ``base``.
 
     The weight's outer pair is the one-grid construction from 8N samples
-    on the outer window [0, N + n - 1], n = max(0, -lo), the coefficients
-    the section reads, and the grid error of an exponent lambda scales like
-    M^-(1 - |lambda|) in the grid size M = 8N.
+    on the outer window [0, N + n - 1], n = ``shift_order(a)``, the
+    coefficients the section reads, and the grid error of an exponent
+    lambda scales like M^-(1 - |lambda|) in the grid size M = 8N.
     A weight with no points or only zero exponents is w == 1: its samples
     are exactly 1, its outer pair is exactly (1, 1) and its section a
     bitwise copy of the unweighted one, so it shares the unweighted bracket.
@@ -228,7 +228,7 @@ def weighted_bracket(a: CoeffVector, pw: PowerWeight, params: BracketParams,
         return base
     N = params.N
     W = outer_pair(sample_power_weight(pw, 8 * N),
-                   IndexWindow(0, N + max(0, -a.lo) - 1))
+                   IndexWindow(0, N + shift_order(a) - 1))
     return essential_bracket(a, W, params)
 
 

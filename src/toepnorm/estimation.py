@@ -26,7 +26,7 @@ routine here:
   is held in band storage for a narrow block and formed densely otherwise.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{s+l}, theta on a uniform grid, from
-  the column s = min(max(m, n), N - max(0, hi) - L), n = max(0, -lo), of
+  the column s = min(max(m, n), N - max(0, hi) - L), n = shift_order(a), of
   ``compression_deficiency_bound``'s test vector.  As s >= m they are
   feasible test vectors for A(I - P_m), so the bracket is ordered by
   construction; compact perturbations vanish on such high-frequency
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _check_pair_window,
-                        _numpy_lapack, _toeplitz)
+                        _numpy_lapack, _toeplitz, shift_order)
 from .spectral import CoeffVector
 from .weights import OuterPair
 
@@ -276,8 +276,8 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
     column leads.
 
     The conjugated section is Toeplitz away from its first
-    n = max(0, -a.lo) columns: for e_j with j >= n the inner projection in
-    P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
+    n = ``shift_order(a)`` columns: for e_j with j >= n the inner projection
+    in P(W . P(a . W^{-1} e_j)) truncates nothing, so column j is a shift of
     the one convolution g = w * a * winv (g = a without a weight), and the
     block is the section of g shifted by m.  For j < n it drops the
     frequencies below 0 of (a * winv) e_j, so column j is the window
@@ -287,13 +287,13 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
     """
     g, lead = a.coeffs, np.empty((N, 0), dtype=complex)
     if W is not None:
-        n_neg = max(0, -a.lo)
-        _check_pair_window(W, N + n_neg)
+        n = shift_order(a)
+        _check_pair_window(W, N + n)
         w = W.w_coeffs.coeffs
         inner = np.convolve(a.coeffs, W.winv_coeffs.coeffs)
         g = np.convolve(w, inner)
-        cols = [np.convolve(w, inner[n_neg - j:])[:N]
-                for j in range(m, min(n_neg, N))]
+        cols = [np.convolve(w, inner[n - j:])[:N]
+                for j in range(m, min(n, N))]
         if cols:
             lead = np.stack(cols, axis=1)
     K, p0, lo = N - m, lead.shape[1], a.lo + m
@@ -463,8 +463,8 @@ def compression_deficiency_bound(a: CoeffVector, m: int, N: int) -> float:
     Derivation (unweighted sections only).  Let the symbol's window be
     [lo, hi], n = hi - lo, s = sup|a| attained at theta_0, and
     f = s^2 - |a|^2: a real trigonometric polynomial of degree n with
-    0 <= f <= s^2 and f(theta_0) = f'(theta_0) = 0.  A unit vector u
-    supported on columns j0 <= j < j0 + K, with j0 = max(m, -lo) and
+    0 <= f <= s^2 and f(theta_0) = f'(theta_0) = 0.  A unit vector u on
+    columns j0 <= j < j0 + K, j0 = max(m, ``shift_order(a)``) and
     K = N - j0 - max(hi, 0), meets neither the zeroed columns nor the row
     cut, so ||A u||^2 = int |a|^2 |u^|^2 = s^2 - int f |u^|^2 (normalized
     measure, u^ = sum_j u_j e^{ij theta}).  Take the sine window
@@ -482,7 +482,7 @@ def compression_deficiency_bound(a: CoeffVector, m: int, N: int) -> float:
     sup|a| <= ||A(I - P_m)|| / sqrt(1 - beta) whenever beta < 1.  A weighted
     section is not T_N(a); the bound does not apply to it.
     """
-    K = N - max(m, -a.lo) - max(a.hi, 0)
+    K = N - max(m, shift_order(a)) - max(a.hi, 0)
     if K < 1:
         raise ValueError("section leaves no room for a packet past the cutoff")
     n = a.hi - a.lo
@@ -520,7 +520,7 @@ def essential_bracket(a: CoeffVector, W: OuterPair | None,
     if parts is None:
         return NormEstimate(0.0, 0.0)
     upper = _sigma_max(parts, N, N - m)
-    s = min(max(m, -a.lo), N - max(0, a.hi) - L)
+    s = min(max(m, shift_order(a)), N - max(0, a.hi) - L)
     lower = _packet_lower(parts, N, s - m, L, thetas)
     # ||A u|| is a certified lower bound for the same sigma_max, so the Gram
     # value may be raised to it without leaving the surrogate.

@@ -134,9 +134,10 @@ def toeplitz_matrix(a: CoeffVector, N: int) -> np.ndarray:
 
 
 def shift_order(a: CoeffVector) -> int:
-    """The shift order n = max(1, -lo) of the symbol a: a = e_{-n} h with
-    h = e_n a analytic, and its K0 has rank at most n."""
-    return max(1, -a.lo)
+    """The shift order n = max(0, -lo) of the symbol a: a = e_{-n} h with
+    h = e_n a analytic, and its K0 has rank at most n (K0 = 0 for an
+    analytic a, n = 0).  The one rule for n, wherever a section reads it."""
+    return max(0, -a.lo)
 
 
 def k0_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
@@ -154,11 +155,14 @@ def k0_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarray:
     returned as a full N x N matrix and not sliced to its first n columns:
     columns >= n come out of the product as exact zeros, so the rank bound
     checked on K0 is a property of the composition, not of its storage.
+    An analytic a has n = 0, P_0 = 0 and K0 the N x N zero matrix.
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
     n = shift_order(a)
     _check_pair_window(W, N + n)
+    if n == 0:
+        return np.zeros((N, N), dtype=complex)
     pn_hw = (_toeplitz(a.lo + n, a.coeffs, n, n)
              @ _toeplitz(0, W.winv_coeffs.coeffs, n, N))
     return -(_toeplitz(0, W.w_coeffs.coeffs, N + n, n)[n:] @ pn_hw)
@@ -169,7 +173,7 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
 
     Column j is the window [0, N-1] of P(W . P(a . P(W^{-1} e_j))), built as
     the product L_W T_a L_{1/W} of sections of the three factors: L_W is
-    N x N, T_a is N x (N+n) with n = max(0, -lo), and L_{1/W} is
+    N x N, T_a is N x (N+n) with n = ``shift_order(a)``, and L_{1/W} is
     (N+n) x N.  Rows < N of the composition reach coefficients of W and 1/W
     below N+n only, a pair with shorter windows is refused, and that finite
     window is the only truncation.
@@ -185,7 +189,7 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
     """
     if N < 1:
         raise ValueError("section size must be >= 1")
-    n = max(0, -a.lo)
+    n = shift_order(a)
     _check_pair_window(W, N + n)
     inner = _toeplitz_times(a, _toeplitz(0, W.winv_coeffs.coeffs, N + n, N))
     L_w = _toeplitz(0, W.w_coeffs.coeffs, N, N)
@@ -199,7 +203,7 @@ def conjugated_toeplitz_matrix(a: CoeffVector, W: OuterPair, N: int) -> np.ndarr
 
 
 def _toeplitz_times(a: CoeffVector, X: np.ndarray) -> np.ndarray:
-    """T_a X for the (N + n) x N matrix X, n = max(0, -lo), T_a the
+    """T_a X for the (N + n) x N matrix X, n = ``shift_order(a)``, T_a the
     N x (N + n) section of a (``_toeplitz``): row i is the sum over the
     frequencies s of a, in increasing order, of a_s X[i - s], so each
     nonzero coefficient adds one scaled, shifted row block."""

@@ -226,9 +226,7 @@ def outer_pair_refined(w: PowerWeight, grid_size: int, win: IndexWindow) -> Oute
     Extrapolating 2*u_hat(2M) - u_hat(M) removes the leading alias; the
     exponentiation then runs on the finer grid.
     """
-    M = grid_size
-    if M < 4 or M & (M - 1):
-        raise ValueError("grid size must be a power of two >= 4")
+    M = _grid_size(grid_size)
     uh = (2.0 * _log_spectrum(sample_power_weight(w, 2 * M), M)
           - _log_spectrum(sample_power_weight(w, M), M))
     return _pair_from_log_grid(uh, 2 * M, win)

@@ -12,19 +12,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def program_texts() -> list[str]:
-    """The sources of the package and of the study scripts."""
+    """The sources of the package."""
     return [p.read_text() for p in
-            sorted((ROOT / "src" / "toepnorm").glob("*.py"))
-            + sorted((ROOT / "scripts").glob("*.py"))]
+            sorted((ROOT / "src" / "toepnorm").glob("*.py"))]
 
 
 def test_every_export_has_a_library_caller():
     # A name exported from toepnorm must be used somewhere in the package
-    # other than __init__.py and its own module, or by a study script;
-    # names that only tests use belong in tests/reference.py.
+    # other than __init__.py and its own module; names that only tests use
+    # belong in tests/reference.py.
     pkg = ROOT / "src" / "toepnorm"
-    sources = {p: p.read_text() for p in
-               list(pkg.glob("*.py")) + list((ROOT / "scripts").glob("*.py"))}
+    sources = {p: p.read_text() for p in pkg.glob("*.py")}
     uncalled = []
     for name in toepnorm.__all__:
         home = pkg / (getattr(toepnorm, name).__module__.split(".")[-1] + ".py")
@@ -36,10 +34,9 @@ def test_every_export_has_a_library_caller():
 
 
 def test_every_public_function_has_a_caller():
-    # A public module-level function must be named in the package or a
-    # study script somewhere besides its own def; a helper that nothing
-    # calls is deleted, and one that only tests use goes to
-    # tests/reference.py.
+    # A public module-level function must be named in the package somewhere
+    # besides its own def; a helper that nothing calls is deleted, and one
+    # that only tests use goes to tests/reference.py.
     pkg = ROOT / "src" / "toepnorm"
     texts = program_texts()
     uncalled = []
@@ -54,9 +51,9 @@ def test_every_public_function_has_a_caller():
 
 
 def test_every_public_method_has_a_caller():
-    # A public method or property must be read as ``.name`` in the package
-    # or a study script: attribute access, since a bare word would also
-    # match help text.  One that only tests use goes to tests/reference.py.
+    # A public method or property must be read as ``.name`` in the package:
+    # attribute access, since a bare word would also match help text.  One
+    # that only tests use goes to tests/reference.py.
     pkg = ROOT / "src" / "toepnorm"
     texts = program_texts()
     uncalled = []
@@ -87,6 +84,24 @@ def test_one_toeplitz_layout():
              and any(getattr(n, "id", getattr(n, "attr", None)) == word
                      for n in ast.walk(fn))]
     assert users == ["_toeplitz"]
+
+
+def test_one_shift_order():
+    # n = max(0, -lo) is written once, in operators.shift_order, which every
+    # other reader of a symbol's shift calls: nothing else in the package
+    # negates a ``.lo``, so a second rule for n cannot come back unnoticed
+    def negates_lo(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and getattr(node.operand, "attr", None) == "lo")
+
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert sum(map(negates_lo, (node for tree in trees.values()
+                                for node in ast.walk(tree)))) == 1
+    assert [f"{name}:{fn.name}" for name, tree in trees.items()
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(map(negates_lo, ast.walk(fn)))] == [
+        "operators.py:shift_order"]
 
 
 def test_readme_library_tour_runs():

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import toepnorm
@@ -353,14 +354,14 @@ def test_verify_identity_N_must_exceed_the_shift_order(args, capsys):
     assert out == "" and "configuration error: --N must" in err
 
 
-def test_verify_identity_analytic_symbol_has_shift_order_one(capsys):
-    # 1 = e_{-1} e_1: n = 1, and K0 vanishes
+def test_verify_identity_analytic_symbol_has_shift_order_zero(capsys):
+    # an analytic symbol is e_0 h: n = 0, and K0 is the zero matrix
     code, out, _ = run(["verify-identity", "--symbol=0:1", "--weight",
                         "0:0.3", "--N", "16"], capsys)
     assert code == 0
     header, row = (line.split(",") for line in out.strip().splitlines())
     cells = dict(zip(header, row))
-    assert cells["n"] == "1" and cells["k0_rank"] == "0"
+    assert cells["n"] == "0" and cells["k0_rank"] == "0"
 
 
 def test_verify_identity_without_a_weight_is_config_error(capsys):
@@ -527,6 +528,55 @@ def test_reproduce_writes_tables_and_is_deterministic(tmp_path, capsys,
     assert [timeless(x) for x in printed] == [timeless(x) for x in expected]
     # every check of the suite passes, so the run reports success
     assert code == EXIT_OK
+
+
+def test_ap_check_prints_the_suite_characteristics(capsys, criterion):
+    # ap-check at grid M scans M and 2M: at 256 and 512, for each p of the
+    # suite's lattice, it prints ap_check.csv's characteristics, growths
+    # and verdicts bit for bit
+    rows = criterion(acceptance.run_ap_classification).rows
+    capsys.readouterr()  # a first run prints its checks
+    for p in dict.fromkeys(r["p"] for r in rows):
+        lattice = [r for r in rows if r["p"] == p]
+        weights = [arg for r in lattice
+                   for arg in ("--weight", f"0:{r['lambda']!r}")]
+        printed = []
+        for grid in (256, 512):
+            code, out, _ = run(["ap-check", "--p", repr(p), "--grid",
+                                str(grid), "--format", "json", *weights],
+                               capsys)
+            assert code == 0
+            printed.append(json.loads(out))
+        for r, at256, at512 in zip(lattice, *printed, strict=True):
+            assert at256["in_ap"] == at512["in_ap"] == r["admissible"]
+            assert ([at256[k] for k in ("char_M", "char_2M", "growth_ratio")]
+                    == [r["char_256"], r["char_512"], r["growth_1"]])
+            assert ([at512[k] for k in ("char_M", "char_2M", "growth_ratio")]
+                    == [r["char_512"], r["char_1024"], r["growth_2"]])
+
+
+def test_verify_identity_prints_the_suite_residuals(capsys, criterion):
+    # verify-identity at N = 128, given a seeded symbol of the suite term by
+    # term and one of its weights, prints identity.csv's residuals and
+    # verdicts bit for bit
+    rng = np.random.default_rng(acceptance._SEED)
+    symbols = {n: acceptance.seeded_symbol(rng, n) for n in (1, 2, 3)}
+    rows = criterion(acceptance.run_conjugation_identity).rows
+    capsys.readouterr()  # a first run prints its checks
+    for r in rows:
+        a = symbols[r["n"]]
+        terms = ",".join(f"{a.lo + k}:{repr(complex(c)).strip('()')}"
+                         for k, c in enumerate(a.coeffs))
+        code, out, _ = run(["verify-identity", f"--symbol={terms}",
+                            "--weight", f"0:{r['lambda']!r}", "--N", "128",
+                            "--format", "json"], capsys)
+        (cells,) = json.loads(out)
+        assert code == (EXIT_OK if r["pass"] else 1)
+        assert cells["n"] == r["n"]
+        assert ([cells[k] for k in ("residual_N", "residual_2N",
+                                    "decreasing", "pass")]
+                == [r[k] for k in ("residual_128", "residual_256",
+                                   "decreasing", "pass")])
 
 
 # each reproduce table and the criteria whose rows it holds
@@ -741,27 +791,6 @@ def test_identity_tables_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
     assert procs[0].stdout.count("\n") == 1 + 6 + 1 + 3
     assert procs[0].stdout == procs[1].stdout
-
-
-@pytest.mark.parametrize("script, args, header, rows", [
-    ("run_identity_residuals.py", ["--sizes", "16,32"],
-     "N,residual,rank_ratio", 2),
-    ("run_ap_growth.py", ["--grids", "64,128"],
-     "p,lambda,in_ap,char_64,char_128,growth_64_128", 12),
-    # w == 1: K0 = 0, whose rank ratio reads 0
-    ("run_identity_residuals.py", ["--exponent", "0", "--sizes", "16,32"],
-     "N,residual,rank_ratio", 2),
-])
-def test_study_scripts_run(script, args, header, rows):
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
-    proc = _run_python(str(path), *args)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "" and "nan" not in proc.stdout
-    lines = proc.stdout.splitlines()
-    assert lines[0] == header
-    assert len(lines) == 1 + rows
-    assert all(len(line.split(",")) == header.count(",") + 1
-               for line in lines)
 
 
 # -------------------------------------------------------------------- README

@@ -209,6 +209,22 @@ def test_k0_rank_bound_fails_on_a_leaked_column(monkeypatch):
     assert cells["rank_ratio"] > 1e-8 and cells["k0_rank"] == n + 1
 
 
+def test_k0_rank_bound_fails_on_any_column_of_an_analytic_symbol(
+        monkeypatch):
+    # n = 0 for an analytic symbol, so a nonzero column 0 of K0 is a leak
+    def leaky_k0(a, W, N):
+        K0 = k0_matrix(a, W, N)
+        K0[:, 0] = 1e-3
+        return K0
+
+    a, pw = CoeffVector(0, [1.0, 0.5]), PowerWeight(((0.0, 0.3),))
+    assert acceptance.identity_clauses(a, pw, 32)[1]["k0_rank_bound"].passed
+    monkeypatch.setattr(acceptance, "k0_matrix", leaky_k0)
+    cells, checks = acceptance.identity_clauses(a, pw, 32)
+    assert not checks["k0_rank_bound"].passed
+    assert cells["rank_ratio"] == 1.0 and cells["k0_rank"] == 1
+
+
 # ------------------------------------------------- conjugated_toeplitz_matrix
 
 def test_conjugation_by_constant_weight_is_identity_map():
@@ -327,7 +343,7 @@ def test_sections_match_column_reference(N):
 def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
     N = 24
     for a, _, _ in reference_symbols():
-        K = N + max(0, -a.lo)
+        K = N + shift_order(a)
         for W in reference_pairs(N):
             assert np.array_equal(conjugated_toeplitz_matrix(a, cut_pair(W, K),
                                                              N),
@@ -335,7 +351,7 @@ def test_conjugated_section_needs_only_n_plus_n_outer_coefficients():
 
 
 @pytest.mark.parametrize("build,need", [
-    (conjugated_toeplitz_matrix, lambda a, N: N + max(0, -a.lo)),
+    (conjugated_toeplitz_matrix, lambda a, N: N + shift_order(a)),
     (k0_matrix, lambda a, N: N + shift_order(a))])
 def test_section_builders_refuse_a_short_pair(build, need):
     # one coefficient short of what the section reads is a different,
@@ -362,14 +378,15 @@ def test_section_norm_bounded_by_symbol_sup():
 # ---------------------------------------------------------------- shift_order
 
 def test_shift_order_examples():
-    # a = e_{-n} h with h = e_n a analytic: n = -lo below 0, else 1
+    # a = e_{-n} h with h = e_n a analytic: n = -lo below 0, else 0
     assert shift_order(CoeffVector(-2, [1.0, 0.0, 0.0, 3.0])) == 2
     for lo in (0, 1, 5):
-        assert shift_order(CoeffVector(lo, [2.0, 0.0, 1.0])) == 1
+        assert shift_order(CoeffVector(lo, [2.0, 0.0, 1.0])) == 0
 
 
 def test_k0_of_an_analytic_symbol_is_zero():
-    # h = e_1 a has no constant term, so P_1 M_{h/W} and K0 vanish exactly
+    # n = 0 and P_0 = 0: K0 is the N x N zero matrix
     W = refined_pair(0.3, 32)
     for a in (CoeffVector(0, [1.0, 0.5j]), CoeffVector(1, [2.0, 0.0, 1.0])):
-        assert np.all(k0_matrix(a, W, 32) == 0.0)
+        K0 = k0_matrix(a, W, 32)
+        assert K0.shape == (32, 32) and np.all(K0 == 0.0)

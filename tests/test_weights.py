@@ -253,6 +253,21 @@ def test_outer_pair_rejects_bad_input():
             outer_pair_refined(single(0.3), grid, win)
 
 
+def test_outer_pair_refined_takes_the_library_grid_sizes():
+    # spectral._grid_size, the one rule for every grid: 2 is a grid, on
+    # which the log spectrum's one coefficient extrapolates to 0 (the
+    # offset samples of log|t-1| average to log(2)/M), and 0, 1, 3 and 6
+    # are refused with its message
+    pair = outer_pair_refined(single(0.3), 2, IndexWindow(0, 0))
+    for c in (pair.w_coeffs, pair.winv_coeffs):
+        assert c.lo == 0 and len(c.coeffs) == 1
+        assert abs(c.coeffs[0] - 1.0) <= 1e-15
+    for grid in (0, 1, 3, 6):
+        with pytest.raises(ValueError, match=f"^grid size {grid} is not a "
+                           r"power of two >= 2$"):
+            outer_pair_refined(single(0.3), grid, IndexWindow(0, 0))
+
+
 # ---------------------------------------------------------- Schwarz integral
 
 def test_schwarz_outer_trivial_weight():
