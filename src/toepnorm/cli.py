@@ -306,7 +306,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFICATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once: parsing reads it only (append copies its default)."""
     parser = argparse.ArgumentParser(
         prog="toepnorm",
         description="Toeplitz finite sections, Muckenhoupt weights and "

@@ -23,7 +23,7 @@ routine here:
   lambda_max(T) alone is found by bisection on the sign of the LDL^T pivots
   of sI - T, a test that is monotone in s under IEEE rounding, so it stays
   exact where the top of the spectrum clusters (``_tridiagonal_top``).  G
-  is held in band storage for a narrow block and formed densely otherwise.
+  is held in band storage for a narrow block and densely otherwise.
 * lower end: the largest value of ||A u|| over modulated wave packets
   u = L^(-1/2) sum_l e^(i l theta) e_{s+l}, theta on a uniform grid, from
   the column s = min(max(m, n), N - max(0, hi) - L), n = shift_order(a), of
@@ -32,12 +32,13 @@ routine here:
   construction; compact perturbations vanish on such high-frequency
   packets as m grows.  ||A u||^2 = u^H G_L u reads only the L x L Gram
   matrix G_L of those columns; its folded diagonal sums give every angle
-  at once by one FFT (``_packet_lower``): O(N L^2 + thetas log thetas).
+  at once by one FFT (``_packet_lower``): O(N L + thetas log thetas).
 
 Both ends read one block, in one dtype: its parts are made once
 (``_block_parts``) and cast once (``_cast_parts``), float64 when the
-block's values are real; it is laid out by ``operators._toeplitz``.  A
-weighted block refuses a short outer pair as the section builders do.
+block's values are real, and both take their Gram matrices from the parts
+(``_gram``), with the N x K block never formed.  A weighted block refuses
+a short outer pair as the section builders do.
 
 Weighted spaces are handled by conjugating with the outer function of the
 weight (an isometry onto the unweighted space), so a single flat-metric
@@ -52,26 +53,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (_CONJ_TRANS, _ROW_MAJOR, _UPPER, _check_pair_window,
-                        _numpy_lapack, _toeplitz, shift_order)
+from .operators import (_check_pair_window, _numpy_lapack, _toeplitz,
+                        shift_order)
 from .spectral import CoeffVector
 from .weights import OuterPair
 
 # A block whose imaginary parts are at most this fraction of its largest
-# entry is taken as real for its Gram matrices (a real symmetric G costs a
-# quarter of the complex Hermitian one in the product and in the
-# tridiagonalisation).  ``_cast_parts`` applies the rule.
+# entry is taken as real for its Gram matrices (a real symmetric G costs
+# less to form than the complex Hermitian one, and a quarter as much to
+# tridiagonalise).  ``_cast_parts`` applies the rule.
 _REAL_CAST_RTOL = 1e-12
 
 # A block whose coefficient window spans at most (N - m) // this ratio
 # takes sigma_max from the banded Gram matrix.  Measured crossover of
 # ``_sigma_max`` (2 vCPUs, OpenBLAS, two threads, medians of 5, two runs;
-# both storages end in the same bisection): at N - m = 960 the banded path
-# takes 37-39 ms at span 32 against 51-56 ms dense, still wins at span 48
-# (49-62 against 58-70 ms) and loses by span 64 (72 against 52 ms); at
-# N - m = 1984 it takes 342-351 ms at span 64 against 446-457 ms and
-# breaks even near span 96 (465-539 against 460-520 ms).
+# both storages take G from ``_gram`` and end in the same bisection): at
+# N - m = 960 the banded path takes 22-23 ms at span 24 against 29-32 ms
+# dense, breaks even at span 32 (33-34 against 29-36 ms) and loses by 48
+# (44-47 against 29-33 ms); at N - m = 1984 it takes 212-226 ms at span 48
+# against 298-307 ms, breaks even at 64 (307-314 against 314-320 ms) and
+# loses by 96 (432-443 against 306-319 ms).
 _BAND_RATIO = 32
+
+# Lags per chunk of ``_gram``: it holds three arrays of N x this at once
+_GRAM_CHUNK = 32
 
 
 def __getattr__(name):
@@ -109,27 +114,6 @@ class NormEstimate:
             raise ValueError("bracket lower end exceeds upper end")
 
 
-def _gram_band(c: np.ndarray, lo: int, N: int, K: int) -> np.ndarray:
-    """Lower band storage ab[d, p] = G[p + d, p] of G = B^H B for the
-    N x K block B whose column p holds g_s in row p + s, where c holds g's
-    values at frequencies lo .. lo + u (the block of ``_block_parts``
-    without leading columns).
-
-    G[p + d, p] = sum of g_s conj(g_{s-d}) over s in [lo + d, lo + u] with
-    the shared row p + s inside the block: the top cut (rows >= 0) trims
-    the first columns when lo < 0, the row cut (rows < N) the last ones.
-    Entries past the end of diagonal d (p >= K - d) are never read.
-    """
-    u = len(c) - 1
-    j = np.arange(K)[:, None]
-    ab = np.empty((u + 1, K), dtype=c.dtype)
-    for d in range(u + 1):
-        rows = j + np.arange(lo + d, lo + u + 1)
-        inside = (rows >= 0) & (rows < N)
-        ab[d] = inside @ (c[d:] * c[:u + 1 - d].conj())
-    return ab
-
-
 def _lapack_info(info: int, what: str) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} failed (info = {info})")
@@ -142,11 +126,11 @@ def _tridiagonal(G: np.ndarray, band: bool) -> tuple[np.ndarray, np.ndarray]:
     (``_numpy_lapack``), which must export it.
 
     With ``band``, G is given by its lower band storage G[d, p] of
-    ``_gram_band`` and reduced by sbtrd/hbtrd in O(K^2 u) (Schwarz, Numer.
+    ``_gram`` and reduced by sbtrd/hbtrd in O(K^2 u) (Schwarz, Numer.
     Math. 12, 1968), on a column-major copy.  Otherwise G is the C-ordered
     K x K matrix itself, reduced in place (it is overwritten) by sytrd/hetrd
     with uplo = 'L' on the column-major view of its buffer, which is G^T:
-    only G's upper triangle is read (``_dense_gram`` fills no other), and
+    only G's upper triangle is read (the only one ``_gram`` fills), and
     the Hermitian matrix it defines is reduced in its conjugate, whose
     reduction gives the same d and e bit for bit.  For G exactly Hermitian
     in full these are the ones on which NumPy's eigvalsh (syevd/heevd, uplo
@@ -303,8 +287,8 @@ def _block_parts(a: CoeffVector, W: OuterPair | None, N: int,
 
 
 def _cast_parts(parts: _Parts) -> _Parts | None:
-    """The parts of ``_block_parts`` in the dtype that their block is built
-    and reduced in: their real parts (float64) when no imaginary part
+    """The parts of ``_block_parts`` in the dtype their Gram matrices are
+    formed and reduced in: their real parts (float64) when no imaginary part
     exceeds _REAL_CAST_RTOL times the largest modulus among them, else the
     complex parts unchanged; None when every value is zero (a zero block).
     The parts hold every value that the block shows, and maxima are exact,
@@ -319,40 +303,69 @@ def _cast_parts(parts: _Parts) -> _Parts | None:
     return lo, g.real, lead.real
 
 
-def _block(parts: _Parts, N: int, first: int, cols: int) -> np.ndarray:
-    """Columns first .. first + cols - 1 of the block of ``_block_parts``,
-    in its parts' dtype, with its leading columns written over."""
-    lo, g, lead = parts
-    B = _toeplitz(lo + first, g, N, cols)
-    lead = lead[:, first:first + cols]
-    B[:, :lead.shape[1]] = lead
-    return B
+def _gram(parts: _Parts, N: int, first: int, cols: int,
+          band: bool) -> np.ndarray:
+    """G = B^H B of the columns first .. first + cols - 1 of the block B of
+    the cast parts (``_cast_parts``), in their dtype, with no N x cols
+    array formed: with ``band`` in lower band storage ab[d, p] =
+    G[p + d, p], d <= u = len(g) - 1; else as a C-ordered cols x cols
+    matrix whose upper triangle, the one ``_tridiagonal`` and eigvalsh
+    (UPLO = 'U') read, is G's; nothing reads below it.
 
+    Toeplitz column p holds b(t) = g[t - lo] in row p + t, 0 <= row < N, so
+    G[p, p + d] sums conj(b(t)) b(t - d) over t in [max(-p, lo + d),
+    min(N - 1 - p, hi)].  Where p + d >= -lo the top cut trims nothing, and
+    the d-th diagonal is one prefix sum (cumsum over t) of the lag
+    products, read at t = min(N - 1 - p, hi) (the displacement structure
+    of Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979), lags in chunks
+    of _GRAM_CHUNK.  The leading columns and those the top cut trims, at
+    most n - m, are formed as X; their rows are X^H X and one correlation
+    of each with g.  The d = 0 lag is |b|^2: a complex diagonal is real.
 
-def _dense_gram(B: np.ndarray) -> np.ndarray:
-    """G = B^H B of a C-ordered real or complex N x K block, whose C-order
-    upper triangle is what the dense reduction (``_tridiagonal``) and
-    eigvalsh (UPLO = 'U') read.
+    Its rounding (u = 2^-53, gamma_n = n u / (1 - n u); Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.1, 3.5-3.6).  Each
+    entry sums at most N products, one per row both columns reach (a prefix
+    sum adds exact zeros first).  A real product rounds once; each part of
+    a complex one errs by at most gamma_2 (|x_r y_r| + |x_i y_i|) <= gamma_2
+    |x| |y|, fused or not; a sum of n terms adds gamma_(n-1), in any order.
+    So the real and imaginary parts of every entry satisfy
 
-    A real B gives the whole symmetric G by syrk (NumPy's B.T @ B), with no
-    transposed copy.  A complex B gives that triangle by zherk from NumPy's
-    BLAS (``_numpy_lapack``), zeros below it: no conjugated copy of B, half
-    the flops of a GEMM, and a diagonal that is real by construction, so
-    the matrix read is exactly Hermitian.  Where NumPy's BLAS lacks zherk,
-    G is the GEMM B^H B, Hermitian to rounding.
+        |G^ - G| <= gamma_(N+1) |B|^H |B|,
+
+    and its modulus gamma_(N+2) |B|^H |B| (sqrt(2) gamma_2 relative per
+    complex product): a BLAS product's bounds.  The reductions read the
+    Hermitian matrix of the upper triangle, so E = G^ - G is Hermitian,
+    ||E||_2 <= || |E| ||_2 <= gamma_(N+2) nu^2, nu = || |B| ||_2 (gamma_N
+    if real), and by Weyl sigma_max moves by at most gamma_(N+2) nu^2 /
+    (2 sigma_max) to first order.  Two routes that meet the bound, as this
+    one and a BLAS product do, agree to twice that and their eigensolvers'.
     """
-    lapack = _numpy_lapack()
-    if np.isrealobj(B):
-        return B.T @ B
-    if lapack is None:
-        return B.conj().T @ B
-    if B.dtype != np.complex128 or not B.flags.c_contiguous:
-        raise ValueError("zherk needs a C-ordered complex128 block")
-    N, K = B.shape
-    G = np.zeros((K, K), dtype=complex)
-    lapack.herk(_ROW_MAJOR, _UPPER, _CONJ_TRANS, K, N, 1.0, B.ctypes.data, K,
-                0.0, G.ctypes.data, K)
-    return G
+    lo, g, lead = parts[0] + first, parts[1], parts[2][:, first:first + cols]
+    u, p0 = len(g) - 1, lead.shape[1]
+    E = min(cols, max(p0, -lo))
+    # A[p, d] = G[p, p + d]: read with row stride cols + 1 it is G's upper
+    # triangle, and entries past the end of a diagonal fall below it
+    A = np.zeros((cols, u + 1 if band else cols + 1), dtype=g.dtype)
+    X = np.concatenate((lead, _toeplitz(lo + p0, g, N, E - p0)), axis=1)
+    # b(t) for t = 1 - cols .. N - 1 - E: what the other columns show
+    run = _toeplitz(lo + cols - 1, g, N + cols - E - 1, 1)[:, 0]
+    for j, row in enumerate(X.conj().T @ X):
+        if E < cols:
+            row = np.r_[row, np.correlate(run, X[:, j], "valid")[::-1]]
+        row[j] = row[j].real
+        A[j, :cols - j] = row[j:j + A.shape[1]]
+    ends = np.clip(N - lo - np.arange(E, cols), 0, u + 1)
+    lags = min(u, cols - 1 - E) + 1
+    for d in range(0, lags, _GRAM_CHUNK):
+        c = min(_GRAM_CHUNK, lags - d)
+        # S[1 + t - lo, k] = conj(b(t)) b(t - d - k), below a zero row
+        S = np.empty((u + 2, c), dtype=g.dtype)
+        S[0] = 0
+        np.multiply(g.conj()[:, None], _toeplitz(d, g, u + 1, c), out=S[1:])
+        if d == 0:
+            S[1:, 0] = g.real ** 2 + g.imag ** 2
+        A[E:, d:d + c] = np.cumsum(S, axis=0, out=S)[ends]
+    return A.T.conj() if band else A.ravel()[:cols * cols].reshape(cols, cols)
 
 
 def _sigma_max(parts: _Parts, N: int, K: int) -> float:
@@ -362,39 +375,31 @@ def _sigma_max(parts: _Parts, N: int, K: int) -> float:
     G is reduced to a real symmetric tridiagonal T by LAPACK
     (``_tridiagonal``), and lambda_max(T) is taken alone, by bisection
     (``_tridiagonal_top``): O(K) per step, against the O(K^2) of sterf's
-    whole spectrum.  The bisection stays exact where the
-    top of the spectrum clusters, as it does for a unimodular symbol, where
-    G is close to I; LAPACK's single-eigenvalue drivers do not: there stebz
-    with RANGE = 'I' returns INFO = 2 and no eigenvalue, and stemr returns
-    a value under the top with no error.
+    whole spectrum.  The bisection stays exact where the top of the
+    spectrum clusters, as it does for a unimodular symbol, where G is close
+    to I; LAPACK's single-eigenvalue drivers do not: there stebz with
+    RANGE = 'I' returns INFO = 2 and no eigenvalue, and stemr returns a
+    value under the top with no error.
 
-    When B has no leading columns and g spans u = len(g) - 1 <=
-    K // _BAND_RATIO, G has bandwidth u and is held in band storage
-    (``_gram_band``), whose reduction (sbtrd/hbtrd, O(K^2 u)) replaces the
-    O(K^3) dense one.  That takes the narrow unweighted blocks: a weighted
-    g = w * a * winv runs up to N - 1 - p0 after trimming, since
-    ``_block_parts`` refuses shorter pair windows, so it spans at least
-    K - 1 when a.lo <= 0 and some column is Toeplitz.  Otherwise B is
-    built, G is formed by a rank-k product (``_dense_gram``: syrk or zherk,
-    with no transposed or conjugated copy of B, which is freed before the
-    reduction) and reduced in place by sytrd/hetrd.  Product and reductions
-    both run in NumPy's BLAS and LAPACK, which build the sections too; a
-    second BLAS in the process (SciPy's, tried for this step) made it about
-    twice as slow at N = 1024 (two BLAS threads, 2-vCPU box), the idle
-    workers of one library competing with the other's.  Where NumPy's
-    LAPACK does not export the routines (``_numpy_lapack`` is None), every
-    block takes the dense G to NumPy's eigvalsh, reading the same upper
-    triangle, whose top eigenvalue is sterf's.
+    G comes from ``_gram``.  When B has no leading columns and g spans
+    u = len(g) - 1 <= K // _BAND_RATIO, G has bandwidth u and is held in
+    band storage, whose reduction (sbtrd/hbtrd, O(K^2 u)) replaces the
+    O(K^3) dense one (sytrd/hetrd, in place).  That takes the narrow
+    unweighted blocks: a weighted g = w * a * winv runs up to N - 1 - p0
+    after trimming, since ``_block_parts`` refuses shorter pair windows, so
+    it spans at least K - 1 when a.lo <= 0 and some column is Toeplitz.
+    The reductions run in NumPy's LAPACK; SciPy's, tried too, was about
+    twice as slow at N = 1024 (two BLAS threads, 2 vCPUs), the idle workers
+    of one library competing with the other's.  Where NumPy's LAPACK lacks
+    the routines (``_numpy_lapack`` is None), every block takes the dense G
+    to NumPy's eigvalsh, which reads the same upper triangle.
     """
     lo, g, lead = parts
     lapack = _numpy_lapack() is not None
-    if lapack and not lead.shape[1] and len(g) - 1 <= K // _BAND_RATIO:
-        lam = _tridiagonal_top(*_tridiagonal(_gram_band(g, lo, N, K),
-                                             band=True))
-    else:
-        G = _dense_gram(_block(parts, N, 0, K))
-        lam = (_tridiagonal_top(*_tridiagonal(G, band=False)) if lapack
-               else np.linalg.eigvalsh(G, UPLO="U")[-1])
+    band = lapack and not lead.shape[1] and len(g) - 1 <= K // _BAND_RATIO
+    G = _gram(parts, N, 0, K, band)
+    lam = (_tridiagonal_top(*_tridiagonal(G, band)) if lapack
+           else np.linalg.eigvalsh(G, UPLO="U")[-1])
     return math.sqrt(max(float(lam), 0.0))
 
 
@@ -403,15 +408,15 @@ def _packet_lower(parts: _Parts, N: int, first: int, L: int,
     """max over theta_k = 2 pi k / thetas of ||B u_k||, u_k the packet
     L^(-1/2) (e^(i l theta_k))_l on the L columns B of the block of the
     cast parts (``_cast_parts``) from its column first on, from their Gram
-    matrix G = B^H B.
+    matrix G = B^H B (``_gram``), its upper triangle mirrored.
 
     The formula.  ||B u_k||^2 = u_k^H G u_k = (1/L) sum_(p,q) G[p, q]
     e^(i (q - p) theta_k), and e^(i (q - p) theta_k) depends on p - q only
     through j = (p - q) mod thetas.  So with the folded diagonal sums
     c_j = sum of G[p, q] over p - q = j mod thetas (one bincount; exact
     folding, since the grid is uniform), ||B u_k||^2 = (1/L) DFT(c)_k for
-    every k at once: O(N L^2 + thetas log thetas) in place of the
-    O(N L thetas) of applying the packets.  A complex G need not be exactly
+    every k at once: O(N L + thetas log thetas) in place of the
+    O(N L thetas) of applying the packets.  The mirrored G is exactly
     Hermitian, and the real part of its DFT is taken.  Any real window s on
     the packets enters only as c_j = sum s_p s_q G[p, q].
 
@@ -420,7 +425,7 @@ def _packet_lower(parts: _Parts, N: int, first: int, L: int,
     Stability of Numerical Algorithms, 2nd ed., 3.6).  Let nu = || |B| ||_2,
     the norm of the entrywise moduli (nu >= ||B|| >= the value; for
     Toeplitz columns nu <= ||g||_l1).  The computed G satisfies
-    |dG| <= gamma_(N+2) |B|^H |B|, bin j sums at most
+    |dG| <= gamma_(N+2) |B|^H |B| (``_gram``), bin j sums at most
     n_f = L ceil((2L - 1) / thetas) entries, and an FFT output of length
     T = thetas errs by at most ((1 + eta)^t - 1) sum_j |c_j|, with
     t = log2 T radix-2 passes (T a power of two; a radix-4 pass counts as
@@ -446,12 +451,11 @@ def _packet_lower(parts: _Parts, N: int, first: int, L: int,
     errors of random sign each gamma_n scales like sqrt(n) (Higham & Mary,
     SIAM J. Sci. Comput. 41, 2019), which is what the suite's blocks show.
     """
-    B = _block(parts, N, first, L)
-    real = np.isrealobj(B)
-    G = B.T @ B if real else B.conj().T @ B
+    G = np.triu(_gram(parts, N, first, L, band=False))
+    G += np.triu(G, 1).conj().T
     bins = (np.subtract.outer(np.arange(L), np.arange(L)) % thetas).ravel()
     c = np.bincount(bins, G.real.ravel(), thetas)
-    if not real:
+    if np.iscomplexobj(G):
         c = c + 1j * np.bincount(bins, G.imag.ravel(), thetas)
     top = float(np.max(np.fft.fft(c).real)) / L
     return math.sqrt(max(top, 0.0))

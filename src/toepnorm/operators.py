@@ -14,7 +14,7 @@ Each section is a plain ndarray, built as a product of the sections of the
 operator's factors: multiplication by an analytic function is a
 lower-triangular Toeplitz matrix, T(a) a Toeplitz matrix, P_n a restriction
 to the first n rows and T(e_{-n}) the removal of the first n rows, each
-laid out by ``_toeplitz``, as ``estimation``'s blocks are.  No section is
+laid out by ``_toeplitz``, as ``estimation``'s lag windows are.  No section is
 assembled column by column, and none takes an outer pair shorter than it
 reads (``_check_pair_window``).  The conjugated section multiplies its
 factors through their zero patterns (a banded T(a), a triangular
@@ -48,7 +48,6 @@ class _Lapack(NamedTuple):
     dense: dict  # sytrd/hetrd by dtype: dense storage to tridiagonal
     pttrf: object  # LDL^T of a positive definite tridiagonal
     trmm: object   # complex triangular times general matrix
-    herk: object   # complex Hermitian rank-k product B^H B
 
 
 @functools.cache
@@ -58,10 +57,8 @@ def _numpy_lapack() -> _Lapack | None:
     matrix to a real symmetric tridiagonal from band storage (sbtrd/hbtrd)
     and from dense storage (sytrd/hetrd), each keyed by dtype, and the
     LDL^T factorisation of a symmetric positive definite tridiagonal
-    (pttrf), for the top Gram eigenvalue of ``estimation``; the complex
-    triangular product (ztrmm) of ``conjugated_toeplitz_matrix``; and the
-    complex Hermitian rank-k product (zherk) of the dense complex Gram
-    matrix.
+    (pttrf), for the top Gram eigenvalue of ``estimation``; and the complex
+    triangular product (ztrmm) of ``conjugated_toeplitz_matrix``.
 
     NumPy's wheels link a scipy-openblas BLAS and LAPACK with 64-bit
     integers whose symbols carry a ``64_`` suffix; loading the extension
@@ -77,11 +74,10 @@ def _numpy_lapack() -> _Lapack | None:
                  np.dtype(np.complex128): lib.scipy_LAPACKE_zhetrd64_}
         pttrf = lib.scipy_LAPACKE_dpttrf64_
         trmm = lib.scipy_cblas_ztrmm64_
-        herk = lib.scipy_cblas_zherk64_
     except (OSError, AttributeError):
         return None
     i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-    enum, dbl = ctypes.c_int, ctypes.c_double
+    enum = ctypes.c_int
     for f in band.values():
         # (layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq) -> info
         f.argtypes = [enum, char, char, i64, i64, ptr, i64, ptr, ptr, ptr,
@@ -94,15 +90,13 @@ def _numpy_lapack() -> _Lapack | None:
         f.restype = i64
     # (layout, side, uplo, trans, diag, m, n, &alpha, a, lda, b, ldb)
     trmm.argtypes = [enum] * 5 + [i64, i64, ptr, ptr, i64, ptr, i64]
-    # (layout, uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
-    herk.argtypes = [enum] * 3 + [i64, i64, dbl, ptr, i64, dbl, ptr, i64]
-    trmm.restype = herk.restype = None
-    return _Lapack(band, dense, pttrf, trmm, herk)
+    trmm.restype = None
+    return _Lapack(band, dense, pttrf, trmm)
 
 
 # CBLAS enumerators
-_ROW_MAJOR, _LEFT, _UPPER, _LOWER = 101, 141, 121, 122
-_NO_TRANS, _CONJ_TRANS, _NON_UNIT = 111, 113, 131
+_ROW_MAJOR, _LEFT, _LOWER = 101, 141, 122
+_NO_TRANS, _NON_UNIT = 111, 131
 
 
 def _toeplitz(lo: int, vals: np.ndarray, rows: int, cols: int) -> np.ndarray:

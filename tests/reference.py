@@ -9,8 +9,8 @@ conjugated and K0 sections assembled from them; beside them, the
 conjugated section as dense GEMMs of the factor sections.  The Schwarz
 integral gives an outer function from grid samples independently of the
 cepstral constructions.  The dense sigma_max formula is kept in the form
-that reads the whole assembled block, which ``block`` builds from the
-library's own parts.
+that reads the whole assembled block, which ``assemble`` builds from the
+library's own parts; the library forms no such block.
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from toepnorm import CoeffVector, IndexWindow
-from toepnorm.estimation import _block, _block_parts
+from toepnorm.estimation import _block_parts
 from toepnorm.operators import _toeplitz
 from toepnorm.spectral import grid_thetas
 from toepnorm.weights import _positive_real_samples
@@ -172,13 +172,24 @@ def k0_reference(n, h, W, N):
     return out
 
 
+def assemble(parts, N: int, first: int, cols: int) -> np.ndarray:
+    """Columns first .. first + cols - 1 of the N-row block that the parts
+    (lo, g, lead) of ``_block_parts`` describe, in their dtype: the
+    Toeplitz section of g, its leading columns written over."""
+    lo, g, lead = parts
+    B = _toeplitz(lo + first, g, N, cols)
+    lead = lead[:, first:first + cols]
+    B[:, :lead.shape[1]] = lead
+    return B
+
+
 def block(a: CoeffVector, W, N: int, m: int, cols: int | None = None
           ) -> np.ndarray:
     """The library's block A[:, m:] that a bracket reads, or its first cols
     columns, built from the parts of one ``_block_parts`` call: the
     assembled matrix that the references here are compared with."""
     cols = N - m if cols is None else cols
-    return _block(_block_parts(a, W, N, m), N, 0, cols)
+    return assemble(_block_parts(a, W, N, m), N, 0, cols)
 
 
 def cast_block(B: np.ndarray) -> np.ndarray | None:

@@ -633,6 +633,20 @@ def test_reproduce_into_file_path_is_io_error(tmp_path, capsys):
 
 # ----------------------------------------------------------------- entry point
 
+def test_successive_calls_share_one_parser_and_no_weights(capsys):
+    # main builds its parser once; the --weight list that one call appends
+    # to does not reach the next (argparse copies the default list first)
+    base = ["essnorm", "--symbol=-1:1,2:0.5", "--N", "256", "--m", "16",
+            "--L", "16", "--thetas", "16"]
+    weighted = base + ["--weight", "0:0.3"]
+    tables = [run(argv, capsys)[1] for argv in (weighted, base, weighted)]
+    assert cli._build_parser() is cli._build_parser()
+    assert tables[0] == tables[2]
+    # header, unweighted row, one row per weight, the cross-weight summary
+    assert [t.count("\n") for t in tables] == [4, 3, 4]
+    assert tables[1].splitlines()[1] == tables[0].splitlines()[1]
+
+
 def _libc_has_mallopt():
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")

@@ -19,11 +19,11 @@ from toepnorm.acceptance import (bracket_symbols, independence_weights,
                                  run_unweighted_bracket,
                                  run_weight_independence, weighted_bracket)
 from toepnorm.estimation import (_BAND_RATIO, _block_parts, _cast_parts,
-                                 _gram_band, _sigma_max, _tridiagonal,
+                                 _gram, _sigma_max, _tridiagonal,
                                  _tridiagonal_top)
 from toepnorm.weights import OuterPair, PowerWeight
 
-from reference import (block, cast_block, cut_pair, gram_of_block,
+from reference import (assemble, block, cast_block, cut_pair, gram_of_block,
                        packet_lower, sigma_max_of_block, tridiagonal_top)
 
 
@@ -239,10 +239,40 @@ def grams(monkeypatch):
     return kept
 
 
-def test_dense_upper_matches_whole_block_cast_bitwise(grams):
-    # the cast decided on the coefficient window gives the Gram matrix, to
-    # the byte, of the cast decided on the whole assembled block (through
-    # the same product), on both branches and with leading conjugated
+def gram_bound(B):
+    """2 gamma_(N+2) |B|^H |B| for the N-row block B as cast: a Gram matrix
+    from ``_gram`` and the GEMM of ``reference.gram_of_block`` each err by
+    at most gamma_(N+2) |B|^H |B| in modulus (``_gram``'s docstring), so
+    they agree to twice it."""
+    C = cast_block(B)
+    return 2 * gamma(len(C) + 2) * (np.abs(C).T @ np.abs(C))
+
+
+def check_gram(G, B):
+    # the upper triangle of G against the GEMM of the assembled block B,
+    # in the dtype of the cast decided on the whole of B
+    ref = gram_of_block(B)
+    assert G.dtype == ref.dtype and G.shape == ref.shape
+    upper = np.triu_indices(len(ref))
+    assert np.all(np.abs(G - ref)[upper] <= gram_bound(B)[upper])
+
+
+def upper_tolerance(B, up, ref):
+    """|up - ref| for two routes to sigma_max of the block B whose Gram
+    matrices are within ``gram_bound`` (in 2-norm 2 gamma_(N+2) nu^2,
+    nu = || |B| ||_2) and whose eigenvalue steps each err by at most
+    gamma_K ||G||_F <= gamma_K ||B||_F^2 (Householder reduction, backward
+    stable): on lambda = sigma^2, divided by up + ref."""
+    N, K = B.shape
+    nu = np.linalg.norm(np.abs(B), 2)
+    lam = 2 * gamma(N + 2) * nu ** 2 + 2 * gamma(K) * np.linalg.norm(B) ** 2
+    return lam / (up + ref)
+
+
+def test_dense_upper_matches_whole_block_cast(grams):
+    # the cast decided on the coefficient window gives the Gram matrix of
+    # the cast decided on the whole assembled block, in its dtype and within
+    # rounding of its GEMM, on both branches and with leading conjugated
     # columns (m < n = 3 for e_{-3} h)
     weights = [PowerWeight(((0.0, 0.3),)),
                PowerWeight(((0.0, 0.25), (math.pi, -0.25)))]
@@ -260,11 +290,10 @@ def test_dense_upper_matches_whole_block_cast_bitwise(grams):
     for a, W, N, m in cases:
         B = block(a, W, N, m)
         real.append(np.max(np.abs(B.imag)) <= 1e-12 * np.max(np.abs(B)))
-        ref = est._dense_gram(cast_block(B))
         del grams[:]
         up = sigma_max(a, W, N, m)
-        assert len(grams) == 1 and grams[0].dtype == ref.dtype
-        assert grams[0].tobytes() == ref.tobytes()
+        assert len(grams) == 1
+        check_gram(grams[0], B)
         if N == 1024:
             est_ = essential_bracket(a, W, BracketParams(N=N, m=m))
             assert est_.upper == max(up, est_.lower)
@@ -345,21 +374,22 @@ def test_real_cast_covers_the_leading_columns(grams):
     assert abs(B[0, 0] + 1j * eps) <= 1e-22
     assert not np.any(B[:, 1:].imag)
     up = sigma_max(a, W, N, m)
-    assert [G.tobytes() for G in grams] == [
-        est._dense_gram(cast_block(B)).tobytes()]
+    assert len(grams) == 1 and grams[0].dtype == complex
+    check_gram(grams[0], B)
     assert abs(up - math.sqrt(1.0 + eps ** 2)) <= 1e-15 and up > 1.0
 
 
-def test_weighted_bracket_peak_memory():
-    """Traced peak of one real weighted bracket at N = 1024, m = 64, in units
-    of one real block, N (N - m) 8 bytes: the block, its (N - m)^2 Gram
-    matrix (0.94 units), and the N x L packet columns with their L x L Gram
-    matrix, with no complex block or real copy beside them.  LAPACK's
-    workspace, including eigvalsh's copy of G, is allocated outside Python
-    and not traced."""
+def weighted_bracket_peak(a, item):
+    """Traced peak of one bracket of a against the grid pair of |t - 1|^0.3
+    at N = 1024, m = 64, beside the K x K Gram matrix's storage
+    (K = N - m; ``_gram`` holds it in K (K + 1) entries), in units of
+    N _GRAM_CHUNK entries of item bytes, the size of the block's cast.
+    ``_gram`` holds three arrays of about that size at once (a chunk of
+    lagged values, their products and prefix sums, and the diagonals read
+    from them); no N x K block is formed.  LAPACK's workspace, including
+    eigvalsh's copy of G, is allocated outside Python and not traced."""
     params = BracketParams()
-    N, m = params.N, params.m
-    a = bracket_symbols()[1][1]
+    N, K = params.N, params.N - params.m
     W = grid_pair(PowerWeight(((0.0, 0.3),)), a, N)
     essential_bracket(a, W, params)
     tracemalloc.start()
@@ -368,47 +398,45 @@ def test_weighted_bracket_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * N * (N - m) * 8
+    return (peak - K * (K + 1) * item) / (N * est._GRAM_CHUNK * item)
+
+
+def test_weighted_bracket_peak_memory():
+    # a real block: the Gram matrix (7 MiB) and under 4 units (1 MiB); an
+    # assembled N x K block would add 30 units
+    assert weighted_bracket_peak(bracket_symbols()[1][1], 8) <= 4
 
 
 def test_complex_weighted_bracket_peak_memory():
-    """Traced peak of one complex weighted bracket at N = 1024, m = 64, in
-    units of N (N - m) 8 bytes: the complex block (2 units) and its
-    (N - m)^2 complex Gram matrix (2 (N - m) / N = 1.875 units), with no
-    conjugated copy of the block beside them, and 0.25 units for the
-    coefficient windows, the packet columns (2 L / (N - m) = 0.13 units)
-    and their L x L Gram matrix."""
-    params = BracketParams()
-    N, m = params.N, params.m
+    # a complex block: the Gram matrix (14 MiB) and under 4 units (2 MiB);
+    # an assembled N x K block would add 30 units
     a = CoeffVector(-1, [1j, 0.0, 0.0, 0.4])
-    W = grid_pair(PowerWeight(((0.0, 0.3),)), a, N)
-    essential_bracket(a, W, params)
-    tracemalloc.start()
-    try:
-        essential_bracket(a, W, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 + 2 * (N - m) / N + 0.25) * N * (N - m) * 8
+    assert weighted_bracket_peak(a, 16) <= 4
+
+
+def random_parts(rng, N, K, p0, lo, span, complex_values=True):
+    # parts (lo, g, lead) of an N x K block with p0 leading columns and g
+    # on frequencies lo .. lo + span, entries standard normal
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_values else x
+    return lo, draw(span + 1), draw(N, p0)
 
 
 @pytest.mark.parametrize("N, K", [(6, 5), (70, 63), (128, 127), (300, 17),
                                   (1024, 960)])
 def test_complex_dense_gram_is_exactly_hermitian(N, K):
-    # the triangle that both dense reductions read, zherk's, defines an
-    # exactly Hermitian G with a real diagonal (a GEMM's diagonal keeps a
+    # the triangle that both dense reductions read defines an exactly
+    # Hermitian G with a real diagonal (a GEMM's diagonal keeps a
     # rounding-level imaginary part at these sizes), within rounding of the
-    # GEMM: each entry is a complex inner product of N terms, so it errs by
-    # at most sqrt(2) gamma_(N+2) (|B|^T |B|) on either route (Higham,
-    # 3.5-3.6)
+    # GEMM (``gram_bound``), on a block laid out as a weighted one: two
+    # leading columns, then g on -2 .. N - 3
     rng = np.random.default_rng([N, K])
-    B = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
-    G = est._dense_gram(B)
-    assert G.dtype == complex and not np.any(np.tril(G, -1))
+    parts = random_parts(rng, N, K, 2, -2, N - 1)
+    B = assemble(parts, N, 0, K)
+    G = _gram(parts, N, 0, K, band=False)
     assert not np.any(np.diagonal(G).imag)
-    gamma = (N + 2) * U / (1 - (N + 2) * U)
-    bound = 2 * math.sqrt(2) * gamma * (np.abs(B).T @ np.abs(B))
-    assert np.all(np.triu(np.abs(G - gram_of_block(B))) <= bound)
+    check_gram(G, B)
     if est._numpy_lapack() is None:
         return
     # only the upper triangle is read: a NaN below it changes nothing
@@ -427,7 +455,9 @@ def random_laurent(rng, lo, span, complex_coeffs):
 
 
 def test_gram_band_matches_dense_gram():
-    # N = 256, m = 16: span 7 = (N - m) // _BAND_RATIO is the cutoff
+    # band storage against the GEMM of the assembled block, within rounding
+    # (``gram_bound``); N = 256, m = 16: span 7 = (N - m) // _BAND_RATIO is
+    # the cutoff
     rng = np.random.default_rng(7)
     cases = [(SYM_CURVED, 1024, 64),
              (CoeffVector(-2, [2.0, 0.0, 0.0, 1.0, 0.0, 0.3]), 1024, 64)]
@@ -439,13 +469,75 @@ def test_gram_band_matches_dense_gram():
         ]
     for a, N, m in cases:
         B = block(a, None, N, m)
-        G = B.conj().T @ B
-        lo, g, _ = _block_parts(a, None, N, m)
-        ab = _gram_band(g, lo, N, N - m)
-        K, scale = N - m, np.max(np.abs(G))
+        G, bound = gram_of_block(B), gram_bound(B)
+        ab = _gram(_cast_parts(_block_parts(a, None, N, m)), N, 0, N - m,
+                   band=True)
+        K = N - m
+        assert ab.shape == (a.hi - a.lo + 1, K) and ab.dtype == G.dtype
         for d in range(a.hi - a.lo + 1):
-            dev = np.max(np.abs(ab[d, :K - d] - np.diagonal(G, -d)))
-            assert dev <= 1e-15 * scale
+            dev = np.abs(ab[d, :K - d] - np.diagonal(G, -d))
+            assert np.all(dev <= np.diagonal(bound, -d))
+
+
+@given(st.data())
+def test_gram_matches_the_assembled_block(data):
+    # _gram against the GEMM of the assembled block within gram_bound, over
+    # real and complex parts, the top cut (lo < 0), 0, 1 or 2 leading
+    # columns or every column leading (n > N), column offsets, and both
+    # storages
+    N = data.draw(st.integers(2, 40))
+    K = data.draw(st.integers(1, N))
+    p0 = min(data.draw(st.sampled_from([0, 1, 2, K])), K)
+    lo = data.draw(st.integers(-N - 4, N + 4))
+    span = data.draw(st.integers(-1 if p0 == K else 0, 2 * N))
+    first = data.draw(st.integers(0, K - 1))
+    cols = data.draw(st.integers(1, K - first))
+    band, complex_values = data.draw(st.booleans()), data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    parts = random_parts(rng, N, K, p0, lo, span, complex_values)
+    B = assemble(parts, N, first, cols)
+    ref = B.conj().T @ B
+    bound = 2 * gamma(N + 2) * (np.abs(B).T @ np.abs(B))
+    G = _gram(parts, N, first, cols, band)
+    assert G.dtype == B.dtype
+    if band:
+        assert G.shape == (span + 1, cols)
+        for d in range(min(span + 1, cols)):
+            dev = np.abs(G[d, :cols - d] - np.diagonal(ref, -d))
+            assert np.all(dev <= np.diagonal(bound, -d))
+    else:
+        assert G.shape == (cols, cols)
+        upper = np.triu_indices(cols)
+        assert np.all(np.abs(G - ref)[upper] <= bound[upper])
+        assert not np.any(np.diagonal(G).imag)
+
+
+def test_sigma_max_reads_only_the_upper_triangle(monkeypatch):
+    # NaN below the diagonal of every dense G changes no bit of sigma_max,
+    # through LAPACK's reduction and through eigvalsh (UPLO = 'U'), for
+    # real and complex blocks, with and without leading columns
+    gram = est._gram
+
+    def marked(parts, N, first, cols, band):
+        G = gram(parts, N, first, cols, band)
+        if not band:
+            G[np.tril_indices(cols, -1)] = np.nan
+        return G
+
+    pw = PowerWeight(((0.0, 0.3),))
+    symbols = [a for _, a in bracket_symbols()]
+    symbols += [CoeffVector(-1, [1j, 0.0, 0.0, 0.4]),
+                CoeffVector(-3, [1.0, 0.5j, -0.3, 0.2, 0.1])]
+    cases = [(a, pair, 128, m) for a in symbols for m in (1, 8)
+             for pair in (None, grid_pair(pw, a, 128))]
+    for lapack in (est._numpy_lapack, lambda: None):
+        for a, W, N, m in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(est, "_numpy_lapack", lapack)
+                up = sigma_max(a, W, N, m)
+                patch.setattr(est, "_gram", marked)
+                assert math.isfinite(up)
+                assert sigma_max(a, W, N, m).hex() == up.hex()
 
 
 def sterf(d, e):
@@ -470,11 +562,13 @@ def test_numpy_lapack_band_driver_matches_scipy_bitwise(a, N, m):
     if est._numpy_lapack() is None:
         pytest.skip("NumPy's LAPACK does not export the reductions")
     assert a.hi - a.lo <= (N - m) // _BAND_RATIO
-    c = a.coeffs.real if not np.any(a.coeffs.imag) else a.coeffs
-    ab = _gram_band(c, a.lo + m, N, N - m)
+    lo, g, lead = _block_parts(a, None, N, m)
+    if not np.any(g.imag):
+        g, lead = g.real, lead.real
+    ab = _gram((lo, g, lead), N, 0, N - m, band=True)
     lam = sterf(*_tridiagonal(ab, band=True))
     assert lam.tobytes() == eigvals_banded(ab, lower=True).tobytes()
-    if not np.any(c):
+    if not np.any(g):
         # the cast step stops a zero block before sigma_max
         assert _cast_parts(_block_parts(a, None, N, m)) is None
         assert not np.any(lam)
@@ -500,20 +594,30 @@ def test_dense_reduction_matches_eigvalsh_bitwise(dtype):
 
 def test_bracket_without_band_driver_takes_the_dense_path(monkeypatch):
     # a NumPy whose LAPACK lacks the tridiagonal routines gets the dense
-    # upper end from eigvalsh, bitwise, on blocks that band storage would
-    # take
+    # upper end from eigvalsh on the upper triangle of the dense G, bitwise,
+    # on blocks that band storage would take, within ``upper_tolerance`` of
+    # the GEMM of the assembled block
     params = BracketParams(N=256, m=16, L=16, thetas=16)
+    N, K = params.N, params.N - params.m
     cases = [a for _, a in bracket_symbols()]
     cases += [CoeffVector(-1, [1j, 0.0, 0.0, 0.4]),
               CoeffVector(-1, [0.0, 0.0])]
     monkeypatch.setattr(est, "_numpy_lapack", lambda: None)
-    for name in ("_gram_band", "_tridiagonal", "_tridiagonal_top"):
+    for name in ("_tridiagonal", "_tridiagonal_top"):
         monkeypatch.setattr(est, name, None)  # never called
     for a in cases:
-        assert a.hi - a.lo <= (params.N - params.m) // _BAND_RATIO
+        assert a.hi - a.lo <= K // _BAND_RATIO
         bracket = essential_bracket(a, None, params)
-        dense = sigma_max_of_block(block(a, None, params.N, params.m))
+        parts = _cast_parts(_block_parts(a, None, N, params.m))
+        if parts is None:
+            assert (bracket.lower, bracket.upper) == (0.0, 0.0)
+            continue
+        G = _gram(parts, N, 0, K, band=False)
+        dense = math.sqrt(max(np.linalg.eigvalsh(G, UPLO="U")[-1], 0.0))
         assert bracket.upper == max(dense, bracket.lower)
+        B = block(a, None, N, params.m)
+        ref = sigma_max_of_block(B)
+        assert abs(dense - ref) <= upper_tolerance(B, dense, ref)
 
 
 def test_band_driver_is_numpys_lapack():
@@ -794,21 +898,21 @@ def test_both_ends_read_one_cast(monkeypatch):
     # s = N - hi - L = 24, and their columns 24 .. 39 miss e_{-40}.  On
     # their own they hold 1e-3 e_{-10} + 1e-13i e_{-9} + 1e-3 e_24, complex
     # by the cast rule, while the whole block, scaled by e_{-40}, is real.
-    # Both ends build the real block, and the lower end stays within
-    # _packet_lower's bound of the direct route, the real cast's term
-    # included.
+    # Both ends take the real block's Gram matrix, and the lower end stays
+    # within _packet_lower's bound of the direct route, the real cast's
+    # term included.
     N, m, L, thetas = 64, 4, 16, 64
     a = CoeffVector(-40, np.r_[1.0, np.zeros(29), 1e-3, 1e-13j, np.zeros(32),
                                1e-3])
     first = packet_start(a, N, m, L) - m
-    built, block_ = [], est._block
+    built, gram = [], est._gram
 
-    def spy(parts, N, first, cols):
-        B = block_(parts, N, first, cols)
-        built.append((first, cols, B.dtype))
-        return B
+    def spy(parts, N, first, cols, band):
+        G = gram(parts, N, first, cols, band)
+        built.append((first, cols, G.dtype))
+        return G
 
-    monkeypatch.setattr(est, "_block", spy)
+    monkeypatch.setattr(est, "_gram", spy)
     got = essential_bracket(a, None, BracketParams(N=N, m=m, L=L,
                                                    thetas=thetas))
     assert first == 20
